@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import ConvolutionKernel, GradientField, ImageGrid
+from .grids import ConvolutionKernel, ImageGrid
 from .inner import (InnerSolveConfig, circulant_preconditioner,
                     circulant_solve_array, pcg_solve)
-from .operators import (_blur_adjoint, _blur_forward, _finite_diff_adjoint,
-                        _finite_diff_forward, diff_gram_spectrum, diff_mask,
-                        gram_spectrum, split_operator_rank_check)
+from .operators import (blur, blur_transfer, blur_transpose, diff_gram_spectrum,
+                        diff_mask, difference, difference_transpose,
+                        split_operator_rank_check, transfer_gram)
 from .prox import Potential, potential_value_array, prox_array
 
 DIVERGENCE_FACTOR = 1e6
@@ -86,37 +86,41 @@ class SolverState:
 
 
 class ProblemOps:
-    """Operator bundle derived once from a ProblemSpec.
+    """The operators of one problem, on plain arrays.
 
-    Exposes the true (possibly masked) operators A/At/C/Ct on raw arrays,
-    the unmasked circulant spectra, the validity mask, and the cost value
-    of the true problem.
+    Built once from a ProblemSpec: the blur transfer (and lambda from it),
+    the difference spectrum omega, the validity mask of C, and the rank
+    check of the split.  A/At/C/Ct are the true (possibly masked) operators;
+    cost is the objective of the true problem.  Raises ValueError when the
+    kernel does not fit the grid or the grid is a single pixel.
     """
 
     def __init__(self, problem: ProblemSpec):
         self.problem = problem
         self.y = problem.y.values
         self.shape = self.y.shape
+        if self.shape == (1, 1):
+            raise ValueError("cannot difference a 1x1 image")
         self.kernel = problem.kernel
         self.mask_mode = problem.mask_mode
         self.potential = problem.potential
-        self.lam = gram_spectrum(problem.kernel, self.shape)
+        self.transfer = blur_transfer(problem.kernel, self.shape)
+        self.lam = transfer_gram(self.transfer)
         self.om = diff_gram_spectrum(self.shape)
         self.mask = diff_mask(self.shape, problem.mask_mode)
         self.rank = split_operator_rank_check(self.lam, self.om)
 
     def A(self, x):
-        return _blur_forward(self.kernel, x)
+        return blur(self.kernel, self.transfer, x)
 
     def At(self, r):
-        return _blur_adjoint(self.kernel, r)
+        return blur_transpose(self.kernel, self.transfer, r)
 
     def C(self, x):
-        planes, _ = _finite_diff_forward(x, self.mask_mode)
-        return planes
+        return difference(x, self.mask)
 
     def Ct(self, g):
-        return _finite_diff_adjoint(g, self.mask_mode)
+        return difference_transpose(g, self.mask_mode, self.mask)
 
     def cost(self, x):
         res = self.y - self.A(x)
@@ -288,6 +292,9 @@ def run(problem: ProblemSpec, config: OuterConfig,
     The relative cost error and RMSD columns are NaN without a reference.
     """
     ops = ProblemOps(problem)
+    if reference is not None and reference.shape != ops.shape:
+        raise ValueError("reference grid %s does not match the problem grid %s"
+                         % (reference.shape, ops.shape))
     step = _make_step(config)
     state = canonical_init(ops, config.rho, config.eta, config.x0_mode)
     trace = MetricTrace()

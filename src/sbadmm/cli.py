@@ -8,19 +8,21 @@ go to --output-dir only; standard output carries the human-readable summary.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 
 import click
 import numpy as np
 
-from .algorithms import OuterConfig, ProblemOps, SolverDivergenceError, run
+from .algorithms import (ALGORITHMS, OuterConfig, ProblemOps,
+                         SolverDivergenceError, run)
 from .experiments import (ExperimentConfig, benchmark_protocol, make_problem,
                           reference_solution)
 from .grids import ConvolutionKernel, write_pgm
-from .inner import InnerSolveConfig, PcgBreakdownError, SingularHessianError
+from .inner import PcgBreakdownError, SingularHessianError
 from .operators import diff_gram_spectrum, gram_spectrum, write_spectra_csv
-from .rates import (Comparison, compare_sb_vs_admm, delta_spectrum,
+from .rates import (case_parameters, compare_sb_vs_admm, delta_spectrum,
                     dense_transition_oracle, optimal_eta_sb, optimal_rho_al,
                     predict, rate_report_to_csv)
 
@@ -62,6 +64,12 @@ def _parse_grid(text):
     return pairs
 
 
+def _inner_mode(value):
+    if value not in ("exact", "pcg"):
+        raise ValueError("expected 'exact' or 'pcg', got %r" % (value,))
+    return "pcg" if value == "pcg" else "circulant_exact"
+
+
 _CONFIG_KEYS = {
     "image": ("image_source", str),
     "height": ("height", int),
@@ -77,41 +85,33 @@ _CONFIG_KEYS = {
     "max_iters": ("max_iterations", int),
     "grid": ("parameter_grid", _parse_grid),
     "output_dir": ("output_dir", str),
+    "inner": ("mode", _inner_mode),
+    "pcg_iters": ("pcg_iterations", int),
 }
+# Keys that set one field each of the default InnerSolveConfig.
+_INNER_KEYS = ("inner", "pcg_iters")
 
 
 def build_experiment_config(config_path=None, **overrides) -> ExperimentConfig:
+    """Config-file values, overridden by the flags given (not None).
+
+    Flags use the config-file key names.
+    """
+    settings = load_config(config_path) if config_path is not None else {}
+    settings.update((k, v) for k, v in overrides.items() if v is not None)
     kwargs = {}
-    inner_kwargs = {}
-    if config_path is not None:
-        mapping = load_config(config_path)
-        for key, value in mapping.items():
-            if key == "inner":
-                inner_kwargs["mode"] = ("pcg" if value == "pcg"
-                                        else "circulant_exact")
-            elif key == "pcg_iters":
-                inner_kwargs["pcg_iterations"] = int(value)
-            elif key in _CONFIG_KEYS:
-                field, conv = _CONFIG_KEYS[key]
-                try:
-                    kwargs[field] = conv(value)
-                except ValueError as exc:
-                    raise ConfigError("bad value for %s: %s" % (key, exc))
-            else:
-                raise ConfigError("unknown config key %r" % key)
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key == "inner_mode":
-            inner_kwargs["mode"] = "pcg" if value == "pcg" else "circulant_exact"
-        elif key == "pcg_iters":
-            inner_kwargs["pcg_iterations"] = int(value)
-        else:
-            kwargs[key] = value
+    inner = {}
+    for key, value in settings.items():
+        if key not in _CONFIG_KEYS:
+            raise ConfigError("unknown config key %r" % key)
+        field, conv = _CONFIG_KEYS[key]
+        try:
+            (inner if key in _INNER_KEYS else kwargs)[field] = conv(value)
+        except ValueError as exc:
+            raise ConfigError("bad value for %s: %s" % (key, exc))
     try:
         config = ExperimentConfig(**kwargs)
-        if inner_kwargs:
-            config.inner = InnerSolveConfig(**inner_kwargs)
+        config.inner = dataclasses.replace(config.inner, **inner)
         return config
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
@@ -163,9 +163,7 @@ def _common_options(fn):
               default=None)
 @click.option("--pcg-iters", type=int, default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--algorithm", type=click.Choice(
-    ["sb", "admm2", "admm2_simplified", "quadratic_closed_form"]),
-    default="admm2")
+@click.option("--algorithm", type=click.Choice(ALGORITHMS), default="admm2")
 @click.option("--x0", "x0_mode", type=click.Choice(["zero", "data"]),
               default="zero", help="initial image: zeros or the data y")
 def restore(config_path, alpha, output_dir, rho, eta, iters, inner_mode,
@@ -175,7 +173,7 @@ def restore(config_path, alpha, output_dir, rho, eta, iters, inner_mode,
     def body():
         config = build_experiment_config(
             config_path, alpha=alpha, output_dir=output_dir,
-            max_iterations=iters, inner_mode=inner_mode, pcg_iters=pcg_iters,
+            max_iters=iters, inner=inner_mode, pcg_iters=pcg_iters,
             noise_seed=seed)
         problem, _ = make_problem(config)
         outer = OuterConfig(rho=rho, eta=config.alpha if eta is None else eta,
@@ -267,7 +265,7 @@ def benchmark(config_path, alpha, output_dir, iters):
     def body():
         config = build_experiment_config(config_path, alpha=alpha,
                                          output_dir=output_dir,
-                                         max_iterations=iters)
+                                         max_iters=iters)
         traces, _ = benchmark_protocol(config)
         for (rho, eta), trace in sorted(traces.items()):
             if trace is None:
@@ -313,19 +311,12 @@ def oracle(grid_text, case, rho, eta, alpha):
             h, w = (int(p) for p in grid_text.lower().split("x"))
         except ValueError:
             raise ConfigError("--grid must look like 4x4")
-        if case == "I":
-            eta_ = eta if eta is not None else 2.0 * alpha
-            rho_ = 1.0
-        elif case == "II":
-            eta_ = alpha
-            rho_ = rho if rho is not None else 2.0
+        if case == "II":
+            rho_, eta_ = case_parameters(case, alpha, 2.0 if rho is None else rho,
+                                         eta)
         else:
-            eta_ = eta if eta is not None else 2.0 * alpha
-            rho_ = eta_ / alpha
-        if rho is not None and abs(rho - rho_) > 1e-12 * max(1.0, rho_):
-            raise ConfigError("case %s requires rho = %g" % (case, rho_))
-        if eta is not None and abs(eta - eta_) > 1e-12 * max(1.0, eta_):
-            raise ConfigError("case %s requires eta = %g" % (case, eta_))
+            rho_, eta_ = case_parameters(case, alpha, rho,
+                                         2.0 * alpha if eta is None else eta)
         kernel = _oracle_kernel(h, w)
         result = dense_transition_oracle(kernel, (h, w), rho_, eta_, alpha)
         radii = result.cases[case]

@@ -14,13 +14,13 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .algorithms import (MetricTrace, OuterConfig, ProblemOps, ProblemSpec, run)
+from .algorithms import OuterConfig, ProblemSpec, run
 from .grids import ConvolutionKernel, ImageGrid, read_matrix_text, read_pgm, write_pgm
 from .inner import InnerSolveConfig
-from .operators import embed_kernel, sparse_blur_matrix, sparse_diff_matrix
+from .operators import (blur, blur_transfer, sparse_blur_matrix,
+                        sparse_diff_matrix)
 from .prox import Potential
 
 DEFAULT_ALPHA = 2.0 ** -4
@@ -117,9 +117,7 @@ def make_problem(config: ExperimentConfig):
     """Build (problem, truth): y = A truth + Gaussian noise, seeded."""
     truth = load_truth(config)
     kernel = gaussian_kernel(config.psf_size, config.psf_sigma)
-    blurred = np.real(np.fft.ifft2(
-        np.fft.fft2(truth.values)
-        * np.fft.fft2(embed_kernel(kernel, truth.shape))))
+    blurred = blur(kernel, blur_transfer(kernel, truth.shape), truth.values)
     std = config.noise_std
     if std is None:
         std = 0.01 * (truth.values.max() - truth.values.min())
@@ -162,12 +160,6 @@ def reference_solution(problem: ProblemSpec,
                          inner=InnerSolveConfig(mode="pcg", pcg_iterations=50),
                          algorithm="admm2")
     return run(problem, config).final_image
-
-
-def rmsd(a: ImageGrid, b: ImageGrid) -> float:
-    if a.shape != b.shape:
-        raise ValueError("shape mismatch")
-    return float(np.sqrt(np.mean((a.values - b.values) ** 2)))
 
 
 def benchmark_protocol(config: ExperimentConfig, write_artifacts: bool = True):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,46 +34,6 @@ class ImageGrid:
     @property
     def shape(self):
         return self.values.shape
-
-    @classmethod
-    def zeros(cls, height, width):
-        return cls(np.zeros((height, width)))
-
-
-@dataclass(frozen=True)
-class GradientField:
-    """Stacked per-direction difference planes with a validity mask.
-
-    ``planes`` has shape (directions, height, width); masked-out entries are
-    kept at exactly zero.
-    """
-
-    planes: np.ndarray
-    mask: np.ndarray = None
-
-    def __post_init__(self):
-        p = np.asarray(self.planes, dtype=float)
-        if p.ndim != 3 or p.size == 0:
-            raise ValueError("planes must be a non-empty (directions, h, w) array")
-        if self.mask is None:
-            m = np.ones(p.shape, dtype=bool)
-        else:
-            m = np.asarray(self.mask, dtype=bool)
-            if m.shape != p.shape:
-                raise ValueError("mask shape must match planes shape")
-        p = np.where(m, p, 0.0)
-        if not np.all(np.isfinite(p)):
-            raise ValueError("gradient field contains non-finite entries")
-        object.__setattr__(self, "planes", p)
-        object.__setattr__(self, "mask", m)
-
-    @property
-    def directions(self):
-        return self.planes.shape[0]
-
-    @property
-    def grid_shape(self):
-        return self.planes.shape[1:]
 
 
 @dataclass(frozen=True)

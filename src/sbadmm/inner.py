@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import ImageGrid
 from .operators import BccbSpectrum
 
 PRECONDITIONER_FLOOR = 1e-8
@@ -59,6 +58,7 @@ def hessian_spectrum(lam: BccbSpectrum, omega: BccbSpectrum, rho, eta):
 
 
 def circulant_solve_array(lam, omega, rho, eta, rhs):
+    """Exact solve of (rho A'A + eta C'C) x = rhs by frequency division."""
     denom = hessian_spectrum(lam, omega, rho, eta)
     mn = denom.min()
     if mn <= 0.0:
@@ -66,14 +66,6 @@ def circulant_solve_array(lam, omega, rho, eta, rhs):
         raise SingularHessianError(
             "rho*lambda + eta*omega vanishes at frequency (%d, %d)" % (i, j))
     return np.real(np.fft.ifft2(np.fft.fft2(rhs) / denom))
-
-
-def circulant_solve(lam: BccbSpectrum, omega: BccbSpectrum, rho: float,
-                    eta: float, rhs: ImageGrid) -> ImageGrid:
-    """Exact solve of (rho A'A + eta C'C) x = rhs by frequency division."""
-    if lam.shape != rhs.shape:
-        raise ValueError("rhs grid does not match the spectra")
-    return ImageGrid(circulant_solve_array(lam, omega, rho, eta, rhs.values))
 
 
 def circulant_preconditioner(lam: BccbSpectrum, omega: BccbSpectrum, rho, eta,

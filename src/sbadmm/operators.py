@@ -5,8 +5,11 @@ the analysis operator C stacks first-order finite differences in the
 horizontal and vertical directions (periodic or masked), and the Gram
 operators A'A and C'C are diagonalized by the 2D DFT when the boundary is
 periodic.  Masked operators break the exact circulant structure; their
-spectra are computed from the unmasked periodic stencil and labeled
-approximate.
+spectra are those of the unmasked periodic stencil, an approximation.
+
+The operators act on plain arrays: images are (h, w), difference fields are
+(2, h, w).  ``algorithms.ProblemOps`` builds the blur transfer and the
+difference mask once per problem and passes them in.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .grids import ConvolutionKernel, GradientField, ImageGrid
+from .grids import ConvolutionKernel
 
 EIGENVALUE_TOLERANCE = 1e-12
 
@@ -27,7 +30,6 @@ class BccbSpectrum:
     """Per-frequency real eigenvalues of a BCCB Gram operator."""
 
     eigenvalues: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
@@ -56,12 +58,16 @@ def _offsets(kernel):
             yield ki - ai, kj - aj, t
 
 
+def _check_fits(kernel, shape):
+    kh, kw = kernel.taps.shape
+    if kh > shape[0] or kw > shape[1]:
+        raise ValueError("kernel %s does not fit grid %s" % ((kh, kw), shape))
+
+
 def embed_kernel(kernel, shape):
     """Place the stencil on a full grid so fft2 gives the circulant transfer."""
+    _check_fits(kernel, shape)
     h, w = shape
-    kh, kw = kernel.taps.shape
-    if kh > h or kw > w:
-        raise ValueError("kernel %s does not fit grid %s" % ((kh, kw), shape))
     z = np.zeros(shape)
     for oi, oj, t in _offsets(kernel):
         z[oi % h, oj % w] += t
@@ -92,10 +98,14 @@ def _valid_box(kernel, shape):
             slice(max(0, oj_max), w + min(0, oj_min)))
 
 
-def _blur_forward(kernel, x):
-    h, w = x.shape
+def blur_transfer(kernel, shape):
+    """2D DFT of the embedded stencil: the eigenvalues of periodic A."""
+    return np.fft.fft2(embed_kernel(kernel, shape))
+
+
+def blur(kernel, transfer, x):
+    """Apply A: periodic through its transfer, masked-valid by shifts."""
     if kernel.boundary == "periodic":
-        transfer = np.fft.fft2(embed_kernel(kernel, x.shape))
         return np.real(np.fft.ifft2(np.fft.fft2(x) * transfer))
     y = np.zeros_like(x)
     for oi, oj, t in _offsets(kernel):
@@ -106,9 +116,9 @@ def _blur_forward(kernel, x):
     return out
 
 
-def _blur_adjoint(kernel, r):
+def blur_transpose(kernel, transfer, r):
+    """Apply A' to an image on A's output grid."""
     if kernel.boundary == "periodic":
-        transfer = np.fft.fft2(embed_kernel(kernel, r.shape))
         return np.real(np.fft.ifft2(np.fft.fft2(r) * np.conj(transfer)))
     box = _valid_box(kernel, r.shape)
     rr = np.zeros_like(r)
@@ -119,26 +129,14 @@ def _blur_adjoint(kernel, r):
     return out
 
 
-def blur_forward(kernel: ConvolutionKernel, x: ImageGrid) -> ImageGrid:
-    """Apply the blur operator A to an image."""
-    _check_kernel_fits(kernel, x.shape)
-    return ImageGrid(_blur_forward(kernel, x.values))
-
-
-def blur_adjoint(kernel: ConvolutionKernel, r: ImageGrid) -> ImageGrid:
-    """Apply the transpose A' to an image on A's output grid."""
-    _check_kernel_fits(kernel, r.shape)
-    return ImageGrid(_blur_adjoint(kernel, r.values))
-
-
-def _check_kernel_fits(kernel, shape):
-    kh, kw = kernel.taps.shape
-    if kh > shape[0] or kw > shape[1]:
-        raise ValueError("kernel %s does not fit grid %s" % ((kh, kw), shape))
-
-
 def diff_mask(shape, mask_mode):
-    """Validity mask of the stacked difference planes (horizontal, vertical)."""
+    """Validity mask of the stacked difference planes (horizontal, vertical).
+
+    Masked mode marks invalid the differences that would wrap across the
+    grid boundary; periodic mode keeps them all.
+    """
+    if mask_mode not in ("periodic", "masked"):
+        raise ValueError("mask_mode must be 'periodic' or 'masked'")
     h, w = shape
     mask = np.ones((2, h, w), dtype=bool)
     if mask_mode == "masked":
@@ -147,53 +145,30 @@ def diff_mask(shape, mask_mode):
     return mask
 
 
-def _finite_diff_forward(x, mask_mode):
+def difference(x, mask):
+    """Apply C: horizontal and vertical forward differences, zero off mask."""
     g = np.empty((2,) + x.shape)
     g[0] = np.roll(x, -1, axis=1) - x
     g[1] = np.roll(x, -1, axis=0) - x
-    mask = diff_mask(x.shape, mask_mode)
-    return np.where(mask, g, 0.0), mask
+    return np.where(mask, g, 0.0)
 
 
-def _finite_diff_adjoint(g, mask_mode):
-    gh = np.where(diff_mask(g.shape[1:], mask_mode)[0], g[0], 0.0) \
-        if mask_mode == "masked" else g[0]
-    gv = np.where(diff_mask(g.shape[1:], mask_mode)[1], g[1], 0.0) \
-        if mask_mode == "masked" else g[1]
+def difference_transpose(g, mask_mode, mask):
+    """Apply C'; entries of g off the mask are ignored."""
     if mask_mode == "periodic":
-        out = np.roll(gh, 1, axis=1) - gh
-        out += np.roll(gv, 1, axis=0) - gv
-    else:
-        out = _shift_zero(gh, 0, 1) - gh
-        out += _shift_zero(gv, 1, 0) - gv
+        out = np.roll(g[0], 1, axis=1) - g[0]
+        out += np.roll(g[1], 1, axis=0) - g[1]
+        return out
+    gh = np.where(mask[0], g[0], 0.0)
+    gv = np.where(mask[1], g[1], 0.0)
+    out = _shift_zero(gh, 0, 1) - gh
+    out += _shift_zero(gv, 1, 0) - gv
     return out
 
 
-def finite_diff_forward(x: ImageGrid, mask_mode: str = "masked") -> GradientField:
-    """First-order differences of an image in the horizontal and vertical
-    directions.
-
-    Masked mode zeroes (and marks invalid) the differences that would wrap
-    across the grid boundary; periodic mode wraps.
-    """
-    _check_mask_mode(mask_mode)
-    if x.height == 1 and x.width == 1:
-        raise ValueError("cannot difference a 1x1 image")
-    planes, mask = _finite_diff_forward(x.values, mask_mode)
-    return GradientField(planes, mask)
-
-
-def finite_diff_adjoint(g: GradientField, mask_mode: str = "masked") -> ImageGrid:
-    """Apply the transpose C' of the stacked difference operator."""
-    _check_mask_mode(mask_mode)
-    if g.directions != 2:
-        raise ValueError("expected a 2-direction gradient field")
-    return ImageGrid(_finite_diff_adjoint(g.planes, mask_mode))
-
-
-def _check_mask_mode(mask_mode):
-    if mask_mode not in ("periodic", "masked"):
-        raise ValueError("mask_mode must be 'periodic' or 'masked'")
+def transfer_gram(transfer) -> BccbSpectrum:
+    """Per-frequency eigenvalues |transfer|^2 of A'A."""
+    return BccbSpectrum(np.abs(transfer) ** 2)
 
 
 def gram_spectrum(kernel: ConvolutionKernel, shape) -> BccbSpectrum:
@@ -202,8 +177,7 @@ def gram_spectrum(kernel: ConvolutionKernel, shape) -> BccbSpectrum:
     For a masked kernel the mask is ignored and the result is the spectrum
     of the unmasked periodic stencil (an approximation).
     """
-    transfer = np.fft.fft2(embed_kernel(kernel, shape))
-    return BccbSpectrum(np.abs(transfer) ** 2, label="A'A")
+    return transfer_gram(blur_transfer(kernel, shape))
 
 
 def _diff_transfers(shape):
@@ -223,7 +197,7 @@ def diff_gram_spectrum(shape) -> BccbSpectrum:
     Used as-is for periodic C and as the circulant surrogate for masked C.
     """
     th, tv = _diff_transfers(shape)
-    return BccbSpectrum(np.abs(th) ** 2 + np.abs(tv) ** 2, label="C'C")
+    return BccbSpectrum(np.abs(th) ** 2 + np.abs(tv) ** 2, )
 
 
 def split_operator_rank_check(lam: BccbSpectrum, omega: BccbSpectrum,
@@ -241,7 +215,7 @@ def sparse_blur_matrix(kernel: ConvolutionKernel, shape) -> sp.csr_matrix:
     """Materialize the periodic blur A as a sparse (h*w) x (h*w) matrix."""
     if kernel.boundary != "periodic":
         raise ValueError("sparse blur matrix supports periodic boundary only")
-    _check_kernel_fits(kernel, shape)
+    _check_fits(kernel, shape)
     h, w = shape
     n = h * w
     ii = np.arange(h)[:, None]
@@ -260,9 +234,8 @@ def sparse_diff_matrix(shape, mask_mode) -> sp.csr_matrix:
     """Materialize C as a sparse (2*h*w) x (h*w) matrix (stacked h, v).
 
     Masked-out rows are kept as zero rows so row indexing matches the
-    flattened GradientField layout.
+    flattened (2, h, w) difference layout.
     """
-    _check_mask_mode(mask_mode)
     h, w = shape
     n = h * w
     mask = diff_mask(shape, mask_mode)

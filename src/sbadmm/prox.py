@@ -2,8 +2,8 @@
 
 All potentials are convex and elementwise separable, so the proximal
 mapping argmin_v Phi(v) + (eta/2) ||z - v||^2 is evaluated per entry.
-Masked entries of a gradient field pass through as zero; they are not part
-of the optimization variable.
+The steps zero the masked entries of v afterwards; they are not part of the
+optimization variable.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .grids import GradientField
 
 KINDS = ("quadratic", "l1", "huber", "fair")
 
@@ -97,17 +95,3 @@ def prox_array(potential: Potential, z: np.ndarray, eta: float) -> np.ndarray:
     disc = b * b + 4.0 * eta * eta * t * az
     v = (-b + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * eta)
     return np.sign(z) * v
-
-
-def potential_value(potential: Potential, v: GradientField) -> float:
-    """Phi evaluated on a gradient field (masked entries contribute zero)."""
-    return potential_value_array(potential, v.planes)
-
-
-def prox(potential: Potential, z: GradientField, eta: float) -> GradientField:
-    """Proximal mapping of Phi on a gradient field.
-
-    Masked entries are forced to zero; the mask is carried through.
-    """
-    out = prox_array(potential, z.planes, eta)
-    return GradientField(np.where(z.mask, out, 0.0), z.mask)

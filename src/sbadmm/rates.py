@@ -30,6 +30,9 @@ from .operators import (BccbSpectrum, diff_gram_spectrum, gram_spectrum,
                         sparse_blur_matrix, sparse_diff_matrix)
 
 CASES = ("I", "II", "III")
+# Relative tolerance of a case's parameter constraint.  Relative only, so
+# that a small alpha cannot make every eta look equal to it.
+CASE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -152,39 +155,52 @@ class RateReport:
     gamma: float
 
 
-def predict(case: str, spectrum: DeltaSpectrum, rho: float = None,
-            eta: float = None, rtol: float = 1e-9) -> RateReport:
-    """Predicted per-frequency rates and spectral radius for one case.
+def _matches(value, target):
+    return abs(value - target) <= CASE_RTOL * abs(target)
 
-    Parameter combinations outside the three analyzable cases are rejected
-    rather than extrapolated.
+
+def case_parameters(case: str, alpha: float, rho: float = None,
+                    eta: float = None):
+    """(rho, eta) of one analyzable case, filling in the fixed parameter.
+
+    Case I fixes rho = 1, Case II eta = alpha and Case III rho = eta/alpha;
+    a given value that breaks its case's constraint is rejected rather than
+    extrapolated.
     """
-    alpha = spectrum.alpha
     if case == "I":
         if eta is None:
             raise ValueError("Case I needs eta")
-        if rho is not None and not np.isclose(rho, 1.0, rtol=rtol):
+        if rho is not None and not _matches(rho, 1.0):
             raise ValueError("Case I requires rho == 1 (got rho = %g)" % rho)
-        rho = 1.0
-        rates = rate_s1(spectrum.deltas, eta, alpha)
-    elif case == "II":
+        return 1.0, eta
+    if case == "II":
         if rho is None:
             raise ValueError("Case II needs rho")
-        if eta is not None and not np.isclose(eta, alpha, rtol=rtol):
+        if eta is not None and not _matches(eta, alpha):
             raise ValueError("Case II requires eta == alpha (got eta = %g, "
                              "alpha = %g)" % (eta, alpha))
-        eta = alpha
-        rates = rate_s2(spectrum.deltas, rho, alpha)
-    elif case == "III":
+        return rho, alpha
+    if case == "III":
         if eta is None:
             raise ValueError("Case III needs eta")
-        if rho is not None and not np.isclose(rho, eta / alpha, rtol=rtol):
+        if rho is not None and not _matches(rho, eta / alpha):
             raise ValueError("Case III requires rho == eta/alpha "
                              "(got rho = %g, eta/alpha = %g)" % (rho, eta / alpha))
-        rho = eta / alpha
-        rates = np.full(spectrum.deltas.shape, rate_s3(eta, alpha))
+        return eta / alpha, eta
+    raise ValueError("case must be one of %s" % (CASES,))
+
+
+def predict(case: str, spectrum: DeltaSpectrum, rho: float = None,
+            eta: float = None) -> RateReport:
+    """Predicted per-frequency rates and spectral radius for one case."""
+    alpha = spectrum.alpha
+    rho, eta = case_parameters(case, alpha, rho, eta)
+    if case == "I":
+        rates = rate_s1(spectrum.deltas, eta, alpha)
+    elif case == "II":
+        rates = rate_s2(spectrum.deltas, rho, alpha)
     else:
-        raise ValueError("case must be one of %s" % (CASES,))
+        rates = np.full(spectrum.deltas.shape, rate_s3(eta, alpha))
     eta_star, gamma = optimal_eta_sb(spectrum)
     return RateReport(case=case, rates=np.asarray(rates, dtype=float),
                       spectral_radius=float(np.max(rates)), eta=float(eta),
@@ -297,15 +313,15 @@ def dense_transition_oracle(kernel: ConvolutionKernel, shape, rho: float,
     deltas = delta_spectrum(lam, om, alpha)
 
     cases = {}
-    if np.isclose(rho, 1.0):
+    if _matches(rho, 1.0):
         H1 = cv * (Q @ C) + (alpha / (eta + alpha)) * np.eye(n)
         cases["I"] = CaseRadii(H1, _radius(H1),
                                float(np.max(rate_s1(deltas.deltas, eta, alpha))))
-    if np.isclose(eta, alpha):
+    if _matches(eta, alpha):
         H2 = cu * (P @ A) + np.eye(n) / (rho + 1.0)
         cases["II"] = CaseRadii(H2, _radius(H2),
                                 float(np.max(rate_s2(deltas.deltas, rho, alpha))))
-    if np.isclose(rho, eta / alpha):
+    if _matches(rho, eta / alpha):
         H3 = cv * (P @ A + Q @ C) + (alpha / (eta + alpha)) * np.eye(n)
         cases["III"] = CaseRadii(H3, _radius(H3), rate_s3(eta, alpha))
     return TransitionOracle(A=A, C=C, s=s, P=P, Q=Q, G=G, offset=offset,

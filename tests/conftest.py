@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sbadmm.grids import ConvolutionKernel, ImageGrid
-from sbadmm.algorithms import ProblemSpec
+from sbadmm.algorithms import ProblemOps, ProblemSpec
 from sbadmm.prox import Potential
 
 
@@ -23,6 +23,13 @@ def random_problem(rng, shape=(8, 8), mask_mode="periodic", alpha=0.25,
         pot = Potential(kind, alpha)
     return ProblemSpec(y=ImageGrid(y), kernel=kernel, mask_mode=mask_mode,
                        potential=pot)
+
+
+def make_ops(kernel, shape, mask_mode="periodic"):
+    """Operators A, A', C, C' of a quadratic problem with zero data."""
+    return ProblemOps(ProblemSpec(y=ImageGrid(np.zeros(shape)), kernel=kernel,
+                                  mask_mode=mask_mode,
+                                  potential=Potential.quadratic(1.0)))
 
 
 @pytest.fixture

@@ -51,6 +51,10 @@ def test_build_config_rejects_unknown_key(tmp_path):
     path = write_config(tmp_path / "c.cfg", "gamma = 1\n")
     with pytest.raises(ConfigError, match="unknown config key"):
         build_experiment_config(path)
+    # inner takes only the values of the --inner flag
+    bad = write_config(tmp_path / "b.cfg", "inner = cg\n")
+    with pytest.raises(ConfigError, match="inner"):
+        build_experiment_config(bad)
 
 
 def test_build_config_parses_grid(tmp_path):
@@ -74,6 +78,19 @@ def test_restore_one_iteration_convergence(tmp_path, runner):
     # (rho, eta) = (1, alpha) with exact solves: optimal after one iteration
     rel = [float(r.split(",")[2]) for r in rows[1:]]
     assert rel[1] <= 1e-10
+
+
+def test_restore_pcg_iters_alone_keeps_pcg(tmp_path, runner):
+    # --pcg-iters sets the step count only; the default inner solve stays PCG
+    traces = []
+    for extra in ([], ["--inner", "pcg"]):
+        out = str(tmp_path / ("out%d" % len(extra)))
+        result = runner.invoke(main, ["restore", "--iters", "3",
+                                      "--pcg-iters", "5", "--output-dir", out]
+                               + extra)
+        assert result.exit_code == 0, result.output
+        traces.append(open(os.path.join(out, "trace.csv"), "rb").read())
+    assert traces[0] == traces[1]
 
 
 def test_restore_missing_config_exits_2(tmp_path, runner):

@@ -7,6 +7,7 @@ import sbadmm.experiments as ex
 from sbadmm.algorithms import OuterConfig, ProblemOps, run
 from sbadmm.grids import ImageGrid
 from sbadmm.inner import InnerSolveConfig
+from conftest import random_problem
 
 
 def small_config(**kw):
@@ -95,16 +96,19 @@ def test_reference_dense_vs_long_run(monkeypatch):
     dense = ex.reference_solution(problem)
     monkeypatch.setattr(ex, "DENSE_REFERENCE_LIMIT", 0)
     long_run = ex.reference_solution(problem)
-    assert ex.rmsd(dense, long_run) <= 1e-8
+    assert np.sqrt(np.mean((dense.values - long_run.values) ** 2)) <= 1e-8
 
 
-def test_rmsd():
+def test_rmsd(rng):
+    # the trace's rmsd column: root-mean-square distance of x to the reference
+    problem = random_problem(rng, shape=(3, 3))
+    config = OuterConfig(max_iterations=0)  # x stays at x0 = 0
     a = ImageGrid(np.zeros((3, 3)))
     b = ImageGrid(np.full((3, 3), 2.5))
-    assert ex.rmsd(a, a) == 0.0
-    assert ex.rmsd(a, b) == 2.5  # constant offset
+    assert run(problem, config, reference=a).rmsd == [0.0]
+    assert run(problem, config, reference=b).rmsd == [2.5]  # constant offset
     with pytest.raises(ValueError):
-        ex.rmsd(a, ImageGrid(np.zeros((2, 2))))
+        run(problem, config, reference=ImageGrid(np.zeros((1, 3))))
 
 
 def test_metrics_against_reference():

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from sbadmm.grids import (ConvolutionKernel, GradientField, ImageGrid,
-                          read_matrix_text, read_pgm, write_matrix_text,
-                          write_pgm)
+from sbadmm.grids import (ConvolutionKernel, ImageGrid, read_matrix_text,
+                          read_pgm, write_matrix_text, write_pgm)
 
 
 def test_image_grid_shape_and_props():
@@ -26,21 +25,6 @@ def test_image_grid_rejects_empty_and_3d():
         ImageGrid(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         ImageGrid(np.zeros((2, 2, 2)))
-
-
-def test_gradient_field_zeroes_masked_entries():
-    planes = np.ones((2, 3, 3))
-    mask = np.ones((2, 3, 3), dtype=bool)
-    mask[0, :, -1] = False
-    g = GradientField(planes, mask)
-    assert np.all(g.planes[0, :, -1] == 0.0)
-    assert np.all(g.planes[g.mask] == 1.0)
-    assert g.directions == 2 and g.grid_shape == (3, 3)
-
-
-def test_gradient_field_mask_shape_mismatch():
-    with pytest.raises(ValueError):
-        GradientField(np.ones((2, 3, 3)), np.ones((2, 3, 2), dtype=bool))
 
 
 def test_kernel_validation():

@@ -1,42 +1,41 @@
 import numpy as np
 import pytest
 
-from sbadmm.grids import ConvolutionKernel, GradientField, ImageGrid
-from sbadmm.operators import (blur_adjoint, blur_forward, diff_gram_spectrum,
-                              diff_mask, finite_diff_adjoint,
-                              finite_diff_forward, gram_spectrum,
+from sbadmm.grids import ConvolutionKernel
+from sbadmm.operators import (diff_gram_spectrum, gram_spectrum,
                               sparse_blur_matrix, sparse_diff_matrix,
                               split_operator_rank_check)
-from conftest import random_kernel
+from conftest import make_ops, random_kernel
 
 
 def test_identity_kernel_is_identity(rng):
-    x = ImageGrid(rng.standard_normal((5, 5)))
-    k = ConvolutionKernel.identity()
-    assert np.allclose(blur_forward(k, x).values, x.values)
-    assert np.allclose(blur_adjoint(k, x).values, x.values)
+    x = rng.standard_normal((5, 5))
+    ops = make_ops(ConvolutionKernel.identity(), x.shape)
+    assert np.allclose(ops.A(x), x)
+    assert np.allclose(ops.At(x), x)
 
 
 def test_uniform_kernel_preserves_constants():
     k = ConvolutionKernel(np.full((3, 3), 1.0 / 9.0), (1, 1), "periodic")
-    x = ImageGrid(np.full((6, 6), 3.5))
-    assert np.allclose(blur_forward(k, x).values, 3.5)
+    x = np.full((6, 6), 3.5)
+    assert np.allclose(make_ops(k, x.shape).A(x), 3.5)
 
 
 def test_two_tap_blur_on_unit_row():
     # anchor on the left tap: y[i] = (x[i] + x[i+1]) / 2 on a periodic row
     k = ConvolutionKernel(np.array([[0.5, 0.5]]), (0, 0))
-    x = ImageGrid(np.array([[1.0, 0.0, 0.0, 0.0]]))
-    y = blur_forward(k, x)
-    assert np.allclose(y.values, [[0.5, 0.5, 0.0, 0.0]], atol=1e-15)
-    r = blur_adjoint(k, y)
-    assert np.allclose(r.values, [[0.5, 0.25, 0.0, 0.25]], atol=1e-15)
+    x = np.array([[1.0, 0.0, 0.0, 0.0]])
+    ops = make_ops(k, x.shape)
+    y = ops.A(x)
+    assert np.allclose(y, [[0.5, 0.5, 0.0, 0.0]], atol=1e-15)
+    r = ops.At(y)
+    assert np.allclose(r, [[0.5, 0.25, 0.0, 0.25]], atol=1e-15)
 
 
 def test_masked_blur_zeroes_boundary_outputs(rng):
     k = random_kernel(rng, boundary="masked")
-    x = ImageGrid(rng.standard_normal((6, 6)))
-    y = blur_forward(k, x).values
+    x = rng.standard_normal((6, 6))
+    y = make_ops(k, x.shape).A(x)
     assert np.all(y[0, :] == 0.0) and np.all(y[-1, :] == 0.0)
     assert np.all(y[:, 0] == 0.0) and np.all(y[:, -1] == 0.0)
 
@@ -44,41 +43,42 @@ def test_masked_blur_zeroes_boundary_outputs(rng):
 def test_kernel_must_fit_grid():
     k = ConvolutionKernel(np.ones((3, 3)) / 9.0, (1, 1))
     with pytest.raises(ValueError):
-        blur_forward(k, ImageGrid(np.ones((2, 2))))
+        make_ops(k, (2, 2))
 
 
 def test_diff_forward_row_periodic_and_masked():
-    x = ImageGrid(np.array([[0.0, 1.0, 3.0, 6.0]]))
-    gp = finite_diff_forward(x, "periodic")
-    assert np.allclose(gp.planes[0], [[1.0, 2.0, 3.0, -6.0]])
-    gm = finite_diff_forward(x, "masked")
-    assert np.allclose(gm.planes[0], [[1.0, 2.0, 3.0, 0.0]])
-    assert not gm.mask[0, 0, -1]
+    x = np.array([[0.0, 1.0, 3.0, 6.0]])
+    k = ConvolutionKernel.identity()
+    gp = make_ops(k, x.shape, "periodic").C(x)
+    assert np.allclose(gp[0], [[1.0, 2.0, 3.0, -6.0]])
+    masked = make_ops(k, x.shape, "masked")
+    assert np.allclose(masked.C(x)[0], [[1.0, 2.0, 3.0, 0.0]])
+    assert not masked.mask[0, 0, -1]
 
 
 def test_diff_of_constant_is_zero():
-    x = ImageGrid(np.full((4, 4), 2.0))
+    x = np.full((4, 4), 2.0)
     for mode in ("periodic", "masked"):
-        assert np.all(finite_diff_forward(x, mode).planes == 0.0)
+        ops = make_ops(ConvolutionKernel.identity(), x.shape, mode)
+        assert np.all(ops.C(x) == 0.0)
 
 
 def test_diff_rejects_degenerate_image():
     with pytest.raises(ValueError):
-        finite_diff_forward(ImageGrid(np.ones((1, 1))), "periodic")
+        make_ops(ConvolutionKernel.identity(), (1, 1), "periodic")
     with pytest.raises(ValueError):
-        finite_diff_forward(ImageGrid(np.ones((2, 2))), "mirror")
+        make_ops(ConvolutionKernel.identity(), (2, 2), "mirror")
 
 
 def test_diff_gram_row_is_circular_laplacian():
-    x = ImageGrid(np.array([[1.0, 0.0, 0.0, 0.0]]))
-    g = finite_diff_forward(x, "periodic")
-    back = finite_diff_adjoint(g, "periodic")
-    assert np.allclose(back.values, [[2.0, -1.0, 0.0, -1.0]])
+    x = np.array([[1.0, 0.0, 0.0, 0.0]])
+    ops = make_ops(ConvolutionKernel.identity(), x.shape, "periodic")
+    assert np.allclose(ops.Ct(ops.C(x)), [[2.0, -1.0, 0.0, -1.0]])
 
 
 def test_diff_adjoint_zero_field():
-    g = GradientField(np.zeros((2, 3, 3)))
-    assert np.all(finite_diff_adjoint(g, "masked").values == 0.0)
+    ops = make_ops(ConvolutionKernel.identity(), (3, 3), "masked")
+    assert np.all(ops.Ct(np.zeros((2, 3, 3))) == 0.0)
 
 
 def test_gram_spectrum_identity_kernel():
@@ -104,7 +104,7 @@ def test_rank_check_cases():
     lam_id = gram_spectrum(ConvolutionKernel.identity(), shape)
     om = diff_gram_spectrum(shape)
     zero = gram_spectrum(ConvolutionKernel.identity(), shape)
-    zero = type(zero)(np.zeros(shape), label="zero")
+    zero = type(zero)(np.zeros(shape))
 
     ok = split_operator_rank_check(lam_id, zero)
     assert ok.full_rank and np.isclose(ok.min_combined_eigenvalue, 1.0)
@@ -122,17 +122,18 @@ def test_adjoint_identities_random(rng):
     for _ in range(100):
         shape = (rng.integers(4, 9), rng.integers(4, 9))
         for boundary in ("periodic", "masked"):
-            k = random_kernel(rng, boundary=boundary)
-            x = ImageGrid(rng.standard_normal(shape))
-            r = ImageGrid(rng.standard_normal(shape))
-            lhs = np.sum(blur_forward(k, x).values * r.values)
-            rhs = np.sum(x.values * blur_adjoint(k, r).values)
+            ops = make_ops(random_kernel(rng, boundary=boundary), shape,
+                           boundary)
+            x = rng.standard_normal(shape)
+            r = rng.standard_normal(shape)
+            lhs = np.sum(ops.A(x) * r)
+            rhs = np.sum(x * ops.At(r))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
-            g = GradientField(rng.standard_normal((2,) + tuple(shape)),
-                              diff_mask(shape, boundary))
-            lhs = np.sum(finite_diff_forward(x, boundary).planes * g.planes)
-            rhs = np.sum(x.values * finite_diff_adjoint(g, boundary).values)
+            g = np.where(ops.mask, rng.standard_normal((2,) + tuple(shape)),
+                         0.0)
+            lhs = np.sum(ops.C(x) * g)
+            rhs = np.sum(x * ops.Ct(g))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -141,21 +142,21 @@ def test_spectral_consistency_periodic(rng):
     k = random_kernel(rng)
     x = rng.standard_normal((8, 8))
     lam = gram_spectrum(k, x.shape)
-    direct = blur_adjoint(k, blur_forward(k, ImageGrid(x))).values
+    ops = make_ops(k, x.shape)
+    direct = ops.At(ops.A(x))
     spectral = np.real(np.fft.ifft2(np.fft.fft2(x) * lam.eigenvalues))
     assert np.allclose(direct, spectral, atol=1e-10)
 
 
 def test_masked_adjoint_ignores_masked_coordinates(rng):
     shape = (6, 6)
-    mask = diff_mask(shape, "masked")
+    ops = make_ops(ConvolutionKernel.identity(), shape, "masked")
     planes = rng.standard_normal((2,) + shape)
     garbage = planes.copy()
-    garbage[~mask] = 1e9  # must not leak into the adjoint
-    a = finite_diff_adjoint(GradientField(planes, mask), "masked")
-    b = finite_diff_adjoint(GradientField(np.where(mask, garbage, 0.0), mask),
-                            "masked")
-    assert np.allclose(a.values, b.values)
+    garbage[~ops.mask] = 1e9  # must not leak into the adjoint
+    a = ops.Ct(np.where(ops.mask, planes, 0.0))
+    b = ops.Ct(garbage)
+    assert np.allclose(a, b)
 
 
 def test_sparse_matrices_match_operators(rng):
@@ -163,19 +164,30 @@ def test_sparse_matrices_match_operators(rng):
     k = random_kernel(rng)
     A = sparse_blur_matrix(k, shape)
     x = rng.standard_normal(shape)
-    assert np.allclose(A @ x.ravel(),
-                       blur_forward(k, ImageGrid(x)).values.ravel(),
+    assert np.allclose(A @ x.ravel(), make_ops(k, shape).A(x).ravel(),
                        atol=1e-12)
     for mode in ("periodic", "masked"):
+        ops = make_ops(k, shape, mode)
         C = sparse_diff_matrix(shape, mode)
-        g = finite_diff_forward(ImageGrid(x), mode)
-        assert np.allclose(C @ x.ravel(), g.planes.ravel(), atol=1e-12)
+        assert np.allclose(C @ x.ravel(), ops.C(x).ravel(), atol=1e-12)
         r = rng.standard_normal((2,) + shape)
-        r = np.where(g.mask, r, 0.0)
-        assert np.allclose(C.T @ r.ravel(),
-                           finite_diff_adjoint(
-                               GradientField(r, g.mask), mode).values.ravel(),
-                           atol=1e-12)
+        r = np.where(ops.mask, r, 0.0)
+        assert np.allclose(C.T @ r.ravel(), ops.Ct(r).ravel(), atol=1e-12)
+
+
+def test_problem_ops_builds_transfer_and_mask_once(rng, monkeypatch):
+    # A, A', C and C' reuse what the constructor built
+    from sbadmm import operators
+    shape = (6, 6)
+    ops = make_ops(random_kernel(rng), shape, "masked")
+
+    def forbidden(*args):
+        raise AssertionError("rebuilt per call")
+
+    monkeypatch.setattr(operators, "embed_kernel", forbidden)
+    monkeypatch.setattr(operators, "diff_mask", forbidden)
+    x = rng.standard_normal(shape)
+    ops.Ct(ops.C(ops.At(ops.A(x))))
 
 
 def test_spectrum_rejects_negative_eigenvalues():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from sbadmm.grids import GradientField
-from sbadmm.operators import diff_mask
-from sbadmm.prox import (Potential, potential_value, potential_value_array,
-                         prox, prox_array)
+from sbadmm.algorithms import ProblemOps, admm2_step, canonical_init
+from sbadmm.inner import InnerSolveConfig
+from sbadmm.prox import Potential, potential_value_array, prox_array
+from conftest import random_problem
 
 
 def scalar_prox(pot, z, eta):
@@ -144,10 +144,14 @@ def test_prox_rejects_nonpositive_eta():
 
 
 def test_prox_on_gradient_field_respects_mask(rng):
-    shape = (4, 4)
-    mask = diff_mask(shape, "masked")
-    g = GradientField(rng.standard_normal((2,) + shape), mask)
-    out = prox(Potential.l1(0.1), g, 1.0)
-    assert np.all(out.planes[~mask] == 0.0)
-    assert np.array_equal(out.mask, mask)
-    assert potential_value(Potential.l1(1.0), out) == np.abs(out.planes).sum()
+    # the v update of a masked l1 problem stays zero off the mask, even with
+    # a dual that is not
+    ops = ProblemOps(random_problem(rng, shape=(4, 4), mask_mode="masked",
+                                    alpha=0.1, kind="l1"))
+    state = canonical_init(ops, 1.0, 1.0)
+    state.e = rng.standard_normal(state.e.shape)
+    out = admm2_step(state, ops, 1.0, 1.0,
+                     InnerSolveConfig(mode="pcg", pcg_iterations=3))
+    assert np.all(out.v[~ops.mask] == 0.0)
+    assert np.any(out.v[ops.mask] != 0.0)
+    assert potential_value_array(Potential.l1(1.0), out.v) == np.abs(out.v).sum()

@@ -146,6 +146,10 @@ def test_predict_case_constraints():
         predict("IV", spec, eta=1.0)
     with pytest.raises(ValueError, match="needs eta"):
         predict("I", spec)
+    # the check is relative: a small alpha does not make eta = 5 alpha equal
+    small = DeltaSpectrum(np.array([0.5, 2.0, 10.0]), 1e-9)
+    with pytest.raises(ValueError, match="eta == alpha"):
+        predict("II", small, rho=2.0, eta=5e-9)
 
 
 def test_predict_case_reports():
