@@ -20,7 +20,8 @@ from .inner import (InnerSolveConfig, circulant_preconditioner,
                     circulant_solve_array, pcg_solve)
 from .operators import (blur, blur_transfer, blur_transpose, diff_gram_spectrum,
                         diff_mask, difference, difference_transpose,
-                        split_operator_rank_check, transfer_gram)
+                        gram_spectrum, half_spectrum,
+                        split_operator_rank_check)
 from .prox import Potential, potential_value_array, prox_array
 
 DIVERGENCE_FACTOR = 1e6
@@ -74,7 +75,11 @@ class OuterConfig:
 
 @dataclass
 class SolverState:
-    """Iterate tuple (x, u, v, d, e) as raw arrays, plus the counter."""
+    """Iterate tuple (x, u, v, d, e) as raw arrays, plus the counter.
+
+    ax and cx are A x and C x as the step computed them, so the cost of the
+    iterate needs neither again.
+    """
 
     x: np.ndarray
     u: np.ndarray
@@ -83,16 +88,19 @@ class SolverState:
     e: np.ndarray
     k: int = 0
     inner_residual: float = 0.0
+    ax: np.ndarray = None
+    cx: np.ndarray = None
 
 
 class ProblemOps:
     """The operators of one problem, on plain arrays.
 
-    Built once from a ProblemSpec: the blur transfer (and lambda from it),
-    the difference spectrum omega, the validity mask of C, and the rank
-    check of the split.  A/At/C/Ct are the true (possibly masked) operators;
-    cost is the objective of the true problem.  Raises ValueError when the
-    kernel does not fit the grid or the grid is a single pixel.
+    Built once from a ProblemSpec: the real-FFT blur transfer, the full
+    spectra lambda and omega, the validity mask of C, and the rank check of
+    the split.  A/At/C/Ct are the true (possibly masked) operators, gram the
+    x-update Hessian; cost is the objective of the true problem.  Raises
+    ValueError when the kernel does not fit the grid or the grid is a
+    single pixel.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -105,7 +113,8 @@ class ProblemOps:
         self.mask_mode = problem.mask_mode
         self.potential = problem.potential
         self.transfer = blur_transfer(problem.kernel, self.shape)
-        self.lam = transfer_gram(self.transfer)
+        self.lam = gram_spectrum(problem.kernel, self.shape)
+        self.lam_half = half_spectrum(self.lam.eigenvalues)
         self.om = diff_gram_spectrum(self.shape)
         self.mask = diff_mask(self.shape, problem.mask_mode)
         self.rank = split_operator_rank_check(self.lam, self.om)
@@ -117,15 +126,28 @@ class ProblemOps:
         return blur_transpose(self.kernel, self.transfer, r)
 
     def C(self, x):
-        return difference(x, self.mask)
+        return difference(x, self.mask_mode)
 
     def Ct(self, g):
-        return difference_transpose(g, self.mask_mode, self.mask)
+        return difference_transpose(g, self.mask_mode)
 
-    def cost(self, x):
-        res = self.y - self.A(x)
-        return 0.5 * float(np.sum(res * res)) \
-            + potential_value_array(self.potential, self.C(x))
+    def gram(self, z, rho, eta):
+        """rho A'A z + eta C'C z; A'A of a periodic kernel is one real FFT
+        pair times lambda on the half spectrum."""
+        if self.kernel.boundary == "periodic":
+            f = np.fft.rfft2(z)
+            f *= rho * self.lam_half
+            out = np.fft.irfft2(f, s=self.shape)
+        else:
+            out = rho * self.At(self.A(z))
+        out += eta * self.Ct(self.C(z))
+        return out
+
+    def cost(self, x, ax=None, cx=None):
+        """Objective at x, reusing A x and C x when they are given."""
+        res = self.y - (self.A(x) if ax is None else ax)
+        return 0.5 * float(np.sum(res * res)) + potential_value_array(
+            self.potential, self.C(x) if cx is None else cx)
 
 
 def canonical_init(ops: ProblemOps, rho: float, eta: float,
@@ -144,7 +166,7 @@ def canonical_init(ops: ProblemOps, rho: float, eta: float,
         e = -(ops.potential.alpha / eta) * v
     else:
         e = np.zeros_like(v)
-    return SolverState(x=x, u=u, v=v, d=d, e=e, k=0)
+    return SolverState(x=x, u=u, v=v, d=d, e=e, k=0, ax=u, cx=v)
 
 
 def _solve_x(ops, rho, eta, rhs, warm, inner: InnerSolveConfig):
@@ -154,13 +176,11 @@ def _solve_x(ops, rho, eta, rhs, warm, inner: InnerSolveConfig):
             raise ValueError("circulant_exact inner solve requires periodic operators")
         return circulant_solve_array(ops.lam, ops.om, rho, eta, rhs), 0.0
 
-    def hessian(z):
-        return rho * ops.At(ops.A(z)) + eta * ops.Ct(ops.C(z))
-
     precond = None
     if inner.preconditioner == "circulant":
         precond = circulant_preconditioner(ops.lam, ops.om, rho, eta)
-    result = pcg_solve(hessian, rhs, inner, warm_start=warm, preconditioner=precond)
+    result = pcg_solve(lambda z: ops.gram(z, rho, eta), rhs, inner,
+                       warm_start=warm, preconditioner=precond)
     rhs_norm = float(np.linalg.norm(rhs))
     rel = result.residual_norms[-1] / rhs_norm if result.residual_norms and rhs_norm else 0.0
     return result.x, rel
@@ -177,7 +197,7 @@ def sb_step(state: SolverState, ops: ProblemOps, eta: float,
     e = state.e - cx + v
     u = ops.A(x)
     return SolverState(x=x, u=u, v=v, d=ops.y - u, e=e,
-                       k=state.k + 1, inner_residual=res)
+                       k=state.k + 1, inner_residual=res, ax=u, cx=cx)
 
 
 def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
@@ -192,7 +212,8 @@ def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
     v = np.where(ops.mask, v, 0.0)
     d = state.d - ax + u
     e = state.e - cx + v
-    return SolverState(x=x, u=u, v=v, d=d, e=e, k=state.k + 1, inner_residual=res)
+    return SolverState(x=x, u=u, v=v, d=d, e=e, k=state.k + 1,
+                       inner_residual=res, ax=ax, cx=cx)
 
 
 def admm2_simplified_step(state: SolverState, ops: ProblemOps, rho: float,
@@ -208,7 +229,7 @@ def admm2_simplified_step(state: SolverState, ops: ProblemOps, rho: float,
     v = np.where(ops.mask, v, 0.0)
     e = state.e - cx + v
     return SolverState(x=x, u=u, v=v, d=(ops.y - u) / rho, e=e,
-                       k=state.k + 1, inner_residual=res)
+                       k=state.k + 1, inner_residual=res, ax=ax, cx=cx)
 
 
 def quadratic_closed_form_step(state: SolverState, ops: ProblemOps, rho: float,
@@ -231,12 +252,13 @@ def quadratic_closed_form_step(state: SolverState, ops: ProblemOps, rho: float,
     cx = ops.C(x)
     v = (eta / (eta + alpha)) * cx + (alpha / (eta + alpha)) * state.v
     return SolverState(x=x, u=u, v=v, d=(ops.y - u) / rho,
-                       e=-(alpha / eta) * v, k=state.k + 1)
+                       e=-(alpha / eta) * v, k=state.k + 1, ax=ax, cx=cx)
 
 
 @dataclass
 class MetricTrace:
-    """Per-iteration cost / error records of one run."""
+    """Per-iteration cost / error records of one run, and whether the
+    split operator [A; C] of its problem has full column rank."""
 
     iterations: list = field(default_factory=list)
     cost: list = field(default_factory=list)
@@ -245,6 +267,7 @@ class MetricTrace:
     inner_residual: list = field(default_factory=list)
     absolute_cost_error: bool = False
     final_image: ImageGrid = None
+    full_rank: bool = True
 
     def append(self, k, cost, rel_cost_err, rmsd, inner_residual):
         self.iterations.append(int(k))
@@ -297,7 +320,7 @@ def run(problem: ProblemSpec, config: OuterConfig,
                          % (reference.shape, ops.shape))
     step = _make_step(config)
     state = canonical_init(ops, config.rho, config.eta, config.x0_mode)
-    trace = MetricTrace()
+    trace = MetricTrace(full_rank=ops.rank.full_rank)
 
     ref = reference.values if reference is not None else None
     ref_cost = ops.cost(ref) if ref is not None else None
@@ -305,7 +328,7 @@ def run(problem: ProblemSpec, config: OuterConfig,
         trace.absolute_cost_error = True
 
     def record(state):
-        c = ops.cost(state.x)
+        c = ops.cost(state.x, state.ax, state.cx)
         if not math.isfinite(c):
             raise SolverDivergenceError("non-finite cost at iteration %d" % state.k)
         if ref is None:

@@ -15,8 +15,7 @@ import sys
 import click
 import numpy as np
 
-from .algorithms import (ALGORITHMS, OuterConfig, ProblemOps,
-                         SolverDivergenceError, run)
+from .algorithms import ALGORITHMS, OuterConfig, SolverDivergenceError, run
 from .experiments import (ExperimentConfig, benchmark_protocol, make_problem,
                           reference_solution)
 from .grids import ConvolutionKernel, write_pgm
@@ -186,8 +185,7 @@ def restore(config_path, alpha, output_dir, rho, eta, iters, inner_mode,
         os.makedirs(outdir, exist_ok=True)
         trace.to_csv(os.path.join(outdir, "trace.csv"))
         write_pgm(trace.final_image, os.path.join(outdir, "final.pgm"))
-        ops = ProblemOps(problem)
-        if not ops.rank.full_rank:
+        if not trace.full_rank:
             click.echo("warning: split operator is rank deficient; "
                        "convergence not guaranteed")
         click.echo("iterations: %d" % trace.iterations[-1])

@@ -149,7 +149,8 @@ def reference_solution(problem: ProblemSpec,
         C = sparse_diff_matrix(problem.y.shape, problem.mask_mode)
         normal = (A.T @ A + alpha * (C.T @ C)).tocsc()
         rhs = A.T @ problem.y.values.ravel()
-        x = spla.splu(normal).solve(rhs)
+        # The normal matrix is SPD: a symmetric fill-reducing ordering suits it.
+        x = spla.splu(normal, permc_spec="MMD_AT_PLUS_A").solve(rhs)
         res = np.linalg.norm(normal @ x - rhs) / np.linalg.norm(rhs)
         if res > residual_tol:
             raise RuntimeError("normal-equation residual %g exceeds %g"

@@ -2,7 +2,8 @@
 
 Two routes: an exact per-frequency division when both Gram operators are
 circulant, and a fixed-iteration preconditioned conjugate gradient loop for
-the masked (only approximately circulant) case.
+the masked (only approximately circulant) case.  Both divide a real FFT by
+the half spectrum of the Hessian.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import BccbSpectrum
+from .operators import BccbSpectrum, half_spectrum
 
 PRECONDITIONER_FLOOR = 1e-8
 
@@ -65,7 +66,9 @@ def circulant_solve_array(lam, omega, rho, eta, rhs):
         i, j = np.unravel_index(int(np.argmin(denom)), denom.shape)
         raise SingularHessianError(
             "rho*lambda + eta*omega vanishes at frequency (%d, %d)" % (i, j))
-    return np.real(np.fft.ifft2(np.fft.fft2(rhs) / denom))
+    f = np.fft.rfft2(rhs)
+    f /= half_spectrum(denom)
+    return np.fft.irfft2(f, s=rhs.shape)
 
 
 def circulant_preconditioner(lam: BccbSpectrum, omega: BccbSpectrum, rho, eta,
@@ -74,10 +77,12 @@ def circulant_preconditioner(lam: BccbSpectrum, omega: BccbSpectrum, rho, eta,
     frequencies so masked problems cannot divide by (almost) zero."""
     denom = hessian_spectrum(lam, omega, rho, eta)
     floor = floor_rel * denom.max()
-    denom = np.maximum(denom, floor)
+    denom = half_spectrum(np.maximum(denom, floor))
 
     def apply(r):
-        return np.real(np.fft.ifft2(np.fft.fft2(r) / denom))
+        f = np.fft.rfft2(r)
+        f /= denom
+        return np.fft.irfft2(f, s=r.shape)
 
     return apply
 
@@ -130,6 +135,8 @@ def pcg_solve(hessian, rhs, config: InnerSolveConfig, warm_start=None,
         x = x + a * p
         r = r - a * hp
         result.residual_norms.append(float(np.linalg.norm(r)))
+        if step + 1 == config.pcg_iterations:
+            break  # no next direction is needed after the last step
         z = preconditioner(r)
         rz_new = float(np.vdot(r, z).real)
         beta = rz_new / rz

@@ -8,8 +8,10 @@ periodic.  Masked operators break the exact circulant structure; their
 spectra are those of the unmasked periodic stencil, an approximation.
 
 The operators act on plain arrays: images are (h, w), difference fields are
-(2, h, w).  ``algorithms.ProblemOps`` builds the blur transfer and the
-difference mask once per problem and passes them in.
+(2, h, w).  Periodic A and A' use the real FFT: ``rfft2`` keeps the
+frequency columns 0..w//2, which hold every eigenvalue of a real stencil by
+conjugate symmetry.  ``algorithms.ProblemOps`` builds the blur transfer
+once per problem and passes it in.
 """
 
 from __future__ import annotations
@@ -98,15 +100,22 @@ def _valid_box(kernel, shape):
             slice(max(0, oj_max), w + min(0, oj_min)))
 
 
+def half_spectrum(a):
+    """The frequency columns 0..w//2 of a per-frequency array, the ones
+    rfft2 keeps, as a contiguous copy."""
+    return np.ascontiguousarray(a[:, :a.shape[1] // 2 + 1])
+
+
 def blur_transfer(kernel, shape):
-    """2D DFT of the embedded stencil: the eigenvalues of periodic A."""
-    return np.fft.fft2(embed_kernel(kernel, shape))
+    """Half-spectrum rfft2 of the embedded stencil: the eigenvalues of
+    periodic A at the frequency columns 0..w//2."""
+    return np.fft.rfft2(embed_kernel(kernel, shape))
 
 
 def blur(kernel, transfer, x):
-    """Apply A: periodic through its transfer, masked-valid by shifts."""
+    """Apply A: periodic through its real-FFT transfer, masked-valid by shifts."""
     if kernel.boundary == "periodic":
-        return np.real(np.fft.ifft2(np.fft.fft2(x) * transfer))
+        return np.fft.irfft2(np.fft.rfft2(x) * transfer, s=x.shape)
     y = np.zeros_like(x)
     for oi, oj, t in _offsets(kernel):
         y += t * _shift_zero(x, oi, oj)
@@ -119,7 +128,7 @@ def blur(kernel, transfer, x):
 def blur_transpose(kernel, transfer, r):
     """Apply A' to an image on A's output grid."""
     if kernel.boundary == "periodic":
-        return np.real(np.fft.ifft2(np.fft.fft2(r) * np.conj(transfer)))
+        return np.fft.irfft2(np.fft.rfft2(r) * np.conj(transfer), s=r.shape)
     box = _valid_box(kernel, r.shape)
     rr = np.zeros_like(r)
     rr[box] = r[box]
@@ -145,39 +154,45 @@ def diff_mask(shape, mask_mode):
     return mask
 
 
-def difference(x, mask):
-    """Apply C: horizontal and vertical forward differences, zero off mask."""
+def difference(x, mask_mode):
+    """Apply C: horizontal and vertical forward differences.
+
+    Each plane is written by slices, the horizontal one through transposed
+    views; masked mode zeroes the differences that would wrap.
+    """
     g = np.empty((2,) + x.shape)
-    g[0] = np.roll(x, -1, axis=1) - x
-    g[1] = np.roll(x, -1, axis=0) - x
-    return np.where(mask, g, 0.0)
+    for plane, xs in ((g[0].T, x.T), (g[1], x)):
+        np.subtract(xs[1:], xs[:-1], out=plane[:-1])
+        if mask_mode == "periodic":
+            np.subtract(xs[0], xs[-1], out=plane[-1])
+        else:
+            plane[-1] = 0.0
+    return g
 
 
-def difference_transpose(g, mask_mode, mask):
-    """Apply C'; entries of g off the mask are ignored."""
-    if mask_mode == "periodic":
-        out = np.roll(g[0], 1, axis=1) - g[0]
-        out += np.roll(g[1], 1, axis=0) - g[1]
-        return out
-    gh = np.where(mask[0], g[0], 0.0)
-    gv = np.where(mask[1], g[1], 0.0)
-    out = _shift_zero(gh, 0, 1) - gh
-    out += _shift_zero(gv, 1, 0) - gv
+def difference_transpose(g, mask_mode):
+    """Apply C'; in masked mode entries of g off the mask are ignored."""
+    out = np.empty(g.shape[1:])
+    vertical = np.empty(g.shape[1:])
+    for res, gs in ((out.T, g[0].T), (vertical, g[1])):
+        if mask_mode == "periodic":
+            np.subtract(gs[:-1], gs[1:], out=res[1:])
+            np.subtract(gs[-1], gs[0], out=res[0])
+        else:
+            res[0] = 0.0
+            res[1:] = gs[:-1]
+            res[:-1] -= gs[:-1]
+    out += vertical
     return out
 
 
-def transfer_gram(transfer) -> BccbSpectrum:
-    """Per-frequency eigenvalues |transfer|^2 of A'A."""
-    return BccbSpectrum(np.abs(transfer) ** 2)
-
-
 def gram_spectrum(kernel: ConvolutionKernel, shape) -> BccbSpectrum:
-    """Per-frequency eigenvalues of A'A for a periodic convolution.
+    """Per-frequency eigenvalues |fft2|^2 of A'A for a periodic convolution.
 
     For a masked kernel the mask is ignored and the result is the spectrum
     of the unmasked periodic stencil (an approximation).
     """
-    return transfer_gram(blur_transfer(kernel, shape))
+    return BccbSpectrum(np.abs(np.fft.fft2(embed_kernel(kernel, shape))) ** 2)
 
 
 def _diff_transfers(shape):

@@ -7,10 +7,22 @@ from sbadmm.prox import Potential
 
 
 def random_kernel(rng, size=3, boundary="periodic"):
-    taps = rng.standard_normal((size, size))
-    taps[size // 2, size // 2] += size * size  # keep the DC response nonzero
+    """Random centred kernel; size is the side or the (rows, cols) of its taps."""
+    kh, kw = (size, size) if np.isscalar(size) else size
+    taps = rng.standard_normal((kh, kw))
+    taps[kh // 2, kw // 2] += kh * kw  # keep the DC response nonzero
     taps /= np.abs(taps).sum()
-    return ConvolutionKernel(taps, (size // 2, size // 2), boundary)
+    return ConvolutionKernel(taps, (kh // 2, kw // 2), boundary)
+
+
+# Even and odd widths and heights, and the degenerate single row and column.
+ODD_AND_DEGENERATE_SHAPES = [(6, 8), (7, 5), (5, 9), (1, 6), (1, 7), (6, 1),
+                             (7, 1)]
+
+
+def fitting_kernel(rng, shape, boundary="periodic"):
+    """Random kernel of at most 3x3 taps that fits the grid."""
+    return random_kernel(rng, (min(3, shape[0]), min(3, shape[1])), boundary)
 
 
 def random_problem(rng, shape=(8, 8), mask_mode="periodic", alpha=0.25,

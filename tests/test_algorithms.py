@@ -235,6 +235,36 @@ def test_run_with_data_start(rng):
     assert trace.rel_cost_err[-1] < trace.rel_cost_err[0]
 
 
+@pytest.mark.parametrize("algorithm, mask_mode", [
+    ("sb", "periodic"), ("sb", "masked"),
+    ("admm2", "periodic"), ("admm2", "masked"),
+    ("admm2_simplified", "periodic"), ("admm2_simplified", "masked"),
+    ("quadratic_closed_form", "periodic")])
+def test_trace_cost_is_cost_of_each_iterate(rng, algorithm, mask_mode):
+    # run() takes A x and C x from the step; each logged cost must be the
+    # cost of that iterate recomputed from scratch (A x, not u, in admm2)
+    problem = random_problem(rng, shape=(8, 9), mask_mode=mask_mode)
+    inner = EXACT if mask_mode == "periodic" else InnerSolveConfig(
+        mode="pcg", pcg_iterations=3)
+    rho, eta = 2.0, 0.5
+    config = OuterConfig(rho=rho, eta=eta, max_iterations=6, inner=inner,
+                         algorithm=algorithm, x0_mode="data")
+    trace = run(problem, config)
+    ops = ProblemOps(problem)
+    step = {"sb": lambda s: sb_step(s, ops, eta, inner),
+            "admm2": lambda s: admm2_step(s, ops, rho, eta, inner),
+            "admm2_simplified": lambda s: admm2_simplified_step(
+                s, ops, rho, eta, inner),
+            "quadratic_closed_form": lambda s: quadratic_closed_form_step(
+                s, ops, rho, eta)}[algorithm]
+    state = canonical_init(ops, rho, eta, "data")
+    for k in range(len(trace)):
+        if k:
+            state = step(state)
+        want = ops.cost(state.x)
+        assert abs(trace.cost[k] - want) <= 1e-12 * abs(want)
+
+
 def test_rank_deficiency_is_reported(rng):
     # a pure difference kernel annihilates constants, as does C
     from sbadmm.grids import ConvolutionKernel
@@ -244,3 +274,6 @@ def test_rank_deficiency_is_reported(rng):
                           potential=Potential.quadratic(0.25))
     ops = ProblemOps(problem)
     assert not ops.rank.full_rank
+    # run() carries the check on its trace, for restore's warning
+    trace = run(problem, OuterConfig(max_iterations=0, inner=EXACT))
+    assert not trace.full_rank

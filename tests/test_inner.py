@@ -7,7 +7,8 @@ from sbadmm.inner import (InnerSolveConfig, PcgBreakdownError,
                           circulant_solve_array, pcg_solve)
 from sbadmm.operators import (BccbSpectrum, diff_gram_spectrum, gram_spectrum,
                               sparse_blur_matrix, sparse_diff_matrix)
-from conftest import make_ops, random_kernel
+from conftest import (ODD_AND_DEGENERATE_SHAPES, fitting_kernel, make_ops,
+                      random_kernel)
 
 
 def test_config_validation():
@@ -51,15 +52,24 @@ def test_circulant_solve_matches_dense_4x1():
 
 
 def test_circulant_solve_residual(rng):
-    shape = (8, 8)
-    k = random_kernel(rng)
-    lam = gram_spectrum(k, shape)
-    om = diff_gram_spectrum(shape)
-    x_true = rng.standard_normal(shape)
-    hx = np.real(np.fft.ifft2(np.fft.fft2(x_true)
-                              * (2.0 * lam.eigenvalues + 0.3 * om.eigenvalues)))
-    x = circulant_solve_array(lam, om, 2.0, 0.3, hx)
-    assert np.linalg.norm(x - x_true) <= 1e-10 * np.linalg.norm(x_true)
+    # the real-FFT division keeps w//2 + 1 columns: odd widths and single
+    # rows or columns too
+    for shape in [(8, 8)] + ODD_AND_DEGENERATE_SHAPES:
+        k = fitting_kernel(rng, shape)
+        lam = gram_spectrum(k, shape)
+        om = diff_gram_spectrum(shape)
+        x_true = rng.standard_normal(shape)
+        hx = np.real(np.fft.ifft2(
+            np.fft.fft2(x_true) * (2.0 * lam.eigenvalues + 0.3 * om.eigenvalues)))
+        x = circulant_solve_array(lam, om, 2.0, 0.3, hx)
+        assert np.linalg.norm(x - x_true) <= 1e-10 * np.linalg.norm(x_true)
+
+        ops = make_ops(k, shape, "periodic")
+        rhs = rng.standard_normal(shape)
+        rho, eta = rng.uniform(0.1, 3.0, size=2)
+        x = circulant_solve_array(ops.lam, ops.om, rho, eta, rhs)
+        res = rho * ops.At(ops.A(x)) + eta * ops.Ct(ops.C(x)) - rhs
+        assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
 
 
 def test_circulant_solve_singular_names_frequency():

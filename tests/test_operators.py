@@ -5,7 +5,8 @@ from sbadmm.grids import ConvolutionKernel
 from sbadmm.operators import (diff_gram_spectrum, gram_spectrum,
                               sparse_blur_matrix, sparse_diff_matrix,
                               split_operator_rank_check)
-from conftest import make_ops, random_kernel
+from conftest import (ODD_AND_DEGENERATE_SHAPES, fitting_kernel, make_ops,
+                      random_kernel)
 
 
 def test_identity_kernel_is_identity(rng):
@@ -160,34 +161,55 @@ def test_masked_adjoint_ignores_masked_coordinates(rng):
 
 
 def test_sparse_matrices_match_operators(rng):
-    shape = (5, 6)
-    k = random_kernel(rng)
-    A = sparse_blur_matrix(k, shape)
-    x = rng.standard_normal(shape)
-    assert np.allclose(A @ x.ravel(), make_ops(k, shape).A(x).ravel(),
-                       atol=1e-12)
-    for mode in ("periodic", "masked"):
-        ops = make_ops(k, shape, mode)
-        C = sparse_diff_matrix(shape, mode)
-        assert np.allclose(C @ x.ravel(), ops.C(x).ravel(), atol=1e-12)
-        r = rng.standard_normal((2,) + shape)
-        r = np.where(ops.mask, r, 0.0)
-        assert np.allclose(C.T @ r.ravel(), ops.Ct(r).ravel(), atol=1e-12)
+    # the slice stencils of C and C' at the bounds: odd sides, one row, one column
+    for shape in [(5, 6)] + ODD_AND_DEGENERATE_SHAPES:
+        k = fitting_kernel(rng, shape)
+        A = sparse_blur_matrix(k, shape)
+        x = rng.standard_normal(shape)
+        assert np.allclose(A @ x.ravel(), make_ops(k, shape).A(x).ravel(),
+                           atol=1e-12)
+        for mode in ("periodic", "masked"):
+            ops = make_ops(k, shape, mode)
+            C = sparse_diff_matrix(shape, mode)
+            assert np.allclose(C @ x.ravel(), ops.C(x).ravel(), atol=1e-12)
+            r = rng.standard_normal((2,) + shape)
+            r = np.where(ops.mask, r, 0.0)
+            assert np.allclose(C.T @ r.ravel(), ops.Ct(r).ravel(), atol=1e-12)
+
+
+def test_gram_matches_composition(rng):
+    # the fused Hessian apply against rho A'(A z) + eta C'(C z)
+    for shape in ODD_AND_DEGENERATE_SHAPES:
+        for boundary in ("periodic", "masked"):
+            for mode in ("periodic", "masked"):
+                ops = make_ops(fitting_kernel(rng, shape, boundary), shape, mode)
+                z = rng.standard_normal(shape)
+                rho, eta = rng.uniform(0.1, 3.0, size=2)
+                want = rho * ops.At(ops.A(z)) + eta * ops.Ct(ops.C(z))
+                got = ops.gram(z, rho, eta)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_problem_ops_builds_transfer_and_mask_once(rng, monkeypatch):
-    # A, A', C and C' reuse what the constructor built
+    # A, A', C, C', the Gram apply and the circulant solves reuse what the
+    # constructor built, and none of them takes a complex FFT of real data
     from sbadmm import operators
-    shape = (6, 6)
+    from sbadmm.inner import circulant_preconditioner, circulant_solve_array
+    shape = (6, 7)
     ops = make_ops(random_kernel(rng), shape, "masked")
 
-    def forbidden(*args):
-        raise AssertionError("rebuilt per call")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rebuilt per call or complex FFT")
 
     monkeypatch.setattr(operators, "embed_kernel", forbidden)
     monkeypatch.setattr(operators, "diff_mask", forbidden)
+    monkeypatch.setattr(np.fft, "fft2", forbidden)
+    monkeypatch.setattr(np.fft, "ifft2", forbidden)
     x = rng.standard_normal(shape)
     ops.Ct(ops.C(ops.At(ops.A(x))))
+    ops.gram(x, 2.0, 0.5)
+    circulant_preconditioner(ops.lam, ops.om, 2.0, 0.5)(x)
+    circulant_solve_array(ops.lam, ops.om, 2.0, 0.5, x)
 
 
 def test_spectrum_rejects_negative_eigenvalues():
