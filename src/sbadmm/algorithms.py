@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import ConvolutionKernel, ImageGrid
-from .inner import (InnerSolveConfig, circulant_preconditioner,
-                    circulant_solve_array, pcg_solve)
+from .inner import (InnerSolveConfig, circulant_solve_array,
+                    floored_half_spectrum, hessian_spectrum, pcg_solve,
+                    spectral_divide)
 from .operators import (blur, blur_transfer, blur_transpose, diff_gram_spectrum,
                         diff_mask, difference, difference_transpose,
                         gram_spectrum, half_spectrum,
@@ -101,6 +102,13 @@ class ProblemOps:
     x-update Hessian; cost is the objective of the true problem.  Raises
     ValueError when the kernel does not fit the grid or the grid is a
     single pixel.
+
+    For a periodic kernel the Hessian splits as H = M - eta W: M = rho A'A +
+    eta C'C of the periodic stencils is circulant, and W = C'C_periodic -
+    C'C_masked (zero in periodic mode) couples only the first and last row
+    and column.  The half spectra of M and of its floored inverse are
+    cached for the last (rho, eta).  The object holds arrays only, no
+    callables bound to itself, so it is freed as soon as it is dropped.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -114,10 +122,10 @@ class ProblemOps:
         self.potential = problem.potential
         self.transfer = blur_transfer(problem.kernel, self.shape)
         self.lam = gram_spectrum(problem.kernel, self.shape)
-        self.lam_half = half_spectrum(self.lam.eigenvalues)
         self.om = diff_gram_spectrum(self.shape)
         self.mask = diff_mask(self.shape, problem.mask_mode)
         self.rank = split_operator_rank_check(self.lam, self.om)
+        self._spectra_key = None
 
     def A(self, x):
         return blur(self.kernel, self.transfer, x)
@@ -131,16 +139,36 @@ class ProblemOps:
     def Ct(self, g):
         return difference_transpose(g, self.mask_mode)
 
+    def hessian_spectra(self, rho, eta):
+        """(M, floored M, floored?) on the half spectrum, where M = rho*lambda
+        + eta*omega; computed once per (rho, eta)."""
+        if self._spectra_key != (rho, eta):
+            full = hessian_spectrum(self.lam, self.om, rho, eta)
+            self._spectra = (half_spectrum(full),) + floored_half_spectrum(full)
+            self._spectra_key = (rho, eta)
+        return self._spectra
+
+    def subtract_wrap(self, z, eta, out):
+        """out -= eta W z: in masked mode, the wrap-around differences that
+        C'C_periodic has and masked C'C lacks; nothing in periodic mode."""
+        if self.mask_mode == "periodic":
+            return
+        wh = eta * (z[:, 0] - z[:, -1])
+        out[:, 0] -= wh
+        out[:, -1] += wh
+        wv = eta * (z[0] - z[-1])
+        out[0] -= wv
+        out[-1] += wv
+
     def gram(self, z, rho, eta):
-        """rho A'A z + eta C'C z; A'A of a periodic kernel is one real FFT
-        pair times lambda on the half spectrum."""
-        if self.kernel.boundary == "periodic":
-            f = np.fft.rfft2(z)
-            f *= rho * self.lam_half
-            out = np.fft.irfft2(f, s=self.shape)
-        else:
-            out = rho * self.At(self.A(z))
-        out += eta * self.Ct(self.C(z))
+        """rho A'A z + eta C'C z.  For a periodic kernel this is M z, one real
+        FFT pair times the cached half spectrum, minus eta W z."""
+        if self.kernel.boundary != "periodic":
+            return rho * self.At(self.A(z)) + eta * self.Ct(self.C(z))
+        f = np.fft.rfft2(z)
+        f *= self.hessian_spectra(rho, eta)[0]
+        out = np.fft.irfft2(f, s=self.shape)
+        self.subtract_wrap(z, eta, out)
         return out
 
     def cost(self, x, ax=None, cx=None):
@@ -176,11 +204,16 @@ def _solve_x(ops, rho, eta, rhs, warm, inner: InnerSolveConfig):
             raise ValueError("circulant_exact inner solve requires periodic operators")
         return circulant_solve_array(ops.lam, ops.om, rho, eta, rhs), 0.0
 
-    precond = None
+    precond = correction = None
     if inner.preconditioner == "circulant":
-        precond = circulant_preconditioner(ops.lam, ops.om, rho, eta)
+        _, denom, floored = ops.hessian_spectra(rho, eta)
+        precond = lambda r: spectral_divide(r, denom)
+        if ops.kernel.boundary == "periodic" and not floored:
+            # the preconditioner is exactly M^-1: PCG forms H p = M p - eta W p
+            correction = lambda p, out: ops.subtract_wrap(p, eta, out)
     result = pcg_solve(lambda z: ops.gram(z, rho, eta), rhs, inner,
-                       warm_start=warm, preconditioner=precond)
+                       warm_start=warm, preconditioner=precond,
+                       correction=correction)
     rhs_norm = float(np.linalg.norm(rhs))
     rel = result.residual_norms[-1] / rhs_norm if result.residual_norms and rhs_norm else 0.0
     return result.x, rel

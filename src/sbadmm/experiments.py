@@ -43,16 +43,29 @@ _ELLIPSES = [
 ]
 
 
+def _box(coords, centre, radius):
+    """Slice of the sorted coords within radius of centre, one more each side."""
+    lo = np.searchsorted(coords, centre - radius) - 1
+    hi = np.searchsorted(coords, centre + radius, side="right") + 1
+    return slice(max(lo, 0), hi)
+
+
 def phantom(height: int = 64, width: int = 64) -> ImageGrid:
-    """Built-in piecewise-constant ellipse phantom scaled to 0..100."""
-    ys = np.linspace(-1.0, 1.0, height)[:, None]
-    xs = np.linspace(-1.0, 1.0, width)[None, :]
+    """Built-in piecewise-constant ellipse phantom scaled to 0..100.
+
+    Each ellipse lies within max(a, b) of its centre, so it is evaluated on
+    that bounding box only; outside it would add zeros.
+    """
+    ys = np.linspace(-1.0, 1.0, height)
+    xs = np.linspace(-1.0, 1.0, width)
     img = np.zeros((height, width))
     for value, a, b, x0, y0, phi in _ELLIPSES:
+        rows, cols = _box(ys, y0, max(a, b)), _box(xs, x0, max(a, b))
+        yb, xb = ys[rows, None], xs[None, cols]
         t = math.radians(phi)
-        xr = (xs - x0) * math.cos(t) + (ys - y0) * math.sin(t)
-        yr = -(xs - x0) * math.sin(t) + (ys - y0) * math.cos(t)
-        img += value * ((xr / a) ** 2 + (yr / b) ** 2 <= 1.0)
+        xr = (xb - x0) * math.cos(t) + (yb - y0) * math.sin(t)
+        yr = -(xb - x0) * math.sin(t) + (yb - y0) * math.cos(t)
+        img[rows, cols] += value * ((xr / a) ** 2 + (yr / b) ** 2 <= 1.0)
     return ImageGrid(100.0 * img)
 
 

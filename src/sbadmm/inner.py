@@ -3,7 +3,9 @@
 Two routes: an exact per-frequency division when both Gram operators are
 circulant, and a fixed-iteration preconditioned conjugate gradient loop for
 the masked (only approximately circulant) case.  Both divide a real FFT by
-the half spectrum of the Hessian.
+the half spectrum of the Hessian.  When the preconditioner inverts the
+circulant part M of the Hessian exactly, PCG takes the Hessian as M minus a
+cheap correction and needs no Hessian apply inside its loop.
 """
 
 from __future__ import annotations
@@ -58,6 +60,13 @@ def hessian_spectrum(lam: BccbSpectrum, omega: BccbSpectrum, rho, eta):
     return rho * lam.eigenvalues + eta * omega.eigenvalues
 
 
+def spectral_divide(r, half_denom):
+    """Divide the real FFT of r by a half-width spectrum and transform back."""
+    f = np.fft.rfft2(r)
+    f /= half_denom
+    return np.fft.irfft2(f, s=r.shape)
+
+
 def circulant_solve_array(lam, omega, rho, eta, rhs):
     """Exact solve of (rho A'A + eta C'C) x = rhs by frequency division."""
     denom = hessian_spectrum(lam, omega, rho, eta)
@@ -66,25 +75,24 @@ def circulant_solve_array(lam, omega, rho, eta, rhs):
         i, j = np.unravel_index(int(np.argmin(denom)), denom.shape)
         raise SingularHessianError(
             "rho*lambda + eta*omega vanishes at frequency (%d, %d)" % (i, j))
-    f = np.fft.rfft2(rhs)
-    f /= half_spectrum(denom)
-    return np.fft.irfft2(f, s=rhs.shape)
+    return spectral_divide(rhs, half_spectrum(denom))
+
+
+def floored_half_spectrum(denom, floor_rel: float = PRECONDITIONER_FLOOR):
+    """Half spectrum of the circulant Hessian surrogate raised to
+    floor_rel * max at near-null frequencies, and whether the floor raised
+    any frequency (then it is no longer the surrogate's exact inverse)."""
+    floor = floor_rel * denom.max()
+    return half_spectrum(np.maximum(denom, floor)), bool(denom.min() < floor)
 
 
 def circulant_preconditioner(lam: BccbSpectrum, omega: BccbSpectrum, rho, eta,
                              floor_rel: float = PRECONDITIONER_FLOOR):
     """Inverse of the circulant Hessian surrogate, floored at near-null
     frequencies so masked problems cannot divide by (almost) zero."""
-    denom = hessian_spectrum(lam, omega, rho, eta)
-    floor = floor_rel * denom.max()
-    denom = half_spectrum(np.maximum(denom, floor))
-
-    def apply(r):
-        f = np.fft.rfft2(r)
-        f /= denom
-        return np.fft.irfft2(f, s=r.shape)
-
-    return apply
+    denom, _ = floored_half_spectrum(hessian_spectrum(lam, omega, rho, eta),
+                                     floor_rel)
+    return lambda r: spectral_divide(r, denom)
 
 
 @dataclass
@@ -98,7 +106,7 @@ class PcgResult:
 
 
 def pcg_solve(hessian, rhs, config: InnerSolveConfig, warm_start=None,
-              preconditioner=None) -> PcgResult:
+              preconditioner=None, correction=None) -> PcgResult:
     """Run config.pcg_iterations preconditioned CG steps on hessian(x) = rhs.
 
     ``hessian`` and ``preconditioner`` are pure callables on arrays; the
@@ -106,6 +114,13 @@ def pcg_solve(hessian, rhs, config: InnerSolveConfig, warm_start=None,
     error in the Hessian norm decreases monotonically by construction; a
     nonpositive curvature or preconditioned residual product means the
     operator violated that assumption and raises PcgBreakdownError.
+
+    ``correction`` declares H = M - W with M the exact inverse of the
+    preconditioner (the identity without one): ``correction(p, out)``
+    subtracts W p from ``out`` in place.  Since z = M^-1 r and
+    p = z + beta p, the loop then keeps M p = r + beta M p beside p and
+    forms H p = M p - W p, so ``hessian`` is called only for the initial
+    residual.
     """
     rhs = np.asarray(rhs, dtype=float)
     x = np.zeros_like(rhs) if warm_start is None else np.array(warm_start, dtype=float)
@@ -114,6 +129,7 @@ def pcg_solve(hessian, rhs, config: InnerSolveConfig, warm_start=None,
     r = rhs - hessian(x)
     z = preconditioner(r)
     p = z
+    mp = r
     rz = float(np.vdot(r, z).real)
     rhs_norm = float(np.linalg.norm(rhs))
     result = PcgResult(x=x)
@@ -124,7 +140,11 @@ def pcg_solve(hessian, rhs, config: InnerSolveConfig, warm_start=None,
         if rz < 0.0:
             raise PcgBreakdownError(
                 "indefinite preconditioner at step %d (r'z = %g)" % (step, rz))
-        hp = hessian(p)
+        if correction is None:
+            hp = hessian(p)
+        else:
+            hp = mp.copy()
+            correction(p, hp)
         php = float(np.vdot(p, hp).real)
         if php <= 0.0:
             raise PcgBreakdownError(
@@ -141,6 +161,8 @@ def pcg_solve(hessian, rhs, config: InnerSolveConfig, warm_start=None,
         rz_new = float(np.vdot(r, z).real)
         beta = rz_new / rz
         p = z + beta * p
+        if correction is not None:
+            mp = r + beta * mp
         rz = rz_new
     result.x = x
     if not np.all(np.isfinite(x)):

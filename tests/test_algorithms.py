@@ -1,15 +1,23 @@
+import gc
+import re
+import weakref
+
 import numpy as np
 import pytest
 
+from sbadmm import algorithms
 from sbadmm.algorithms import (MetricTrace, OuterConfig, ProblemOps,
-                               ProblemSpec, admm2_simplified_step, admm2_step,
-                               canonical_init, quadratic_closed_form_step, run,
-                               sb_step, solution_state)
-from sbadmm.grids import ImageGrid
-from sbadmm.inner import InnerSolveConfig
+                               ProblemSpec, _solve_x, admm2_simplified_step,
+                               admm2_step, canonical_init,
+                               quadratic_closed_form_step, run, sb_step,
+                               solution_state)
+from sbadmm.grids import ConvolutionKernel, ImageGrid
+from sbadmm.inner import (InnerSolveConfig, PcgBreakdownError,
+                          circulant_preconditioner, pcg_solve)
 from sbadmm.operators import sparse_blur_matrix, sparse_diff_matrix
 from sbadmm.prox import Potential, prox_array
-from conftest import random_problem
+from conftest import (ODD_AND_DEGENERATE_SHAPES, fitting_kernel, make_ops,
+                      random_problem)
 
 EXACT = InnerSolveConfig(mode="circulant_exact")
 
@@ -277,3 +285,125 @@ def test_rank_deficiency_is_reported(rng):
     # run() carries the check on its trace, for restore's warning
     trace = run(problem, OuterConfig(max_iterations=0, inner=EXACT))
     assert not trace.full_rank
+
+
+def spy_pcg(monkeypatch):
+    """Record the correction and the result of each PCG solve of _solve_x."""
+    calls = []
+    real = algorithms.pcg_solve
+
+    def spy(*args, **kwargs):
+        calls.append([kwargs.get("correction"), None])
+        calls[-1][1] = real(*args, **kwargs)
+        return calls[-1][1]
+
+    monkeypatch.setattr(algorithms, "pcg_solve", spy)
+    return calls
+
+
+def test_split_pcg_matches_generic_pcg(rng, monkeypatch):
+    # H p = M p - eta W p, with M p kept beside p, against PCG applying the
+    # Hessian by composition; residual histories agree to 1e-12 of |rhs|,
+    # and one may stop early only on a residual that is already that small
+    calls = spy_pcg(monkeypatch)
+    for shape in ODD_AND_DEGENERATE_SHAPES:
+        for mode in ("periodic", "masked"):
+            ops = make_ops(fitting_kernel(rng, shape), shape, mode)
+            rho, eta = rng.uniform(0.1, 3.0, size=2)
+            rhs = rng.standard_normal(shape)
+            warm = rng.standard_normal(shape)
+            pre = circulant_preconditioner(ops.lam, ops.om, rho, eta)
+            tol = 1e-12 * np.linalg.norm(rhs)
+            for steps in (1, 3, 50):
+                cfg = InnerSolveConfig(mode="pcg", pcg_iterations=steps)
+                x, _ = _solve_x(ops, rho, eta, rhs, warm, cfg)
+                correction, split = calls[-1]
+                assert correction is not None
+                generic = pcg_solve(
+                    lambda z: rho * ops.At(ops.A(z)) + eta * ops.Ct(ops.C(z)),
+                    rhs, cfg, warm_start=warm, preconditioner=pre)
+                assert (np.linalg.norm(x - generic.x)
+                        <= 1e-12 * np.linalg.norm(generic.x))
+                a, b = split.residual_norms, generic.residual_norms
+                n = min(len(a), len(b))
+                assert np.allclose(a[:n], b[:n], rtol=0.0, atol=tol)
+                assert max(a[n:] + b[n:], default=0.0) <= tol
+
+
+def test_generic_pcg_when_preconditioner_is_not_exact(rng, monkeypatch):
+    # a masked-valid kernel (A'A is not circulant), a zero-sum kernel (the
+    # floor raises frequency (0, 0)) and no preconditioner keep the Hessian
+    # apply inside the loop: the result, or the exception, of plain PCG
+    calls = spy_pcg(monkeypatch)
+    for shape in ODD_AND_DEGENERATE_SHAPES:
+        taps = [[1.0, -1.0]] if shape[1] > 1 else [[1.0], [-1.0]]
+        zero_sum = ConvolutionKernel(np.array(taps), (0, 0))
+        for kernel, precond in ((fitting_kernel(rng, shape, "masked"), "circulant"),
+                                (zero_sum, "circulant"),
+                                (fitting_kernel(rng, shape), "none")):
+            for mode in ("periodic", "masked"):
+                ops = make_ops(kernel, shape, mode)
+                rho, eta = rng.uniform(0.1, 3.0, size=2)
+                assert ops.hessian_spectra(rho, eta)[2] == (kernel is zero_sum)
+                rhs = rng.standard_normal(shape)
+                warm = rng.standard_normal(shape)
+                pre = None
+                if precond == "circulant":
+                    pre = circulant_preconditioner(ops.lam, ops.om, rho, eta)
+                for steps in (1, 3, 50):
+                    cfg = InnerSolveConfig(mode="pcg", pcg_iterations=steps,
+                                           preconditioner=precond)
+                    try:
+                        want = pcg_solve(lambda z: ops.gram(z, rho, eta), rhs,
+                                         cfg, warm_start=warm,
+                                         preconditioner=pre)
+                    except PcgBreakdownError as err:
+                        with pytest.raises(PcgBreakdownError,
+                                           match=re.escape(str(err))):
+                            _solve_x(ops, rho, eta, rhs, warm, cfg)
+                    else:
+                        x, _ = _solve_x(ops, rho, eta, rhs, warm, cfg)
+                        assert np.array_equal(x, want.x)
+                    assert calls[-1][0] is None
+
+
+def test_masked_pcg3_step_call_counts(rng, monkeypatch):
+    # real FFT pairs: A' of the right-hand side, the initial residual, the
+    # two preconditioner applies PCG-3 uses, and A x; C' of the right-hand
+    # side and C x once each; no Hessian apply inside the PCG loop
+    ops = ProblemOps(random_problem(rng, shape=(16, 16), mask_mode="masked"))
+    state = canonical_init(ops, 1.0, 0.5)
+    counts = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((np.fft, "rfft2"), (np.fft, "irfft2"),
+                         (algorithms, "difference"),
+                         (algorithms, "difference_transpose")):
+        count(module, name)
+    admm2_step(state, ops, 1.0, 0.5, InnerSolveConfig(mode="pcg"))
+    assert counts == {"rfft2": 6, "irfft2": 6, "difference": 1,
+                      "difference_transpose": 1}
+
+
+def test_problem_ops_is_freed_without_cycle_collection(rng):
+    # a callable cached on ProblemOps that refers back to it would keep every
+    # instance alive until the cycle collector runs
+    problem = random_problem(rng, mask_mode="masked")
+    gc.disable()
+    try:
+        ops = ProblemOps(problem)
+        admm2_step(canonical_init(ops, 1.0, 0.5), ops, 1.0, 0.5,
+                   InnerSolveConfig(mode="pcg"))
+        ref = weakref.ref(ops)
+        del ops
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -26,6 +26,22 @@ def test_phantom_shape_and_range():
     assert np.array_equal(p.values, ex.phantom().values)
 
 
+def test_phantom_boxes_match_full_grid_evaluation():
+    # each ellipse on its bounding box only, against every ellipse on the
+    # whole grid: identical arithmetic per pixel, so identical bits
+    import math
+    for h, w in [(64, 64), (37, 40), (40, 37), (1, 4), (4, 1), (1, 1), (2, 3)]:
+        ys = np.linspace(-1.0, 1.0, h)[:, None]
+        xs = np.linspace(-1.0, 1.0, w)[None, :]
+        img = np.zeros((h, w))
+        for value, a, b, x0, y0, phi in ex._ELLIPSES:
+            t = math.radians(phi)
+            xr = (xs - x0) * math.cos(t) + (ys - y0) * math.sin(t)
+            yr = -(xs - x0) * math.sin(t) + (ys - y0) * math.cos(t)
+            img += value * ((xr / a) ** 2 + (yr / b) ** 2 <= 1.0)
+        assert ex.phantom(h, w).values.tobytes() == (100.0 * img).tobytes()
+
+
 def test_gaussian_kernel_normalized():
     k = ex.gaussian_kernel(7, 2.0)
     assert k.taps.shape == (7, 7)

@@ -192,11 +192,13 @@ def test_gram_matches_composition(rng):
 
 def test_problem_ops_builds_transfer_and_mask_once(rng, monkeypatch):
     # A, A', C, C', the Gram apply and the circulant solves reuse what the
-    # constructor built, and none of them takes a complex FFT of real data
-    from sbadmm import operators
+    # constructor built, and none of them takes a complex FFT of real data;
+    # the Gram apply of a periodic kernel needs neither C nor C'
+    from sbadmm import algorithms, operators
     from sbadmm.inner import circulant_preconditioner, circulant_solve_array
     shape = (6, 7)
     ops = make_ops(random_kernel(rng), shape, "masked")
+    periodic_ops = make_ops(random_kernel(rng), shape, "periodic")
 
     def forbidden(*args, **kwargs):
         raise AssertionError("rebuilt per call or complex FFT")
@@ -210,6 +212,10 @@ def test_problem_ops_builds_transfer_and_mask_once(rng, monkeypatch):
     ops.gram(x, 2.0, 0.5)
     circulant_preconditioner(ops.lam, ops.om, 2.0, 0.5)(x)
     circulant_solve_array(ops.lam, ops.om, 2.0, 0.5, x)
+    monkeypatch.setattr(algorithms, "difference", forbidden)
+    monkeypatch.setattr(algorithms, "difference_transpose", forbidden)
+    ops.gram(x, 2.0, 0.5)
+    periodic_ops.gram(x, 2.0, 0.5)
 
 
 def test_spectrum_rejects_negative_eigenvalues():
