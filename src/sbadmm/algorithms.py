@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve, circulant
 
 from .grids import ConvolutionKernel, ImageGrid
-from .inner import (InnerSolveConfig, circulant_solve_array,
+from .inner import (InnerSolveConfig, check_nonsingular,
                     floored_half_spectrum, hessian_spectrum, pcg_solve,
                     spectral_divide)
 from .operators import (blur, blur_transfer, blur_transpose, diff_gram_spectrum,
@@ -106,9 +107,11 @@ class ProblemOps:
     For a periodic kernel the Hessian splits as H = M - eta W: M = rho A'A +
     eta C'C of the periodic stencils is circulant, and W = C'C_periodic -
     C'C_masked (zero in periodic mode) couples only the first and last row
-    and column.  The half spectra of M and of its floored inverse are
-    cached for the last (rho, eta).  The object holds arrays only, no
-    callables bound to itself, so it is freed as soon as it is dropped.
+    and column; W = U U', U holding the h + w row and column wraps.  The
+    half spectra of M and of its floored inverse, and the Cholesky factor
+    of the exact masked solve, are cached for the last (rho, eta).  The
+    object holds arrays only, no callables bound to itself, so it is freed
+    as soon as it is dropped.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -146,19 +149,54 @@ class ProblemOps:
             full = hessian_spectrum(self.lam, self.om, rho, eta)
             self._spectra = (half_spectrum(full),) + floored_half_spectrum(full)
             self._spectra_key = (rho, eta)
+            self._capacitance = None
         return self._spectra
+
+    def _wrap_adjoint(self, z):
+        """U'z: row wraps z[:, 0] - z[:, -1], then column wraps z[0] - z[-1]."""
+        return np.concatenate((z[:, 0] - z[:, -1], z[0] - z[-1]))
+
+    def _add_wrap(self, c, out):
+        """out += U c, c laid out as _wrap_adjoint returns it; returns out."""
+        h = self.shape[0]
+        out[:, 0] += c[:h]
+        out[:, -1] -= c[:h]
+        out[0] += c[h:]
+        out[-1] -= c[h:]
+        return out
 
     def subtract_wrap(self, z, eta, out):
         """out -= eta W z: in masked mode, the wrap-around differences that
         C'C_periodic has and masked C'C lacks; nothing in periodic mode."""
+        if self.mask_mode != "periodic":
+            self._add_wrap(-eta * self._wrap_adjoint(z), out)
+
+    def solve(self, b, rho, eta):
+        """Exact solution of gram(x, rho, eta) = b for a periodic kernel: a
+        division by M, plus in masked mode the Woodbury correction
+        M^-1 U S^-1 U' M^-1 b.  S = I/eta - U' M^-1 U is positive definite
+        when H is; as M^-1 commutes with shifts, S is read off M^-1 of the
+        first row wrap (gh) and of the first column wrap (gv)."""
+        if self.kernel.boundary != "periodic":
+            raise ValueError("exact x-updates require a periodic blur kernel")
+        m, _, floored = self.hessian_spectra(rho, eta)
+        if floored:  # a singular M is floored too
+            check_nonsingular(hessian_spectrum(self.lam, self.om, rho, eta))
+        x = spectral_divide(b, m)
         if self.mask_mode == "periodic":
-            return
-        wh = eta * (z[:, 0] - z[:, -1])
-        out[:, 0] -= wh
-        out[:, -1] += wh
-        wv = eta * (z[0] - z[-1])
-        out[0] -= wv
-        out[-1] += wv
+            return x
+        if self._capacitance is None:
+            h, w = self.shape
+            gh, gv = (spectral_divide(self._add_wrap(np.eye(1, h + w, k)[0],
+                                                     np.zeros(self.shape)), m)
+                      for k in (0, h))
+            k_hv = (gv - np.roll(gv, 1, axis=1))[:, -np.arange(w) % w]
+            s = np.eye(h + w) / eta - np.block(
+                [[circulant(gh[:, 0] - gh[:, -1]), k_hv],
+                 [k_hv.T, circulant(gv[0] - gv[-1])]])
+            self._capacitance = cho_factor(s)
+        c = cho_solve(self._capacitance, self._wrap_adjoint(x))
+        return x + spectral_divide(self._add_wrap(c, np.zeros(self.shape)), m)
 
     def gram(self, z, rho, eta):
         """rho A'A z + eta C'C z.  For a periodic kernel this is M z, one real
@@ -200,9 +238,7 @@ def canonical_init(ops: ProblemOps, rho: float, eta: float,
 def _solve_x(ops, rho, eta, rhs, warm, inner: InnerSolveConfig):
     """Solve (rho A'A + eta C'C) x = rhs, exactly or by a few PCG steps."""
     if inner.mode == "circulant_exact":
-        if ops.mask_mode != "periodic":
-            raise ValueError("circulant_exact inner solve requires periodic operators")
-        return circulant_solve_array(ops.lam, ops.om, rho, eta, rhs), 0.0
+        return ops.solve(rhs, rho, eta), 0.0
 
     precond = correction = None
     if inner.preconditioner == "circulant":
@@ -279,7 +315,7 @@ def quadratic_closed_form_step(state: SolverState, ops: ProblemOps, rho: float,
     alpha = ops.potential.alpha
     rhs = ops.At(ops.y) + (rho - 1.0) * ops.At(state.u) \
         + (eta - alpha) * ops.Ct(state.v)
-    x = circulant_solve_array(ops.lam, ops.om, rho, eta, rhs)
+    x = ops.solve(rhs, rho, eta)
     ax = ops.A(x)
     u = (rho * ax + state.u) / (rho + 1.0)
     cx = ops.C(x)

@@ -67,14 +67,18 @@ def spectral_divide(r, half_denom):
     return np.fft.irfft2(f, s=r.shape)
 
 
-def circulant_solve_array(lam, omega, rho, eta, rhs):
-    """Exact solve of (rho A'A + eta C'C) x = rhs by frequency division."""
-    denom = hessian_spectrum(lam, omega, rho, eta)
-    mn = denom.min()
-    if mn <= 0.0:
+def check_nonsingular(denom):
+    """Raise SingularHessianError where the full Hessian spectrum vanishes."""
+    if denom.min() <= 0.0:
         i, j = np.unravel_index(int(np.argmin(denom)), denom.shape)
         raise SingularHessianError(
             "rho*lambda + eta*omega vanishes at frequency (%d, %d)" % (i, j))
+
+
+def circulant_solve_array(lam, omega, rho, eta, rhs):
+    """Exact solve of (rho A'A + eta C'C) x = rhs by frequency division."""
+    denom = hessian_spectrum(lam, omega, rho, eta)
+    check_nonsingular(denom)
     return spectral_divide(rhs, half_spectrum(denom))
 
 

@@ -221,6 +221,22 @@ def test_criterion_7c_underestimated_eta_ordering(benchmark_hits):
            "%s vs %s iterations" % (admm, sb))
 
 
+def test_exact_and_pcg3_iteration_counts(benchmark_hits):
+    # Inexact x-updates (Eckstein & Bertsekas 1992, Thm 8): on the default
+    # masked benchmark, three PCG steps per x-update cost one extra iteration
+    # at (1/20, alpha/20) over exact solves, and none elsewhere.
+    config, _, hits = benchmark_hits
+    grid = default_parameter_grid(config.alpha)
+    exact, _ = benchmark_protocol(ExperimentConfig(max_iterations=250,
+                                                   inner=EXACT),
+                                  write_artifacts=False)
+    got_exact = [exact[k].iterations_to(1e-6) for k in grid]
+    got_pcg = [hits[k] for k in grid]
+    report("exact vs PCG-3 iterations to 1e-6 on the default benchmark",
+           got_exact == [1, 83, 186, 98, 5] and got_pcg == [1, 83, 186, 98, 6],
+           "exact %s, PCG-3 %s" % (got_exact, got_pcg))
+
+
 def _sqrt_cost_rate(trace):
     """Asymptotic rate of the x-error read off the relative cost error.
 

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from sbadmm import algorithms
 from sbadmm.algorithms import (MetricTrace, OuterConfig, ProblemOps,
@@ -13,7 +14,8 @@ from sbadmm.algorithms import (MetricTrace, OuterConfig, ProblemOps,
                                solution_state)
 from sbadmm.grids import ConvolutionKernel, ImageGrid
 from sbadmm.inner import (InnerSolveConfig, PcgBreakdownError,
-                          circulant_preconditioner, pcg_solve)
+                          SingularHessianError, circulant_preconditioner,
+                          pcg_solve)
 from sbadmm.operators import sparse_blur_matrix, sparse_diff_matrix
 from sbadmm.prox import Potential, prox_array
 from conftest import (ODD_AND_DEGENERATE_SHAPES, fitting_kernel, make_ops,
@@ -185,10 +187,65 @@ def test_closed_form_requires_quadratic_periodic(rng):
 
 
 def test_exact_inner_requires_periodic(rng):
+    # exact x-updates need a periodic blur kernel, in either mask mode
+    for mode in ("periodic", "masked"):
+        problem = random_problem(rng, mask_mode=mode)
+        problem = ProblemSpec(y=problem.y,
+                              kernel=fitting_kernel(rng, (8, 8), "masked"),
+                              mask_mode=mode, potential=problem.potential)
+        config = OuterConfig(rho=1.0, eta=0.25, max_iterations=1, inner=EXACT)
+        with pytest.raises(ValueError, match="periodic blur kernel"):
+            run(problem, config)
+    # masked C with a periodic kernel: (1, alpha) is optimal after one step
     problem = random_problem(rng, mask_mode="masked")
-    config = OuterConfig(rho=1.0, eta=0.25, max_iterations=1, inner=EXACT)
-    with pytest.raises(ValueError):
-        run(problem, config)
+    config = OuterConfig(rho=1.0, eta=problem.potential.alpha,
+                         max_iterations=2, inner=EXACT)
+    trace = run(problem, config, reference=ImageGrid(solve_reference(problem)))
+    assert trace.rel_cost_err[1] <= 1e-10
+
+
+def test_exact_solve_matches_sparse_solve(rng):
+    # the circulant division, plus the Woodbury wrap correction in masked
+    # mode, against a sparse direct solve of the normal matrix
+    for shape in ODD_AND_DEGENERATE_SHAPES + [(2, 3), (3, 2), (2, 2)]:
+        for mode in ("periodic", "masked"):
+            kernel = fitting_kernel(rng, shape)
+            ops = make_ops(kernel, shape, mode)
+            A = sparse_blur_matrix(kernel, shape)
+            C = sparse_diff_matrix(shape, mode)
+            for rho, eta in ((1.0, 0.25), (2.5, 0.03), (0.3, 2.0)):
+                normal = (rho * (A.T @ A) + eta * (C.T @ C)).tocsc()
+                b = rng.standard_normal(shape)
+                x = ops.solve(b, rho, eta).ravel()
+                want = spla.spsolve(normal, b.ravel())
+                assert (np.linalg.norm(normal @ x - b.ravel())
+                        <= 1e-12 * np.linalg.norm(b))
+                assert (np.linalg.norm(x - want)
+                        <= 1e-12 * np.linalg.norm(want))
+
+
+def test_capacitance_is_factored_once_per_parameters(rng, monkeypatch):
+    calls = []
+    real = algorithms.cho_factor
+    monkeypatch.setattr(algorithms, "cho_factor",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    ops = ProblemOps(random_problem(rng, mask_mode="masked"))
+    state = canonical_init(ops, 1.0, 0.5)
+    for _ in range(2):
+        state = admm2_step(state, ops, 1.0, 0.5, EXACT)
+    assert len(calls) == 1
+    for _ in range(2):
+        state = admm2_step(state, ops, 2.0, 0.5, EXACT)
+    assert len(calls) == 2
+
+
+def test_exact_solve_singular_names_frequency():
+    # a zero-sum kernel and omega both vanish at frequency (0, 0)
+    zero_sum = ConvolutionKernel(np.array([[1.0, -1.0]]), (0, 0))
+    for mode in ("periodic", "masked"):
+        ops = make_ops(zero_sum, (4, 5), mode)
+        with pytest.raises(SingularHessianError, match=r"\(0, 0\)"):
+            ops.solve(np.ones((4, 5)), 1.0, 0.5)
 
 
 def test_run_trace_contract(rng):
@@ -400,8 +457,8 @@ def test_problem_ops_is_freed_without_cycle_collection(rng):
     gc.disable()
     try:
         ops = ProblemOps(problem)
-        admm2_step(canonical_init(ops, 1.0, 0.5), ops, 1.0, 0.5,
-                   InnerSolveConfig(mode="pcg"))
+        for inner in (InnerSolveConfig(mode="pcg"), EXACT):
+            admm2_step(canonical_init(ops, 1.0, 0.5), ops, 1.0, 0.5, inner)
         ref = weakref.ref(ops)
         del ops
         assert ref() is None

@@ -108,14 +108,17 @@ def test_restore_bad_eta_exits_2(tmp_path, runner):
     assert result.exit_code == 2
 
 
-def test_restore_exact_on_masked_exits_2(tmp_path, runner):
-    # circulant-exact inner solves require periodic operators
+def test_restore_exact_on_masked_converges_in_one_step(tmp_path, runner):
+    # exact masked x-updates: (1, alpha) is optimal after one iteration
     config = write_config(tmp_path / "c.cfg",
                           SMALL.replace("mask_mode = periodic",
                                         "mask_mode = masked"))
+    out = str(tmp_path / "o")
     result = runner.invoke(main, ["restore", "--config", config,
-                                  "--output-dir", str(tmp_path / "o")])
-    assert result.exit_code == 2
+                                  "--output-dir", out])
+    assert result.exit_code == 0, result.output
+    rows = open(os.path.join(out, "trace.csv")).read().splitlines()
+    assert float(rows[2].split(",")[2]) <= 1e-10
 
 
 def test_restore_data_start(tmp_path, runner):

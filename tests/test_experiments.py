@@ -1,10 +1,11 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 import sbadmm.experiments as ex
-from sbadmm.algorithms import OuterConfig, ProblemOps, run
+from sbadmm.algorithms import OuterConfig, ProblemOps, ProblemSpec, run
 from sbadmm.grids import ImageGrid
 from sbadmm.inner import InnerSolveConfig
 from conftest import random_problem
@@ -106,13 +107,33 @@ def test_reference_solution_residual():
     assert abs(trace.cost[-1] - cost_ref) <= 1e-9 * cost_ref
 
 
-def test_reference_dense_vs_long_run(monkeypatch):
+def test_reference_dense_vs_long_run():
     config = small_config(height=32, width=32)
     problem, _ = ex.make_problem(config)
     dense = ex.reference_solution(problem)
-    monkeypatch.setattr(ex, "DENSE_REFERENCE_LIMIT", 0)
-    long_run = ex.reference_solution(problem)
+    long_run = ex.long_run_reference(problem)
     assert np.sqrt(np.mean((dense.values - long_run.values) ** 2)) <= 1e-8
+
+
+def test_reference_of_zero_data_is_zero(rng):
+    # A'y = 0: the residual would be 0/0
+    for mode in ("periodic", "masked"):
+        problem = random_problem(rng, mask_mode=mode)
+        problem = ProblemSpec(y=ImageGrid(np.zeros((8, 8))),
+                              kernel=problem.kernel, mask_mode=mode,
+                              potential=problem.potential)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = ex.reference_solution(problem)
+        assert np.array_equal(ref.values, np.zeros((8, 8)))
+
+
+def test_reference_rejects_nan_solution(rng, monkeypatch):
+    # a NaN residual must fail the check, not slip past "res > tol"
+    monkeypatch.setattr(ProblemOps, "solve",
+                        lambda self, b, rho, eta: np.full(b.shape, np.nan))
+    with pytest.raises(RuntimeError, match="residual nan exceeds"):
+        ex.reference_solution(random_problem(rng, mask_mode="masked"))
 
 
 def test_rmsd(rng):
