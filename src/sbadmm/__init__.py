@@ -9,7 +9,7 @@ from .algorithms import (MetricTrace, OuterConfig, ProblemOps, ProblemSpec,
 from .grids import ConvolutionKernel, ImageGrid
 from .inner import (InnerSolveConfig, PcgBreakdownError, SingularHessianError,
                     circulant_preconditioner, circulant_solve_array, pcg_solve)
-from .operators import (BccbSpectrum, diff_gram_spectrum, gram_spectrum,
+from .operators import (diff_gram_spectrum, gram_spectrum,
                         split_operator_rank_check)
 from .prox import Potential, potential_value_array, prox_array
 from .rates import (DeltaSpectrum, RateReport, compare_sb_vs_admm,

@@ -104,14 +104,14 @@ class ProblemOps:
     ValueError when the kernel does not fit the grid or the grid is a
     single pixel.
 
-    For a periodic kernel the Hessian splits as H = M - eta W: M = rho A'A +
-    eta C'C of the periodic stencils is circulant, and W = C'C_periodic -
-    C'C_masked (zero in periodic mode) couples only the first and last row
-    and column; W = U U', U holding the h + w row and column wraps.  The
-    half spectra of M and of its floored inverse, and the Cholesky factor
-    of the exact masked solve, are cached for the last (rho, eta).  The
-    object holds arrays only, no callables bound to itself, so it is freed
-    as soon as it is dropped.
+    The Hessian splits as H = M - eta W: M = rho A'A + eta C'C of the
+    periodic stencils is circulant, and W = C'C_periodic - C'C_masked (zero
+    in periodic mode) couples only the first and last row and column;
+    W = U U', U holding the h + w row and column wraps.  The half spectra
+    of M and of its floored inverse, and the Cholesky factor of the exact
+    masked solve, are cached for the last (rho, eta).  The object holds
+    arrays only, no callables bound to itself, so it is freed as soon as
+    it is dropped.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -120,7 +120,6 @@ class ProblemOps:
         self.shape = self.y.shape
         if self.shape == (1, 1):
             raise ValueError("cannot difference a 1x1 image")
-        self.kernel = problem.kernel
         self.mask_mode = problem.mask_mode
         self.potential = problem.potential
         self.transfer = blur_transfer(problem.kernel, self.shape)
@@ -131,10 +130,10 @@ class ProblemOps:
         self._spectra_key = None
 
     def A(self, x):
-        return blur(self.kernel, self.transfer, x)
+        return blur(self.transfer, x)
 
     def At(self, r):
-        return blur_transpose(self.kernel, self.transfer, r)
+        return blur_transpose(self.transfer, r)
 
     def C(self, x):
         return difference(x, self.mask_mode)
@@ -172,13 +171,11 @@ class ProblemOps:
             self._add_wrap(-eta * self._wrap_adjoint(z), out)
 
     def solve(self, b, rho, eta):
-        """Exact solution of gram(x, rho, eta) = b for a periodic kernel: a
-        division by M, plus in masked mode the Woodbury correction
-        M^-1 U S^-1 U' M^-1 b.  S = I/eta - U' M^-1 U is positive definite
-        when H is; as M^-1 commutes with shifts, S is read off M^-1 of the
-        first row wrap (gh) and of the first column wrap (gv)."""
-        if self.kernel.boundary != "periodic":
-            raise ValueError("exact x-updates require a periodic blur kernel")
+        """Exact solution of gram(x, rho, eta) = b: a division by M, plus in
+        masked mode the Woodbury correction M^-1 U S^-1 U' M^-1 b.
+        S = I/eta - U' M^-1 U is positive definite when H is; as M^-1
+        commutes with shifts, S is read off M^-1 of the first row wrap (gh)
+        and of the first column wrap (gv)."""
         m, _, floored = self.hessian_spectra(rho, eta)
         if floored:  # a singular M is floored too
             check_nonsingular(hessian_spectrum(self.lam, self.om, rho, eta))
@@ -199,10 +196,8 @@ class ProblemOps:
         return x + spectral_divide(self._add_wrap(c, np.zeros(self.shape)), m)
 
     def gram(self, z, rho, eta):
-        """rho A'A z + eta C'C z.  For a periodic kernel this is M z, one real
-        FFT pair times the cached half spectrum, minus eta W z."""
-        if self.kernel.boundary != "periodic":
-            return rho * self.At(self.A(z)) + eta * self.Ct(self.C(z))
+        """rho A'A z + eta C'C z: M z, one real FFT pair times the cached
+        half spectrum, minus eta W z."""
         f = np.fft.rfft2(z)
         f *= self.hessian_spectra(rho, eta)[0]
         out = np.fft.irfft2(f, s=self.shape)
@@ -240,15 +235,14 @@ def _solve_x(ops, rho, eta, rhs, warm, inner: InnerSolveConfig):
     if inner.mode == "circulant_exact":
         return ops.solve(rhs, rho, eta), 0.0
 
-    precond = correction = None
-    if inner.preconditioner == "circulant":
-        _, denom, floored = ops.hessian_spectra(rho, eta)
-        precond = lambda r: spectral_divide(r, denom)
-        if ops.kernel.boundary == "periodic" and not floored:
-            # the preconditioner is exactly M^-1: PCG forms H p = M p - eta W p
-            correction = lambda p, out: ops.subtract_wrap(p, eta, out)
+    _, denom, floored = ops.hessian_spectra(rho, eta)
+    # unless floored, the preconditioner is exactly M^-1: PCG forms
+    # H p = M p - eta W p
+    correction = None if floored else (
+        lambda p, out: ops.subtract_wrap(p, eta, out))
     result = pcg_solve(lambda z: ops.gram(z, rho, eta), rhs, inner,
-                       warm_start=warm, preconditioner=precond,
+                       warm_start=warm,
+                       preconditioner=lambda r: spectral_divide(r, denom),
                        correction=correction)
     rhs_norm = float(np.linalg.norm(rhs))
     rel = result.residual_norms[-1] / rhs_norm if result.residual_norms and rhs_norm else 0.0

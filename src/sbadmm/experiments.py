@@ -66,8 +66,7 @@ def phantom(height: int = 64, width: int = 64) -> ImageGrid:
     return ImageGrid(100.0 * img)
 
 
-def gaussian_kernel(size: int = 7, sigma: float = 2.0,
-                    boundary: str = "periodic") -> ConvolutionKernel:
+def gaussian_kernel(size: int = 7, sigma: float = 2.0) -> ConvolutionKernel:
     """Normalized truncated Gaussian PSF with a centered anchor."""
     if size < 1 or size % 2 == 0:
         raise ValueError("size must be a positive odd number")
@@ -75,7 +74,7 @@ def gaussian_kernel(size: int = 7, sigma: float = 2.0,
     g = np.exp(-k ** 2 / (2.0 * sigma ** 2))
     taps = np.outer(g, g)
     taps /= taps.sum()
-    return ConvolutionKernel(taps, (size // 2, size // 2), boundary)
+    return ConvolutionKernel(taps, (size // 2, size // 2))
 
 
 def default_parameter_grid(alpha):
@@ -127,7 +126,7 @@ def make_problem(config: ExperimentConfig):
     """Build (problem, truth): y = A truth + Gaussian noise, seeded."""
     truth = load_truth(config)
     kernel = gaussian_kernel(config.psf_size, config.psf_sigma)
-    blurred = blur(kernel, blur_transfer(kernel, truth.shape), truth.values)
+    blurred = blur(blur_transfer(kernel, truth.shape), truth.values)
     std = config.noise_std
     if std is None:
         std = 0.01 * (truth.values.max() - truth.values.min())
@@ -147,12 +146,12 @@ def reference_solution(problem: ProblemSpec,
                        residual_tol: float = 1e-10) -> ImageGrid:
     """Converged reference reconstruction.
 
-    Quadratic potential with a periodic kernel: the exact solve of the
-    normal equations (A'A + alpha C'C) x = A'y, at any grid size, with its
-    residual checked on the composed operators; zero data gives zero.
-    Other problems take long_run_reference.
+    Quadratic potential: the exact solve of the normal equations
+    (A'A + alpha C'C) x = A'y, at any grid size, with its residual checked
+    on the composed operators; zero data gives zero.  Other potentials take
+    long_run_reference.
     """
-    if problem.potential.kind != "quadratic" or problem.kernel.boundary != "periodic":
+    if problem.potential.kind != "quadratic":
         return long_run_reference(problem)
     ops = ProblemOps(problem)
     alpha = problem.potential.alpha

@@ -38,16 +38,11 @@ class ImageGrid:
 
 @dataclass(frozen=True)
 class ConvolutionKernel:
-    """Small convolution stencil with an explicit anchor index.
-
-    ``boundary`` selects periodic (circular) application or masked-valid
-    application, where outputs whose footprint crosses the grid boundary are
-    zeroed out.
-    """
+    """Small convolution stencil with an explicit anchor index, applied
+    periodically (circularly)."""
 
     taps: np.ndarray
     anchor: tuple = (0, 0)
-    boundary: str = "periodic"
 
     def __post_init__(self):
         t = np.asarray(self.taps, dtype=float)
@@ -60,14 +55,12 @@ class ConvolutionKernel:
         ai, aj = self.anchor
         if not (0 <= ai < t.shape[0] and 0 <= aj < t.shape[1]):
             raise ValueError("anchor must index into the taps array")
-        if self.boundary not in ("periodic", "masked"):
-            raise ValueError("boundary must be 'periodic' or 'masked'")
         object.__setattr__(self, "taps", t)
         object.__setattr__(self, "anchor", (int(ai), int(aj)))
 
     @classmethod
     def identity(cls):
-        return cls(np.ones((1, 1)), (0, 0), "periodic")
+        return cls(np.ones((1, 1)), (0, 0))
 
 
 def write_pgm(grid: ImageGrid, path):

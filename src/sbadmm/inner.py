@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import BccbSpectrum, half_spectrum
+from .operators import half_spectrum
 
 PRECONDITIONER_FLOOR = 1e-8
 
@@ -32,32 +32,26 @@ class InnerSolveConfig:
     """How the x-update system is solved.
 
     mode            'circulant_exact' or 'pcg'
-    pcg_iterations  fixed step count for PCG (tolerance 0 keeps it
-                    iteration-count-limited)
+    pcg_iterations  fixed step count for PCG, which is preconditioned by
+                    the inverse of the circulant Hessian surrogate
     """
 
     mode: str = "circulant_exact"
     pcg_iterations: int = 3
-    pcg_tolerance: float = 0.0
-    preconditioner: str = "circulant"
 
     def __post_init__(self):
         if self.mode not in ("circulant_exact", "pcg"):
             raise ValueError("mode must be 'circulant_exact' or 'pcg'")
         if self.mode == "pcg" and self.pcg_iterations < 1:
             raise ValueError("pcg_iterations must be >= 1")
-        if self.pcg_tolerance < 0:
-            raise ValueError("pcg_tolerance must be nonnegative")
-        if self.preconditioner not in ("none", "circulant"):
-            raise ValueError("preconditioner must be 'none' or 'circulant'")
 
 
-def hessian_spectrum(lam: BccbSpectrum, omega: BccbSpectrum, rho, eta):
+def hessian_spectrum(lam, omega, rho, eta):
     if lam.shape != omega.shape:
         raise ValueError("spectra live on different grids")
     if not (rho > 0 and eta > 0):
         raise ValueError("rho and eta must be positive")
-    return rho * lam.eigenvalues + eta * omega.eigenvalues
+    return rho * lam + eta * omega
 
 
 def spectral_divide(r, half_denom):
@@ -90,7 +84,7 @@ def floored_half_spectrum(denom, floor_rel: float = PRECONDITIONER_FLOOR):
     return half_spectrum(np.maximum(denom, floor)), bool(denom.min() < floor)
 
 
-def circulant_preconditioner(lam: BccbSpectrum, omega: BccbSpectrum, rho, eta,
+def circulant_preconditioner(lam, omega, rho, eta,
                              floor_rel: float = PRECONDITIONER_FLOOR):
     """Inverse of the circulant Hessian surrogate, floored at near-null
     frequencies so masked problems cannot divide by (almost) zero."""
@@ -135,12 +129,10 @@ def pcg_solve(hessian, rhs, config: InnerSolveConfig, warm_start=None,
     p = z
     mp = r
     rz = float(np.vdot(r, z).real)
-    rhs_norm = float(np.linalg.norm(rhs))
     result = PcgResult(x=x)
     for step in range(config.pcg_iterations):
-        rnorm = float(np.linalg.norm(r))
-        if rnorm <= config.pcg_tolerance * rhs_norm or rz == 0.0:
-            break
+        if rz == 0.0:
+            break  # r'z = 0 only at r = 0 for a definite preconditioner
         if rz < 0.0:
             raise PcgBreakdownError(
                 "indefinite preconditioner at step %d (r'z = %g)" % (step, rz))

@@ -1,17 +1,17 @@
 """Linear operators of the restoration problem and their circulant spectra.
 
-Blur A is a small convolution stencil (periodic or masked-valid boundary),
-the analysis operator C stacks first-order finite differences in the
-horizontal and vertical directions (periodic or masked), and the Gram
-operators A'A and C'C are diagonalized by the 2D DFT when the boundary is
-periodic.  Masked operators break the exact circulant structure; their
-spectra are those of the unmasked periodic stencil, an approximation.
+Blur A is a small periodic convolution stencil, the analysis operator C
+stacks first-order finite differences in the horizontal and vertical
+directions (periodic or masked), and the Gram operators A'A and C'C of the
+periodic stencils are diagonalized by the 2D DFT.  Masked C breaks the
+exact circulant structure of C'C; its spectrum is that of the periodic
+stencil, and ``algorithms.ProblemOps`` corrects for the difference.
 
 The operators act on plain arrays: images are (h, w), difference fields are
-(2, h, w).  Periodic A and A' use the real FFT: ``rfft2`` keeps the
-frequency columns 0..w//2, which hold every eigenvalue of a real stencil by
-conjugate symmetry.  ``algorithms.ProblemOps`` builds the blur transfer
-once per problem and passes it in.
+(2, h, w), and spectra are (h, w) float arrays.  A and A' use the real FFT:
+``rfft2`` keeps the frequency columns 0..w//2, which hold every eigenvalue
+of a real stencil by conjugate symmetry.  ``algorithms.ProblemOps`` builds
+the blur transfer once per problem and passes it in.
 """
 
 from __future__ import annotations
@@ -25,25 +25,6 @@ import scipy.sparse as sp
 from .grids import ConvolutionKernel
 
 EIGENVALUE_TOLERANCE = 1e-12
-
-
-@dataclass(frozen=True)
-class BccbSpectrum:
-    """Per-frequency real eigenvalues of a BCCB Gram operator."""
-
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        if ev.ndim != 2:
-            raise ValueError("eigenvalues must be a 2D per-frequency array")
-        if ev.min() < -1e-14:
-            raise ValueError("Gram eigenvalues must be nonnegative")
-        object.__setattr__(self, "eigenvalues", np.maximum(ev, 0.0))
-
-    @property
-    def shape(self):
-        return self.eigenvalues.shape
 
 
 @dataclass(frozen=True)
@@ -76,30 +57,6 @@ def embed_kernel(kernel, shape):
     return z
 
 
-def _shift_zero(a, di, dj):
-    """Shifted copy with zero fill: out[i, j] = a[i - di, j - dj]."""
-    h, w = a.shape
-    out = np.zeros_like(a)
-    src_i = slice(max(0, -di), min(h, h - di))
-    dst_i = slice(max(0, di), min(h, h + di))
-    src_j = slice(max(0, -dj), min(w, w - dj))
-    dst_j = slice(max(0, dj), min(w, w + dj))
-    out[dst_i, dst_j] = a[src_i, src_j]
-    return out
-
-
-def _valid_box(kernel, shape):
-    """Output region whose stencil footprint stays inside the grid."""
-    h, w = shape
-    offs = list(_offsets(kernel))
-    oi_min = min(o[0] for o in offs)
-    oi_max = max(o[0] for o in offs)
-    oj_min = min(o[1] for o in offs)
-    oj_max = max(o[1] for o in offs)
-    return (slice(max(0, oi_max), h + min(0, oi_min)),
-            slice(max(0, oj_max), w + min(0, oj_min)))
-
-
 def half_spectrum(a):
     """The frequency columns 0..w//2 of a per-frequency array, the ones
     rfft2 keeps, as a contiguous copy."""
@@ -107,42 +64,26 @@ def half_spectrum(a):
 
 
 def blur_transfer(kernel, shape):
-    """Half-spectrum rfft2 of the embedded stencil: the eigenvalues of
-    periodic A at the frequency columns 0..w//2."""
+    """Half-spectrum rfft2 of the embedded stencil: the eigenvalues of A at
+    the frequency columns 0..w//2."""
     return np.fft.rfft2(embed_kernel(kernel, shape))
 
 
-def blur(kernel, transfer, x):
-    """Apply A: periodic through its real-FFT transfer, masked-valid by shifts."""
-    if kernel.boundary == "periodic":
-        return np.fft.irfft2(np.fft.rfft2(x) * transfer, s=x.shape)
-    y = np.zeros_like(x)
-    for oi, oj, t in _offsets(kernel):
-        y += t * _shift_zero(x, oi, oj)
-    box = _valid_box(kernel, x.shape)
-    out = np.zeros_like(x)
-    out[box] = y[box]
-    return out
+def blur(transfer, x):
+    """Apply A through its real-FFT transfer."""
+    return np.fft.irfft2(np.fft.rfft2(x) * transfer, s=x.shape)
 
 
-def blur_transpose(kernel, transfer, r):
-    """Apply A' to an image on A's output grid."""
-    if kernel.boundary == "periodic":
-        return np.fft.irfft2(np.fft.rfft2(r) * np.conj(transfer), s=r.shape)
-    box = _valid_box(kernel, r.shape)
-    rr = np.zeros_like(r)
-    rr[box] = r[box]
-    out = np.zeros_like(r)
-    for oi, oj, t in _offsets(kernel):
-        out += t * _shift_zero(rr, -oi, -oj)
-    return out
+def blur_transpose(transfer, r):
+    """Apply A'."""
+    return np.fft.irfft2(np.fft.rfft2(r) * np.conj(transfer), s=r.shape)
 
 
 def diff_mask(shape, mask_mode):
     """Validity mask of the stacked difference planes (horizontal, vertical).
 
     Masked mode marks invalid the differences that would wrap across the
-    grid boundary; periodic mode keeps them all.
+    grid edge; periodic mode keeps them all.
     """
     if mask_mode not in ("periodic", "masked"):
         raise ValueError("mask_mode must be 'periodic' or 'masked'")
@@ -186,13 +127,9 @@ def difference_transpose(g, mask_mode):
     return out
 
 
-def gram_spectrum(kernel: ConvolutionKernel, shape) -> BccbSpectrum:
-    """Per-frequency eigenvalues |fft2|^2 of A'A for a periodic convolution.
-
-    For a masked kernel the mask is ignored and the result is the spectrum
-    of the unmasked periodic stencil (an approximation).
-    """
-    return BccbSpectrum(np.abs(np.fft.fft2(embed_kernel(kernel, shape))) ** 2)
+def gram_spectrum(kernel: ConvolutionKernel, shape) -> np.ndarray:
+    """Per-frequency eigenvalues |fft2|^2 of A'A."""
+    return np.abs(np.fft.fft2(embed_kernel(kernel, shape))) ** 2
 
 
 def _diff_transfers(shape):
@@ -206,30 +143,28 @@ def _diff_transfers(shape):
     return np.fft.fft2(zh), np.fft.fft2(zv)
 
 
-def diff_gram_spectrum(shape) -> BccbSpectrum:
+def diff_gram_spectrum(shape) -> np.ndarray:
     """Per-frequency eigenvalues of C'C for the periodic difference stencils.
 
     Used as-is for periodic C and as the circulant surrogate for masked C.
     """
     th, tv = _diff_transfers(shape)
-    return BccbSpectrum(np.abs(th) ** 2 + np.abs(tv) ** 2, )
+    return np.abs(th) ** 2 + np.abs(tv) ** 2
 
 
-def split_operator_rank_check(lam: BccbSpectrum, omega: BccbSpectrum,
+def split_operator_rank_check(lam, omega,
                               tol: float = EIGENVALUE_TOLERANCE) -> RankCheck:
     """Check whether the stacked split operator S = [A; C] has full column
     rank, via the minimum of the spectrum of S'S = A'A + C'C."""
     if lam.shape != omega.shape:
         raise ValueError("spectra live on different grids")
-    combined = lam.eigenvalues + omega.eigenvalues
+    combined = lam + omega
     mn = float(combined.min())
     return RankCheck(full_rank=mn > tol, min_combined_eigenvalue=mn)
 
 
 def sparse_blur_matrix(kernel: ConvolutionKernel, shape) -> sp.csr_matrix:
-    """Materialize the periodic blur A as a sparse (h*w) x (h*w) matrix."""
-    if kernel.boundary != "periodic":
-        raise ValueError("sparse blur matrix supports periodic boundary only")
+    """Materialize the blur A as a sparse (h*w) x (h*w) matrix."""
     _check_fits(kernel, shape)
     h, w = shape
     n = h * w
@@ -269,7 +204,7 @@ def sparse_diff_matrix(shape, mask_mode) -> sp.csr_matrix:
         shape=(2 * n, n))
 
 
-def write_spectra_csv(lam: BccbSpectrum, omega: BccbSpectrum, path):
+def write_spectra_csv(lam, omega, path):
     """Dump both Gram spectra as (freq_row, freq_col, lambda, omega) rows."""
     if lam.shape != omega.shape:
         raise ValueError("spectra live on different grids")
@@ -280,5 +215,5 @@ def write_spectra_csv(lam: BccbSpectrum, omega: BccbSpectrum, path):
         for i in range(h):
             for j in range(w):
                 writer.writerow([i, j,
-                                 "%.17g" % lam.eigenvalues[i, j],
-                                 "%.17g" % omega.eigenvalues[i, j]])
+                                 "%.17g" % lam[i, j],
+                                 "%.17g" % omega[i, j]])

@@ -6,13 +6,17 @@ from sbadmm.algorithms import ProblemOps, ProblemSpec
 from sbadmm.prox import Potential
 
 
-def random_kernel(rng, size=3, boundary="periodic"):
-    """Random centred kernel; size is the side or the (rows, cols) of its taps."""
+def random_kernel(rng, size=3):
+    """Random centred kernel; size is the side or the (rows, cols) of its taps.
+
+    The centre tap outweighs all others together, so no frequency of the
+    transfer can vanish: |transfer| >= 2 * centre - 1 after normalization.
+    """
     kh, kw = (size, size) if np.isscalar(size) else size
     taps = rng.standard_normal((kh, kw))
-    taps[kh // 2, kw // 2] += kh * kw  # keep the DC response nonzero
+    taps[kh // 2, kw // 2] = np.abs(taps).sum() + 1.0
     taps /= np.abs(taps).sum()
-    return ConvolutionKernel(taps, (kh // 2, kw // 2), boundary)
+    return ConvolutionKernel(taps, (kh // 2, kw // 2))
 
 
 # Even and odd widths and heights, and the degenerate single row and column.
@@ -20,9 +24,9 @@ ODD_AND_DEGENERATE_SHAPES = [(6, 8), (7, 5), (5, 9), (1, 6), (1, 7), (6, 1),
                              (7, 1)]
 
 
-def fitting_kernel(rng, shape, boundary="periodic"):
+def fitting_kernel(rng, shape):
     """Random kernel of at most 3x3 taps that fits the grid."""
-    return random_kernel(rng, (min(3, shape[0]), min(3, shape[1])), boundary)
+    return random_kernel(rng, (min(3, shape[0]), min(3, shape[1])))
 
 
 def random_problem(rng, shape=(8, 8), mask_mode="periodic", alpha=0.25,

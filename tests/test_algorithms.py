@@ -187,16 +187,7 @@ def test_closed_form_requires_quadratic_periodic(rng):
 
 
 def test_exact_inner_requires_periodic(rng):
-    # exact x-updates need a periodic blur kernel, in either mask mode
-    for mode in ("periodic", "masked"):
-        problem = random_problem(rng, mask_mode=mode)
-        problem = ProblemSpec(y=problem.y,
-                              kernel=fitting_kernel(rng, (8, 8), "masked"),
-                              mask_mode=mode, potential=problem.potential)
-        config = OuterConfig(rho=1.0, eta=0.25, max_iterations=1, inner=EXACT)
-        with pytest.raises(ValueError, match="periodic blur kernel"):
-            run(problem, config)
-    # masked C with a periodic kernel: (1, alpha) is optimal after one step
+    # exact x-updates on masked C: (1, alpha) is optimal after one step
     problem = random_problem(rng, mask_mode="masked")
     config = OuterConfig(rho=1.0, eta=problem.potential.alpha,
                          max_iterations=2, inner=EXACT)
@@ -388,40 +379,33 @@ def test_split_pcg_matches_generic_pcg(rng, monkeypatch):
 
 
 def test_generic_pcg_when_preconditioner_is_not_exact(rng, monkeypatch):
-    # a masked-valid kernel (A'A is not circulant), a zero-sum kernel (the
-    # floor raises frequency (0, 0)) and no preconditioner keep the Hessian
-    # apply inside the loop: the result, or the exception, of plain PCG
+    # a zero-sum kernel (the floor raises frequency (0, 0)) keeps the
+    # Hessian apply inside the loop: the result, or the exception, of plain
+    # PCG
     calls = spy_pcg(monkeypatch)
     for shape in ODD_AND_DEGENERATE_SHAPES:
         taps = [[1.0, -1.0]] if shape[1] > 1 else [[1.0], [-1.0]]
-        zero_sum = ConvolutionKernel(np.array(taps), (0, 0))
-        for kernel, precond in ((fitting_kernel(rng, shape, "masked"), "circulant"),
-                                (zero_sum, "circulant"),
-                                (fitting_kernel(rng, shape), "none")):
-            for mode in ("periodic", "masked"):
-                ops = make_ops(kernel, shape, mode)
-                rho, eta = rng.uniform(0.1, 3.0, size=2)
-                assert ops.hessian_spectra(rho, eta)[2] == (kernel is zero_sum)
-                rhs = rng.standard_normal(shape)
-                warm = rng.standard_normal(shape)
-                pre = None
-                if precond == "circulant":
-                    pre = circulant_preconditioner(ops.lam, ops.om, rho, eta)
-                for steps in (1, 3, 50):
-                    cfg = InnerSolveConfig(mode="pcg", pcg_iterations=steps,
-                                           preconditioner=precond)
-                    try:
-                        want = pcg_solve(lambda z: ops.gram(z, rho, eta), rhs,
-                                         cfg, warm_start=warm,
-                                         preconditioner=pre)
-                    except PcgBreakdownError as err:
-                        with pytest.raises(PcgBreakdownError,
-                                           match=re.escape(str(err))):
-                            _solve_x(ops, rho, eta, rhs, warm, cfg)
-                    else:
-                        x, _ = _solve_x(ops, rho, eta, rhs, warm, cfg)
-                        assert np.array_equal(x, want.x)
-                    assert calls[-1][0] is None
+        kernel = ConvolutionKernel(np.array(taps), (0, 0))
+        for mode in ("periodic", "masked"):
+            ops = make_ops(kernel, shape, mode)
+            rho, eta = rng.uniform(0.1, 3.0, size=2)
+            assert ops.hessian_spectra(rho, eta)[2]
+            rhs = rng.standard_normal(shape)
+            warm = rng.standard_normal(shape)
+            pre = circulant_preconditioner(ops.lam, ops.om, rho, eta)
+            for steps in (1, 3, 50):
+                cfg = InnerSolveConfig(mode="pcg", pcg_iterations=steps)
+                try:
+                    want = pcg_solve(lambda z: ops.gram(z, rho, eta), rhs,
+                                     cfg, warm_start=warm, preconditioner=pre)
+                except PcgBreakdownError as err:
+                    with pytest.raises(PcgBreakdownError,
+                                       match=re.escape(str(err))):
+                        _solve_x(ops, rho, eta, rhs, warm, cfg)
+                else:
+                    x, _ = _solve_x(ops, rho, eta, rhs, warm, cfg)
+                    assert np.array_equal(x, want.x)
+                assert calls[-1][0] is None
 
 
 def test_masked_pcg3_step_call_counts(rng, monkeypatch):

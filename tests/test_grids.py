@@ -32,8 +32,6 @@ def test_kernel_validation():
         ConvolutionKernel(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         ConvolutionKernel(np.ones((3, 3)), (3, 0))
-    with pytest.raises(ValueError):
-        ConvolutionKernel(np.ones((3, 3)), (1, 1), "reflect")
     k = ConvolutionKernel.identity()
     assert k.taps.shape == (1, 1) and k.anchor == (0, 0)
 

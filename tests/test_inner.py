@@ -5,7 +5,7 @@ from sbadmm.grids import ConvolutionKernel
 from sbadmm.inner import (InnerSolveConfig, PcgBreakdownError,
                           SingularHessianError, circulant_preconditioner,
                           circulant_solve_array, pcg_solve)
-from sbadmm.operators import (BccbSpectrum, diff_gram_spectrum, gram_spectrum,
+from sbadmm.operators import (diff_gram_spectrum, gram_spectrum,
                               sparse_blur_matrix, sparse_diff_matrix)
 from conftest import (ODD_AND_DEGENERATE_SHAPES, fitting_kernel, make_ops,
                       random_kernel)
@@ -16,22 +16,18 @@ def test_config_validation():
         InnerSolveConfig(mode="direct")
     with pytest.raises(ValueError):
         InnerSolveConfig(mode="pcg", pcg_iterations=0)
-    with pytest.raises(ValueError):
-        InnerSolveConfig(pcg_tolerance=-1.0)
-    with pytest.raises(ValueError):
-        InnerSolveConfig(preconditioner="jacobi")
 
 
 def test_circulant_solve_scaled_identity():
-    lam = BccbSpectrum(np.ones((3, 3)))
-    om = BccbSpectrum(np.zeros((3, 3)))
+    lam = np.ones((3, 3))
+    om = np.zeros((3, 3))
     rhs = np.arange(9.0).reshape(3, 3)
     x = circulant_solve_array(lam, om, 2.0, 1.0, rhs)
     assert np.allclose(x, rhs / 2.0)
 
 
 def test_circulant_solve_zero_rhs():
-    lam = BccbSpectrum(np.ones((3, 3)))
+    lam = np.ones((3, 3))
     om = diff_gram_spectrum((3, 3))
     x = circulant_solve_array(lam, om, 1.0, 1.0, np.zeros((3, 3)))
     assert np.all(x == 0.0)
@@ -60,7 +56,7 @@ def test_circulant_solve_residual(rng):
         om = diff_gram_spectrum(shape)
         x_true = rng.standard_normal(shape)
         hx = np.real(np.fft.ifft2(
-            np.fft.fft2(x_true) * (2.0 * lam.eigenvalues + 0.3 * om.eigenvalues)))
+            np.fft.fft2(x_true) * (2.0 * lam + 0.3 * om)))
         x = circulant_solve_array(lam, om, 2.0, 0.3, hx)
         assert np.linalg.norm(x - x_true) <= 1e-10 * np.linalg.norm(x_true)
 
@@ -73,14 +69,14 @@ def test_circulant_solve_residual(rng):
 
 
 def test_circulant_solve_singular_names_frequency():
-    lam = BccbSpectrum(np.zeros((2, 2)))
+    lam = np.zeros((2, 2))
     om = diff_gram_spectrum((2, 2))  # omega is 0 at DC too
     with pytest.raises(SingularHessianError, match=r"\(0, 0\)"):
         circulant_solve_array(lam, om, 1.0, 1.0, np.ones((2, 2)))
 
 
 def make_masked_hessian(rng, shape, rho=1.0, eta=0.25):
-    ops = make_ops(random_kernel(rng, boundary="masked"), shape, "masked")
+    ops = make_ops(random_kernel(rng), shape, "masked")
 
     def hessian(x):
         return rho * ops.At(ops.A(x)) + eta * ops.Ct(ops.C(x))
@@ -96,7 +92,7 @@ def test_pcg_exact_preconditioner_one_iteration(rng):
 
     def hessian(x):
         return np.real(np.fft.ifft2(
-            np.fft.fft2(x) * (lam.eigenvalues + 0.25 * om.eigenvalues)))
+            np.fft.fft2(x) * (lam + 0.25 * om)))
 
     rhs = hessian(rng.standard_normal(shape))
     pre = circulant_preconditioner(lam, om, 1.0, 0.25)
@@ -111,7 +107,7 @@ def test_pcg_recovers_truth_unpreconditioned(rng):
     hessian, _, _ = make_masked_hessian(rng, shape)
     x_true = rng.standard_normal(shape)
     rhs = hessian(x_true)
-    cfg = InnerSolveConfig(mode="pcg", pcg_iterations=50, preconditioner="none")
+    cfg = InnerSolveConfig(mode="pcg", pcg_iterations=50)
     res = pcg_solve(hessian, rhs, cfg)
     assert np.linalg.norm(res.x - x_true) <= 1e-8 * np.linalg.norm(x_true)
 
@@ -166,7 +162,7 @@ def test_pcg_tolerance_early_stop(rng):
         return 2.0 * x
 
     rhs = rng.standard_normal((4, 4))
-    cfg = InnerSolveConfig(mode="pcg", pcg_iterations=10, pcg_tolerance=1e-12)
+    cfg = InnerSolveConfig(mode="pcg", pcg_iterations=10)
     res = pcg_solve(hessian, rhs, cfg)
     assert res.iterations < 10
     assert np.allclose(res.x, rhs / 2.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sbadmm.grids import ConvolutionKernel
-from sbadmm.operators import (diff_gram_spectrum, gram_spectrum,
+from sbadmm.operators import (blur_transfer, diff_gram_spectrum, gram_spectrum,
                               sparse_blur_matrix, sparse_diff_matrix,
                               split_operator_rank_check)
 from conftest import (ODD_AND_DEGENERATE_SHAPES, fitting_kernel, make_ops,
@@ -17,7 +17,7 @@ def test_identity_kernel_is_identity(rng):
 
 
 def test_uniform_kernel_preserves_constants():
-    k = ConvolutionKernel(np.full((3, 3), 1.0 / 9.0), (1, 1), "periodic")
+    k = ConvolutionKernel(np.full((3, 3), 1.0 / 9.0), (1, 1))
     x = np.full((6, 6), 3.5)
     assert np.allclose(make_ops(k, x.shape).A(x), 3.5)
 
@@ -31,14 +31,6 @@ def test_two_tap_blur_on_unit_row():
     assert np.allclose(y, [[0.5, 0.5, 0.0, 0.0]], atol=1e-15)
     r = ops.At(y)
     assert np.allclose(r, [[0.5, 0.25, 0.0, 0.25]], atol=1e-15)
-
-
-def test_masked_blur_zeroes_boundary_outputs(rng):
-    k = random_kernel(rng, boundary="masked")
-    x = rng.standard_normal((6, 6))
-    y = make_ops(k, x.shape).A(x)
-    assert np.all(y[0, :] == 0.0) and np.all(y[-1, :] == 0.0)
-    assert np.all(y[:, 0] == 0.0) and np.all(y[:, -1] == 0.0)
 
 
 def test_kernel_must_fit_grid():
@@ -84,28 +76,27 @@ def test_diff_adjoint_zero_field():
 
 def test_gram_spectrum_identity_kernel():
     lam = gram_spectrum(ConvolutionKernel.identity(), (4, 4))
-    assert np.allclose(lam.eigenvalues, 1.0)
+    assert np.allclose(lam, 1.0)
 
 
 def test_diff_gram_spectrum_row_of_four():
     om = diff_gram_spectrum((1, 4))
     expected = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(4) / 4.0)
     # vertical differences vanish on a single row only through the h=1 wrap
-    assert np.allclose(np.sort(om.eigenvalues.ravel()), np.sort(expected))
+    assert np.allclose(np.sort(om.ravel()), np.sort(expected))
 
 
 def test_diff_gram_spectrum_dc_is_zero():
     om = diff_gram_spectrum((8, 8))
-    assert om.eigenvalues[0, 0] == 0.0
-    assert np.all(om.eigenvalues >= 0.0)
+    assert om[0, 0] == 0.0
+    assert np.all(om >= 0.0)
 
 
 def test_rank_check_cases():
     shape = (8, 8)
     lam_id = gram_spectrum(ConvolutionKernel.identity(), shape)
     om = diff_gram_spectrum(shape)
-    zero = gram_spectrum(ConvolutionKernel.identity(), shape)
-    zero = type(zero)(np.zeros(shape))
+    zero = np.zeros(shape)
 
     ok = split_operator_rank_check(lam_id, zero)
     assert ok.full_rank and np.isclose(ok.min_combined_eigenvalue, 1.0)
@@ -122,9 +113,8 @@ def test_adjoint_identities_random(rng):
     # definitional <Ax, r> == <x, A'r> for blur and differences, both modes
     for _ in range(100):
         shape = (rng.integers(4, 9), rng.integers(4, 9))
-        for boundary in ("periodic", "masked"):
-            ops = make_ops(random_kernel(rng, boundary=boundary), shape,
-                           boundary)
+        for mode in ("periodic", "masked"):
+            ops = make_ops(random_kernel(rng), shape, mode)
             x = rng.standard_normal(shape)
             r = rng.standard_normal(shape)
             lhs = np.sum(ops.A(x) * r)
@@ -145,7 +135,7 @@ def test_spectral_consistency_periodic(rng):
     lam = gram_spectrum(k, x.shape)
     ops = make_ops(k, x.shape)
     direct = ops.At(ops.A(x))
-    spectral = np.real(np.fft.ifft2(np.fft.fft2(x) * lam.eigenvalues))
+    spectral = np.real(np.fft.ifft2(np.fft.fft2(x) * lam))
     assert np.allclose(direct, spectral, atol=1e-10)
 
 
@@ -180,14 +170,13 @@ def test_sparse_matrices_match_operators(rng):
 def test_gram_matches_composition(rng):
     # the fused Hessian apply against rho A'(A z) + eta C'(C z)
     for shape in ODD_AND_DEGENERATE_SHAPES:
-        for boundary in ("periodic", "masked"):
-            for mode in ("periodic", "masked"):
-                ops = make_ops(fitting_kernel(rng, shape, boundary), shape, mode)
-                z = rng.standard_normal(shape)
-                rho, eta = rng.uniform(0.1, 3.0, size=2)
-                want = rho * ops.At(ops.A(z)) + eta * ops.Ct(ops.C(z))
-                got = ops.gram(z, rho, eta)
-                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        for mode in ("periodic", "masked"):
+            ops = make_ops(fitting_kernel(rng, shape), shape, mode)
+            z = rng.standard_normal(shape)
+            rho, eta = rng.uniform(0.1, 3.0, size=2)
+            want = rho * ops.At(ops.A(z)) + eta * ops.Ct(ops.C(z))
+            got = ops.gram(z, rho, eta)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_problem_ops_builds_transfer_and_mask_once(rng, monkeypatch):
@@ -218,10 +207,17 @@ def test_problem_ops_builds_transfer_and_mask_once(rng, monkeypatch):
     periodic_ops.gram(x, 2.0, 0.5)
 
 
-def test_spectrum_rejects_negative_eigenvalues():
-    from sbadmm.operators import BccbSpectrum
-    with pytest.raises(ValueError):
-        BccbSpectrum(np.array([[-1.0, 0.0]]))
-    # tiny negative DFT noise is clamped to zero
-    s = BccbSpectrum(np.array([[-1e-15, 2.0]]))
-    assert s.eigenvalues.min() == 0.0
+def test_random_kernel_transfer_is_bounded_away_from_zero():
+    # the fixture's centre tap dominates, so on every shape the suite uses
+    # no frequency of the transfer comes near zero: a nearly cancelling
+    # kernel would make the 1e-12 solve checks hinge on the seed
+    for shape in ([(8, 8)] + ODD_AND_DEGENERATE_SHAPES
+                  + [(2, 3), (3, 2), (2, 2), (1, 2), (2, 1)]):
+        worst = np.inf
+        for seed in range(1000):
+            k = fitting_kernel(np.random.default_rng(seed), shape)
+            smallest = np.abs(blur_transfer(k, shape)).min()
+            centre = k.taps[k.anchor]
+            assert smallest >= 2.0 * centre - 1.0 - 1e-12
+            worst = min(worst, smallest)
+        assert worst >= 0.05, (shape, worst)
