@@ -12,9 +12,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, circulant
+from scipy.linalg.blas import zgeru
 
 from .grids import ConvolutionKernel, ImageGrid
 from .inner import (InnerSolveConfig, check_nonsingular,
@@ -107,11 +109,15 @@ class ProblemOps:
     The Hessian splits as H = M - eta W: M = rho A'A + eta C'C of the
     periodic stencils is circulant, and W = C'C_periodic - C'C_masked (zero
     in periodic mode) couples only the first and last row and column;
-    W = U U', U holding the h + w row and column wraps.  The half spectra
-    of M and of its floored inverse, and the Cholesky factor of the exact
-    masked solve, are cached for the last (rho, eta).  The object holds
-    arrays only, no callables bound to itself, so it is freed as soon as
-    it is dropped.
+    W = U U', U holding the h + w row and column wraps.  The x-update is
+    solved on the half spectrum hat(x), the rfft2 scaled so that it is
+    unitary: there M is a product, and U c and U'z are rank-one updates and
+    matrix-vector products, so no 2-D transform is needed inside a solve.
+    The half spectra of M, of its floored version and of that one's
+    reciprocal, and the Cholesky factor of the exact masked solve, are
+    cached for the last (rho, eta).
+    The object holds arrays only, no callables bound to itself, so it is
+    freed as soon as it is dropped.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -128,6 +134,23 @@ class ProblemOps:
         self.mask = diff_mask(self.shape, problem.mask_mode)
         self.rank = split_operator_rank_check(self.lam, self.om)
         self._spectra_key = None
+        h, w = self.shape
+        # a half-spectrum column other than 0 and w/2 stands for itself and
+        # its mirror image, so it weighs twice in Parseval's sum
+        weight = np.full(w // 2 + 1, 2.0)
+        weight[0] = 1.0
+        if w % 2 == 0:
+            weight[-1] = 1.0
+        self._scale = np.sqrt(weight / (h * w))
+        self._unscale = 1.0 / self._scale
+        # rfft2(U c) = outer(fft(c_row), a) + outer(b, rfft(c_col))
+        a = 1.0 - np.exp(2j * np.pi * np.arange(w // 2 + 1) / w)
+        self._b = 1.0 - np.exp(2j * np.pi * np.arange(h) / h)
+        self._a_hat = a * self._scale
+        self._row_weights = 0.5 * weight * np.conj(a) / (w * self._scale)
+        self._col_weights = np.conj(self._b) / h
+        self._mirror = -np.arange(h) % h
+        self._self_conjugate = (0, -1) if w % 2 == 0 else (0,)
 
     def A(self, x):
         return blur(self.transfer, x)
@@ -141,12 +164,48 @@ class ProblemOps:
     def Ct(self, g):
         return difference_transpose(g, self.mask_mode)
 
+    def hat(self, x):
+        """Unitarily scaled half spectrum: sum(x * y) = Re vdot(hat(x),
+        hat(y)) and ||x|| = ||hat(x)||."""
+        f = np.fft.rfft2(x)
+        f *= self._scale
+        return f
+
+    def unhat(self, f):
+        """The real array whose hat is f."""
+        return np.fft.irfft2(f * self._unscale, s=self.shape)
+
+    @cached_property
+    def _at_hat(self):
+        return np.conj(self.transfer) * self._scale
+
+    def At_hat(self, r):
+        """hat(A' r)."""
+        f = np.fft.rfft2(r)
+        f *= self._at_hat
+        return f
+
+    @cached_property
+    def aty_hat(self):
+        """hat(A' y).  Both spectra are computed on first use, so a
+        ProblemOps built only for its real-array operators skips them."""
+        return self.At_hat(self.y)
+
+    def A_unhat(self, f):
+        """A unhat(f)."""
+        g = f * self.transfer
+        g *= self._unscale
+        return np.fft.irfft2(g, s=self.shape)
+
     def hessian_spectra(self, rho, eta):
-        """(M, floored M, floored?) on the half spectrum, where M = rho*lambda
-        + eta*omega; computed once per (rho, eta)."""
+        """(M, floored M, floored?, 1 / floored M) on the half spectrum,
+        where M = rho*lambda + eta*omega; computed once per (rho, eta).  The
+        reciprocal is kept because numpy multiplies a complex array by a
+        real one several times faster than it divides."""
         if self._spectra_key != (rho, eta):
             full = hessian_spectrum(self.lam, self.om, rho, eta)
-            self._spectra = (half_spectrum(full),) + floored_half_spectrum(full)
+            floor = floored_half_spectrum(full)
+            self._spectra = (half_spectrum(full),) + floor + (1.0 / floor[0],)
             self._spectra_key = (rho, eta)
             self._capacitance = None
         return self._spectra
@@ -164,36 +223,74 @@ class ProblemOps:
         out[-1] -= c[h:]
         return out
 
+    def _wrap_adjoint_hat(self, f):
+        """U' unhat(f) as the fft of its row wraps and the scaled rfft (as
+        hat scales it) of its column wraps.  A column of f off 0 and w/2
+        also stands for its mirror image, whose share of the row wraps is
+        the conjugate of the mirrored row frequency; the fold adds it."""
+        rows = f @ self._row_weights
+        rows += np.conj(rows[self._mirror])
+        cols = self._col_weights @ f
+        for j in self._self_conjugate:
+            cols[j] = cols[j].real
+        return rows, cols
+
+    def _add_wrap_hat(self, rows, cols, out, alpha=1.0):
+        """out + alpha hat(U c), from fft(c_row) and the scaled rfft of
+        c_col, by two rank-one BLAS updates that overwrite a C-contiguous
+        out."""
+        out_t = zgeru(alpha, self._a_hat, rows, a=out.T, overwrite_a=True)
+        return zgeru(alpha, cols, self._b, a=out_t, overwrite_a=True).T
+
     def subtract_wrap(self, z, eta, out):
         """out -= eta W z: in masked mode, the wrap-around differences that
         C'C_periodic has and masked C'C lacks; nothing in periodic mode."""
         if self.mask_mode != "periodic":
             self._add_wrap(-eta * self._wrap_adjoint(z), out)
 
-    def solve(self, b, rho, eta):
-        """Exact solution of gram(x, rho, eta) = b: a division by M, plus in
-        masked mode the Woodbury correction M^-1 U S^-1 U' M^-1 b.
-        S = I/eta - U' M^-1 U is positive definite when H is; as M^-1
-        commutes with shifts, S is read off M^-1 of the first row wrap (gh)
-        and of the first column wrap (gv)."""
-        m, _, floored = self.hessian_spectra(rho, eta)
+    def hessian_hat(self, f, rho, eta):
+        """hat(gram(unhat(f))): M f, minus eta U U' unhat(f) in masked mode
+        by two matrix-vector products and two rank-one updates."""
+        out = f * self.hessian_spectra(rho, eta)[0]
+        if self.mask_mode == "periodic":
+            return out
+        return self._add_wrap_hat(*self._wrap_adjoint_hat(f), out, -eta)
+
+    def solve_hat(self, f, rho, eta):
+        """hat of the exact solution of gram(x, rho, eta) = unhat(f): a
+        division by M, plus in masked mode the Woodbury correction
+        M^-1 U S^-1 U' M^-1 b, i.e. (f + hat(U c)) / M.  S = I/eta -
+        U' M^-1 U is positive definite when H is; as M^-1 commutes with
+        shifts, S is read off M^-1 of the first row wrap (gh) and of the
+        first column wrap (gv)."""
+        m, _, floored, inverse = self.hessian_spectra(rho, eta)
         if floored:  # a singular M is floored too
             check_nonsingular(hessian_spectrum(self.lam, self.om, rho, eta))
-        x = spectral_divide(b, m)
+            inverse = 1.0 / m
         if self.mask_mode == "periodic":
-            return x
+            return f * inverse
+        h, w = self.shape
         if self._capacitance is None:
-            h, w = self.shape
-            gh, gv = (spectral_divide(self._add_wrap(np.eye(1, h + w, k)[0],
-                                                     np.zeros(self.shape)), m)
-                      for k in (0, h))
+            gh, gv = (self.unhat(self._add_wrap_hat(
+                rows, cols, np.zeros(m.shape, complex)) * inverse)
+                for rows, cols in ((np.ones(h), np.zeros(w // 2 + 1)),
+                                   (np.zeros(h), self._scale)))
             k_hv = (gv - np.roll(gv, 1, axis=1))[:, -np.arange(w) % w]
             s = np.eye(h + w) / eta - np.block(
                 [[circulant(gh[:, 0] - gh[:, -1]), k_hv],
                  [k_hv.T, circulant(gv[0] - gv[-1])]])
             self._capacitance = cho_factor(s)
-        c = cho_solve(self._capacitance, self._wrap_adjoint(x))
-        return x + spectral_divide(self._add_wrap(c, np.zeros(self.shape)), m)
+        rows, cols = self._wrap_adjoint_hat(f * inverse)
+        c = cho_solve(self._capacitance, np.concatenate(
+            (np.fft.ifft(rows).real, np.fft.irfft(cols * self._unscale, n=w))))
+        out = self._add_wrap_hat(np.fft.fft(c[:h]),
+                                 np.fft.rfft(c[h:]) * self._scale, f.copy())
+        out *= inverse
+        return out
+
+    def solve(self, b, rho, eta):
+        """Exact solution of gram(x, rho, eta) = b."""
+        return self.unhat(self.solve_hat(self.hat(b), rho, eta))
 
     def gram(self, z, rho, eta):
         """rho A'A z + eta C'C z: M z, one real FFT pair times the cached
@@ -231,34 +328,40 @@ def canonical_init(ops: ProblemOps, rho: float, eta: float,
 
 
 def _solve_x(ops, rho, eta, rhs, warm, inner: InnerSolveConfig):
-    """Solve (rho A'A + eta C'C) x = rhs, exactly or by a few PCG steps."""
+    """Solve (rho A'A + eta C'C) x = unhat(rhs), exactly or by a few PCG
+    steps; returns hat(x) and the relative inner residual."""
     if inner.mode == "circulant_exact":
-        return ops.solve(rhs, rho, eta), 0.0
+        return ops.solve_hat(rhs, rho, eta), 0.0
 
-    _, denom, floored = ops.hessian_spectra(rho, eta)
-    # unless floored, the preconditioner is exactly M^-1: PCG forms
-    # H p = M p - eta W p
-    correction = None if floored else (
-        lambda p, out: ops.subtract_wrap(p, eta, out))
-    result = pcg_solve(lambda z: ops.gram(z, rho, eta), rhs, inner,
-                       warm_start=warm,
-                       preconditioner=lambda r: spectral_divide(r, denom),
-                       correction=correction)
+    _, denom, floored, inverse = ops.hessian_spectra(rho, eta)
+    if floored:
+        # the floored preconditioner is not M^-1 and H may be singular:
+        # plain PCG on real arrays through the Hessian apply
+        result = pcg_solve(lambda z: ops.gram(z, rho, eta), ops.unhat(rhs),
+                           inner, warm_start=warm,
+                           preconditioner=lambda r: spectral_divide(r, denom))
+        x = ops.hat(result.x)
+    else:
+        result = pcg_solve(lambda f: ops.hessian_hat(f, rho, eta), rhs, inner,
+                           warm_start=ops.hat(warm),
+                           preconditioner=lambda f: f * inverse)
+        x = result.x
     rhs_norm = float(np.linalg.norm(rhs))
     rel = result.residual_norms[-1] / rhs_norm if result.residual_norms and rhs_norm else 0.0
-    return result.x, rel
+    return x, rel
 
 
 def sb_step(state: SolverState, ops: ProblemOps, eta: float,
             inner: InnerSolveConfig) -> SolverState:
     """One split Bregman sweep: least-squares x, prox v, dual e."""
-    rhs = ops.At(ops.y) + eta * ops.Ct(state.v + state.e)
-    x, res = _solve_x(ops, 1.0, eta, rhs, state.x, inner)
+    rhs = ops.aty_hat + eta * ops.hat(ops.Ct(state.v + state.e))
+    f, res = _solve_x(ops, 1.0, eta, rhs, state.x, inner)
+    x, u = ops.unhat(f), ops.A_unhat(f)
+    del rhs, f  # free both spectra before the prox
     cx = ops.C(x)
     v = prox_array(ops.potential, cx - state.e, eta)
     v = np.where(ops.mask, v, 0.0)
     e = state.e - cx + v
-    u = ops.A(x)
     return SolverState(x=x, u=u, v=v, d=ops.y - u, e=e,
                        k=state.k + 1, inner_residual=res, ax=u, cx=cx)
 
@@ -266,9 +369,11 @@ def sb_step(state: SolverState, ops: ProblemOps, eta: float,
 def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
                inner: InnerSolveConfig) -> SolverState:
     """One two-split ADMM sweep (x, u, v, then both dual updates)."""
-    rhs = rho * ops.At(state.u + state.d) + eta * ops.Ct(state.v + state.e)
-    x, res = _solve_x(ops, rho, eta, rhs, state.x, inner)
-    ax = ops.A(x)
+    rhs = rho * ops.At_hat(state.u + state.d) \
+        + eta * ops.hat(ops.Ct(state.v + state.e))
+    f, res = _solve_x(ops, rho, eta, rhs, state.x, inner)
+    x, ax = ops.unhat(f), ops.A_unhat(f)
+    del rhs, f
     u = (rho * (ax - state.d) + ops.y) / (rho + 1.0)
     cx = ops.C(x)
     v = prox_array(ops.potential, cx - state.e, eta)
@@ -282,10 +387,11 @@ def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
 def admm2_simplified_step(state: SolverState, ops: ProblemOps, rho: float,
                           eta: float, inner: InnerSolveConfig) -> SolverState:
     """Two-split ADMM with d eliminated; requires the canonical d init."""
-    rhs = ops.At(ops.y) + (rho - 1.0) * ops.At(state.u) \
-        + eta * ops.Ct(state.v + state.e)
-    x, res = _solve_x(ops, rho, eta, rhs, state.x, inner)
-    ax = ops.A(x)
+    rhs = ops.aty_hat + (rho - 1.0) * ops.At_hat(state.u) \
+        + eta * ops.hat(ops.Ct(state.v + state.e))
+    f, res = _solve_x(ops, rho, eta, rhs, state.x, inner)
+    x, ax = ops.unhat(f), ops.A_unhat(f)
+    del rhs, f
     u = (rho * ax + state.u) / (rho + 1.0)
     cx = ops.C(x)
     v = prox_array(ops.potential, cx - state.e, eta)
@@ -307,10 +413,11 @@ def quadratic_closed_form_step(state: SolverState, ops: ProblemOps, rho: float,
     if ops.mask_mode != "periodic":
         raise ValueError("closed-form recursion requires periodic operators")
     alpha = ops.potential.alpha
-    rhs = ops.At(ops.y) + (rho - 1.0) * ops.At(state.u) \
-        + (eta - alpha) * ops.Ct(state.v)
-    x = ops.solve(rhs, rho, eta)
-    ax = ops.A(x)
+    rhs = ops.aty_hat + (rho - 1.0) * ops.At_hat(state.u) \
+        + (eta - alpha) * ops.hat(ops.Ct(state.v))
+    f = ops.solve_hat(rhs, rho, eta)
+    x, ax = ops.unhat(f), ops.A_unhat(f)
+    del rhs, f
     u = (rho * ax + state.u) / (rho + 1.0)
     cx = ops.C(x)
     v = (eta / (eta + alpha)) * cx + (alpha / (eta + alpha)) * state.v

@@ -2,10 +2,10 @@
 
 Two routes: an exact per-frequency division when both Gram operators are
 circulant, and a fixed-iteration preconditioned conjugate gradient loop for
-the masked (only approximately circulant) case.  Both divide a real FFT by
-the half spectrum of the Hessian.  When the preconditioner inverts the
-circulant part M of the Hessian exactly, PCG takes the Hessian as M minus a
-cheap correction and needs no Hessian apply inside its loop.
+the masked (only approximately circulant) case, preconditioned by the
+inverse of the circulant part M of the Hessian.  ``ProblemOps`` runs both
+on the half spectrum, where M is a product; the array helpers here divide
+a real FFT by the half spectrum of M.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 from .operators import half_spectrum
 
 PRECONDITIONER_FLOOR = 1e-8
+RZ_UNDERFLOW = np.finfo(float).tiny
 
 
 class SingularHessianError(ValueError):
@@ -104,43 +105,34 @@ class PcgResult:
 
 
 def pcg_solve(hessian, rhs, config: InnerSolveConfig, warm_start=None,
-              preconditioner=None, correction=None) -> PcgResult:
+              preconditioner=None) -> PcgResult:
     """Run config.pcg_iterations preconditioned CG steps on hessian(x) = rhs.
 
     ``hessian`` and ``preconditioner`` are pure callables on arrays; the
     Hessian must be symmetric positive definite on the full-rank split.  The
+    arrays are real images or their unitarily scaled half spectra
+    (``ProblemOps.hat``), on which Re vdot is the same inner product.  The
     error in the Hessian norm decreases monotonically by construction; a
     nonpositive curvature or preconditioned residual product means the
-    operator violated that assumption and raises PcgBreakdownError.
-
-    ``correction`` declares H = M - W with M the exact inverse of the
-    preconditioner (the identity without one): ``correction(p, out)``
-    subtracts W p from ``out`` in place.  Since z = M^-1 r and
-    p = z + beta p, the loop then keeps M p = r + beta M p beside p and
-    forms H p = M p - W p, so ``hessian`` is called only for the initial
-    residual.
+    operator violated that assumption and raises PcgBreakdownError.  The
+    loop stops early once r'z underflows: p'Hp would round to zero next.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    x = np.zeros_like(rhs) if warm_start is None else np.array(warm_start, dtype=float)
+    rhs = np.asarray(rhs)
+    x = np.zeros_like(rhs) if warm_start is None else np.array(warm_start)
     if preconditioner is None:
         preconditioner = lambda r: r
     r = rhs - hessian(x)
     z = preconditioner(r)
     p = z
-    mp = r
     rz = float(np.vdot(r, z).real)
     result = PcgResult(x=x)
     for step in range(config.pcg_iterations):
-        if rz == 0.0:
-            break  # r'z = 0 only at r = 0 for a definite preconditioner
         if rz < 0.0:
             raise PcgBreakdownError(
                 "indefinite preconditioner at step %d (r'z = %g)" % (step, rz))
-        if correction is None:
-            hp = hessian(p)
-        else:
-            hp = mp.copy()
-            correction(p, hp)
+        if rz < RZ_UNDERFLOW:
+            break  # r = 0 to working precision for a definite preconditioner
+        hp = hessian(p)
         php = float(np.vdot(p, hp).real)
         if php <= 0.0:
             raise PcgBreakdownError(
@@ -157,8 +149,6 @@ def pcg_solve(hessian, rhs, config: InnerSolveConfig, warm_start=None,
         rz_new = float(np.vdot(r, z).real)
         beta = rz_new / rz
         p = z + beta * p
-        if correction is not None:
-            mp = r + beta * mp
         rz = rz_new
     result.x = x
     if not np.all(np.isfinite(x)):

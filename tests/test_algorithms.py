@@ -186,7 +186,7 @@ def test_closed_form_requires_quadratic_periodic(rng):
         quadratic_closed_form_step(st, ops, 1.0, 1.0)
 
 
-def test_exact_inner_requires_periodic(rng):
+def test_one_exact_masked_step_at_rho_1_eta_alpha_is_optimal(rng):
     # exact x-updates on masked C: (1, alpha) is optimal after one step
     problem = random_problem(rng, mask_mode="masked")
     config = OuterConfig(rho=1.0, eta=problem.potential.alpha,
@@ -336,13 +336,14 @@ def test_rank_deficiency_is_reported(rng):
 
 
 def spy_pcg(monkeypatch):
-    """Record the correction and the result of each PCG solve of _solve_x."""
+    """Record whether each PCG solve of _solve_x ran on the half spectrum,
+    and its result."""
     calls = []
     real = algorithms.pcg_solve
 
-    def spy(*args, **kwargs):
-        calls.append([kwargs.get("correction"), None])
-        calls[-1][1] = real(*args, **kwargs)
+    def spy(hessian, rhs, *args, **kwargs):
+        calls.append([np.iscomplexobj(rhs), None])
+        calls[-1][1] = real(hessian, rhs, *args, **kwargs)
         return calls[-1][1]
 
     monkeypatch.setattr(algorithms, "pcg_solve", spy)
@@ -350,9 +351,10 @@ def spy_pcg(monkeypatch):
 
 
 def test_split_pcg_matches_generic_pcg(rng, monkeypatch):
-    # H p = M p - eta W p, with M p kept beside p, against PCG applying the
-    # Hessian by composition; residual histories agree to 1e-12 of |rhs|,
-    # and one may stop early only on a residual that is already that small
+    # PCG on the half spectrum, H f = M f - eta hat(U U' unhat(f)), against
+    # PCG applying the Hessian by composition on real arrays; residual
+    # histories agree to 1e-12 of |rhs|, and one may stop early only on a
+    # residual that is already that small
     calls = spy_pcg(monkeypatch)
     for shape in ODD_AND_DEGENERATE_SHAPES:
         for mode in ("periodic", "masked"):
@@ -364,9 +366,10 @@ def test_split_pcg_matches_generic_pcg(rng, monkeypatch):
             tol = 1e-12 * np.linalg.norm(rhs)
             for steps in (1, 3, 50):
                 cfg = InnerSolveConfig(mode="pcg", pcg_iterations=steps)
-                x, _ = _solve_x(ops, rho, eta, rhs, warm, cfg)
-                correction, split = calls[-1]
-                assert correction is not None
+                f, _ = _solve_x(ops, rho, eta, ops.hat(rhs), warm, cfg)
+                x = ops.unhat(f)
+                spectral, split = calls[-1]
+                assert spectral
                 generic = pcg_solve(
                     lambda z: rho * ops.At(ops.A(z)) + eta * ops.Ct(ops.C(z)),
                     rhs, cfg, warm_start=warm, preconditioner=pre)
@@ -379,9 +382,9 @@ def test_split_pcg_matches_generic_pcg(rng, monkeypatch):
 
 
 def test_generic_pcg_when_preconditioner_is_not_exact(rng, monkeypatch):
-    # a zero-sum kernel (the floor raises frequency (0, 0)) keeps the
-    # Hessian apply inside the loop: the result, or the exception, of plain
-    # PCG
+    # a zero-sum kernel (the floor raises frequency (0, 0)) keeps PCG on
+    # real arrays with the Hessian apply inside the loop: the result, or
+    # the exception, of plain PCG
     calls = spy_pcg(monkeypatch)
     for shape in ODD_AND_DEGENERATE_SHAPES:
         taps = [[1.0, -1.0]] if shape[1] > 1 else [[1.0], [-1.0]]
@@ -390,7 +393,8 @@ def test_generic_pcg_when_preconditioner_is_not_exact(rng, monkeypatch):
             ops = make_ops(kernel, shape, mode)
             rho, eta = rng.uniform(0.1, 3.0, size=2)
             assert ops.hessian_spectra(rho, eta)[2]
-            rhs = rng.standard_normal(shape)
+            rhs_hat = ops.hat(rng.standard_normal(shape))
+            rhs = ops.unhat(rhs_hat)
             warm = rng.standard_normal(shape)
             pre = circulant_preconditioner(ops.lam, ops.om, rho, eta)
             for steps in (1, 3, 50):
@@ -401,19 +405,18 @@ def test_generic_pcg_when_preconditioner_is_not_exact(rng, monkeypatch):
                 except PcgBreakdownError as err:
                     with pytest.raises(PcgBreakdownError,
                                        match=re.escape(str(err))):
-                        _solve_x(ops, rho, eta, rhs, warm, cfg)
+                        _solve_x(ops, rho, eta, rhs_hat, warm, cfg)
                 else:
-                    x, _ = _solve_x(ops, rho, eta, rhs, warm, cfg)
-                    assert np.array_equal(x, want.x)
-                assert calls[-1][0] is None
+                    f, _ = _solve_x(ops, rho, eta, rhs_hat, warm, cfg)
+                    assert np.array_equal(f, ops.hat(want.x))
+                assert not calls[-1][0]
 
 
 def test_masked_pcg3_step_call_counts(rng, monkeypatch):
-    # real FFT pairs: A' of the right-hand side, the initial residual, the
-    # two preconditioner applies PCG-3 uses, and A x; C' of the right-hand
-    # side and C x once each; no Hessian apply inside the PCG loop
-    ops = ProblemOps(random_problem(rng, shape=(16, 16), mask_mode="masked"))
-    state = canonical_init(ops, 1.0, 0.5)
+    # real 2-D FFTs: rfft2 of A'(u + d), of C'(v + e) and, for PCG, of the
+    # warm start; irfft2 of x and of A x.  The solve itself, exact or PCG,
+    # periodic or masked, stays on the half spectrum.  C' of the
+    # right-hand side and C x once each
     counts = {}
 
     def count(module, name):
@@ -429,9 +432,16 @@ def test_masked_pcg3_step_call_counts(rng, monkeypatch):
                          (algorithms, "difference"),
                          (algorithms, "difference_transpose")):
         count(module, name)
-    admm2_step(state, ops, 1.0, 0.5, InnerSolveConfig(mode="pcg"))
-    assert counts == {"rfft2": 6, "irfft2": 6, "difference": 1,
-                      "difference_transpose": 1}
+    for mode, inner, rffts in (("masked", InnerSolveConfig(mode="pcg"), 3),
+                               ("periodic", EXACT, 2), ("masked", EXACT, 2)):
+        ops = ProblemOps(random_problem(rng, shape=(16, 16), mask_mode=mode))
+        # the first step builds the masked capacitance matrix, once per
+        # (rho, eta); count the second
+        state = admm2_step(canonical_init(ops, 1.0, 0.5), ops, 1.0, 0.5, inner)
+        counts.clear()
+        admm2_step(state, ops, 1.0, 0.5, inner)
+        assert counts == {"rfft2": rffts, "irfft2": 2, "difference": 1,
+                          "difference_transpose": 1}
 
 
 def test_problem_ops_is_freed_without_cycle_collection(rng):

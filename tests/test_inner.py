@@ -157,7 +157,34 @@ def test_pcg_breakdown_on_indefinite_operator(rng):
                   InnerSolveConfig(mode="pcg", pcg_iterations=3))
 
 
-def test_pcg_tolerance_early_stop(rng):
+def test_pcg_stops_once_rz_underflows():
+    # long PCG runs on single-row and single-column problems converge until
+    # r'z falls below the smallest normal double; p'Hp then rounds to 0,
+    # which must end the loop and not raise on these nonsingular problems.
+    # Both loops: on real arrays and on the half spectrum
+    cfg = InnerSolveConfig(mode="pcg", pcg_iterations=50)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for shape in [s for s in ODD_AND_DEGENERATE_SHAPES if 1 in s]:
+            for mode in ("periodic", "masked"):
+                ops = make_ops(fitting_kernel(rng, shape), shape, mode)
+                rho, eta = rng.uniform(0.1, 3.0, size=2)
+                rhs = rng.standard_normal(shape)
+                warm = rng.standard_normal(shape)
+                m = ops.hessian_spectra(rho, eta)[0]
+                real = pcg_solve(
+                    lambda z: ops.gram(z, rho, eta), rhs, cfg, warm_start=warm,
+                    preconditioner=circulant_preconditioner(ops.lam, ops.om,
+                                                            rho, eta))
+                spectral = pcg_solve(
+                    lambda f: ops.hessian_hat(f, rho, eta), ops.hat(rhs), cfg,
+                    warm_start=ops.hat(warm), preconditioner=lambda f: f / m)
+                for x in (real.x, ops.unhat(spectral.x)):
+                    res = ops.gram(x, rho, eta) - rhs
+                    assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_pcg_stops_early_on_zero_residual(rng):
     def hessian(x):
         return 2.0 * x
 
