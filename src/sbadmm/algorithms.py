@@ -26,7 +26,7 @@ from .operators import (blur, blur_transfer, blur_transpose, diff_gram_spectrum,
                         diff_mask, difference, difference_transpose,
                         gram_spectrum, half_spectrum,
                         split_operator_rank_check)
-from .prox import Potential, potential_value_array, prox_array
+from .prox import Potential, potential_value_array, shrinkage
 
 DIVERGENCE_FACTOR = 1e6
 
@@ -304,7 +304,7 @@ class ProblemOps:
     def cost(self, x, ax=None, cx=None):
         """Objective at x, reusing A x and C x when they are given."""
         res = self.y - (self.A(x) if ax is None else ax)
-        return 0.5 * float(np.sum(res * res)) + potential_value_array(
+        return 0.5 * float(np.vdot(res, res)) + potential_value_array(
             self.potential, self.C(x) if cx is None else cx)
 
 
@@ -346,9 +346,23 @@ def _solve_x(ops, rho, eta, rhs, warm, inner: InnerSolveConfig):
                            warm_start=ops.hat(warm),
                            preconditioner=lambda f: f * inverse)
         x = result.x
-    rhs_norm = float(np.linalg.norm(rhs))
+    rhs_norm = math.sqrt(np.vdot(rhs, rhs).real)
     rel = result.residual_norms[-1] / rhs_norm if result.residual_norms and rhs_norm else 0.0
     return x, rel
+
+
+def _split_update(ops, cx, e, eta):
+    """v = prox(cx - e) and the dual e - cx + v = -shrinkage(cx - e).  In
+    masked mode v is zero and e keeps its value on the wrap-around slices."""
+    v = cx - e
+    s = shrinkage(ops.potential, v, eta)
+    v -= s
+    np.negative(s, out=s)
+    if ops.mask_mode != "periodic":
+        for ix in ((0, slice(None), -1), (1, -1, slice(None))):
+            v[ix] = 0.0
+            s[ix] = e[ix]
+    return v, s
 
 
 def sb_step(state: SolverState, ops: ProblemOps, eta: float,
@@ -359,9 +373,7 @@ def sb_step(state: SolverState, ops: ProblemOps, eta: float,
     x, u = ops.unhat(f), ops.A_unhat(f)
     del rhs, f  # free both spectra before the prox
     cx = ops.C(x)
-    v = prox_array(ops.potential, cx - state.e, eta)
-    v = np.where(ops.mask, v, 0.0)
-    e = state.e - cx + v
+    v, e = _split_update(ops, cx, state.e, eta)
     return SolverState(x=x, u=u, v=v, d=ops.y - u, e=e,
                        k=state.k + 1, inner_residual=res, ax=u, cx=cx)
 
@@ -369,17 +381,22 @@ def sb_step(state: SolverState, ops: ProblemOps, eta: float,
 def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
                inner: InnerSolveConfig) -> SolverState:
     """One two-split ADMM sweep (x, u, v, then both dual updates)."""
-    rhs = rho * ops.At_hat(state.u + state.d) \
-        + eta * ops.hat(ops.Ct(state.v + state.e))
+    rhs = ops.At_hat(state.u + state.d)
+    rhs *= rho
+    f = ops.hat(ops.Ct(state.v + state.e))
+    f *= eta
+    rhs += f
     f, res = _solve_x(ops, rho, eta, rhs, state.x, inner)
     x, ax = ops.unhat(f), ops.A_unhat(f)
     del rhs, f
-    u = (rho * (ax - state.d) + ops.y) / (rho + 1.0)
+    u = ax - state.d
+    u *= rho
+    u += ops.y
+    u /= rho + 1.0
+    d = state.d - ax
+    d += u
     cx = ops.C(x)
-    v = prox_array(ops.potential, cx - state.e, eta)
-    v = np.where(ops.mask, v, 0.0)
-    d = state.d - ax + u
-    e = state.e - cx + v
+    v, e = _split_update(ops, cx, state.e, eta)
     return SolverState(x=x, u=u, v=v, d=d, e=e, k=state.k + 1,
                        inner_residual=res, ax=ax, cx=cx)
 
@@ -394,9 +411,7 @@ def admm2_simplified_step(state: SolverState, ops: ProblemOps, rho: float,
     del rhs, f
     u = (rho * ax + state.u) / (rho + 1.0)
     cx = ops.C(x)
-    v = prox_array(ops.potential, cx - state.e, eta)
-    v = np.where(ops.mask, v, 0.0)
-    e = state.e - cx + v
+    v, e = _split_update(ops, cx, state.e, eta)
     return SolverState(x=x, u=u, v=v, d=(ops.y - u) / rho, e=e,
                        k=state.k + 1, inner_residual=res, ax=ax, cx=cx)
 
@@ -505,7 +520,8 @@ def run(problem: ProblemSpec, config: OuterConfig,
             rel, rmsd = float("nan"), float("nan")
         else:
             rel = c - ref_cost if trace.absolute_cost_error else (c - ref_cost) / ref_cost
-            rmsd = float(np.sqrt(np.mean((state.x - ref) ** 2)))
+            err = state.x - ref
+            rmsd = math.sqrt(np.vdot(err, err) / err.size)
         trace.append(state.k, c, rel, rmsd, state.inner_residual)
         return c
 

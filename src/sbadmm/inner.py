@@ -10,6 +10,7 @@ a real FFT by the half spectrum of M.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,14 +117,17 @@ def pcg_solve(hessian, rhs, config: InnerSolveConfig, warm_start=None,
     nonpositive curvature or preconditioned residual product means the
     operator violated that assumption and raises PcgBreakdownError.  The
     loop stops early once r'z underflows: p'Hp would round to zero next.
+    x, r and p are updated in place, p a copy as the preconditioner may
+    return r; rhs and warm_start are never written.
     """
     rhs = np.asarray(rhs)
-    x = np.zeros_like(rhs) if warm_start is None else np.array(warm_start)
+    x = np.zeros(rhs.shape, np.result_type(rhs, 1.0)) if warm_start is None \
+        else np.array(warm_start, np.result_type(rhs, warm_start, 1.0))
     if preconditioner is None:
         preconditioner = lambda r: r
     r = rhs - hessian(x)
     z = preconditioner(r)
-    p = z
+    p = np.array(z)
     rz = float(np.vdot(r, z).real)
     result = PcgResult(x=x)
     for step in range(config.pcg_iterations):
@@ -140,15 +144,16 @@ def pcg_solve(hessian, rhs, config: InnerSolveConfig, warm_start=None,
         if not np.isfinite(php):
             raise PcgBreakdownError("non-finite curvature at step %d" % step)
         a = rz / php
-        x = x + a * p
-        r = r - a * hp
-        result.residual_norms.append(float(np.linalg.norm(r)))
+        x += a * p
+        r -= a * hp
+        result.residual_norms.append(math.sqrt(np.vdot(r, r).real))
         if step + 1 == config.pcg_iterations:
             break  # no next direction is needed after the last step
         z = preconditioner(r)
         rz_new = float(np.vdot(r, z).real)
         beta = rz_new / rz
-        p = z + beta * p
+        p *= beta
+        p += z
         rz = rz_new
     result.x = x
     if not np.all(np.isfinite(x)):

@@ -2,8 +2,9 @@
 
 All potentials are convex and elementwise separable, so the proximal
 mapping argmin_v Phi(v) + (eta/2) ||z - v||^2 is evaluated per entry.
-The steps zero the masked entries of v afterwards; they are not part of the
-optimization variable.
+It is z minus the shrinkage z - prox(z), a scaling and a clip for the
+quadratic, l1 and Huber potentials.  In masked mode the steps set v to zero
+on the two wrap-around slices of C, which are not optimization variables.
 """
 
 from __future__ import annotations
@@ -60,38 +61,41 @@ def potential_value_array(potential: Potential, v: np.ndarray) -> float:
     t = potential.threshold
     v = np.asarray(v, dtype=float)
     if potential.kind == "quadratic":
-        return 0.5 * a * float(np.sum(v * v))
+        return 0.5 * a * float(np.vdot(v, v))
     if potential.kind == "l1":
         return a * float(np.sum(np.abs(v)))
     if potential.kind == "huber":
-        av = np.abs(v)
-        body = np.where(av <= t, 0.5 * v * v, t * av - 0.5 * t * t)
-        return a * float(np.sum(body))
+        # c = clip(v, +-t): c v - c^2/2 is v^2/2 inside, t|v| - t^2/2 outside
+        c = np.clip(v, -t, t)
+        return a * (float(np.vdot(c, v)) - 0.5 * float(np.vdot(c, c)))
     # fair
     av = np.abs(v)
     return a * t * t * float(np.sum(av / t - np.log1p(av / t)))
 
 
-def prox_array(potential: Potential, z: np.ndarray, eta: float) -> np.ndarray:
-    """argmin_v Phi(v) + (eta/2)(z - v)^2, evaluated elementwise."""
+def shrinkage(potential: Potential, z: np.ndarray, eta: float) -> np.ndarray:
+    """z - prox(z), the part of z the prox removes, as a new array."""
     if not eta > 0:
         raise ValueError("eta must be positive")
     a = potential.alpha
     t = potential.threshold
     z = np.asarray(z, dtype=float)
     if potential.kind == "quadratic":
-        return (eta / (eta + a)) * z
+        return (a / (eta + a)) * z
     if potential.kind == "l1":
-        return np.sign(z) * np.maximum(np.abs(z) - a / eta, 0.0)
+        return np.clip(z, -a / eta, a / eta)
     if potential.kind == "huber":
-        # Quadratic branch while the minimizer stays below the threshold,
-        # shrinkage by the constant slope a*t beyond it.
-        inner = eta / (eta + a) * z
-        outer = z - (a * t / eta) * np.sign(z)
-        return np.where(np.abs(z) <= t * (a + eta) / eta, inner, outer)
+        # a z / (eta + a) inside |z| <= t (a + eta) / eta, +-a t / eta beyond
+        s = (a / (eta + a)) * z
+        return np.clip(s, -a * t / eta, a * t / eta, out=s)
     # fair: stationarity  a*v/(1+|v|/t) + eta*(v-z) = 0, root with sign(z)
     az = np.abs(z)
     b = eta * t + a * t - eta * az
     disc = b * b + 4.0 * eta * eta * t * az
     v = (-b + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * eta)
-    return np.sign(z) * v
+    return z - np.sign(z) * v
+
+
+def prox_array(potential: Potential, z: np.ndarray, eta: float) -> np.ndarray:
+    """argmin_v Phi(v) + (eta/2)(z - v)^2, evaluated elementwise."""
+    return np.asarray(z, dtype=float) - shrinkage(potential, z, eta)

@@ -124,6 +124,51 @@ def test_elimination_identities_along_run(rng):
         assert np.linalg.norm(a * st.v + eta * st.e) <= 1e-10 * scale
 
 
+STEPS = {"sb": lambda st, ops, rho, eta: sb_step(st, ops, eta, EXACT),
+         "admm2": lambda st, ops, rho, eta: admm2_step(st, ops, rho, eta, EXACT),
+         "admm2_simplified": lambda st, ops, rho, eta: admm2_simplified_step(
+             st, ops, rho, eta, EXACT)}
+
+
+@pytest.mark.parametrize("algorithm", sorted(STEPS))
+@pytest.mark.parametrize("kind", ["quadratic", "l1", "huber", "fair"])
+def test_split_update_masks_only_the_wrap_slices(rng, algorithm, kind):
+    # from a dual that is nonzero everywhere: masked mode keeps v = 0 and
+    # the old e off the mask, periodic mode updates every entry; on the
+    # updated entries v = prox(C x - e) and e' = e - C x + v
+    rho, eta = 1.5, 0.4
+    for mode in ("masked", "periodic"):
+        ops = ProblemOps(random_problem(rng, shape=(6, 7), mask_mode=mode,
+                                        alpha=0.3, kind=kind, threshold=0.2))
+        st = canonical_init(ops, rho, eta)
+        st.e = rng.standard_normal(st.e.shape)
+        out = STEPS[algorithm](st, ops, rho, eta)
+        on = ops.mask
+        assert np.all(out.v[~on] == 0.0)
+        assert np.array_equal(out.e[~on], st.e[~on])
+        cx = ops.C(out.x)
+        want_v = prox_array(ops.potential, cx - st.e, eta)
+        assert np.allclose(out.v[on], want_v[on], rtol=0.0, atol=1e-12)
+        want_e = st.e - cx + out.v
+        assert np.allclose(out.e[on], want_e[on], rtol=0.0, atol=1e-12)
+        if mode == "periodic":
+            assert on.all()
+            assert np.all(out.v != 0.0) or kind == "l1"
+
+
+@pytest.mark.parametrize("algorithm", sorted(STEPS))
+@pytest.mark.parametrize("mode", ["periodic", "masked"])
+def test_quadratic_dual_invariant_after_twenty_steps(rng, algorithm, mode):
+    ops = ProblemOps(random_problem(rng, shape=(6, 7), mask_mode=mode))
+    a = ops.potential.alpha
+    rho, eta = 2.0, 0.3
+    st = canonical_init(ops, rho, eta)
+    for _ in range(20):
+        st = STEPS[algorithm](st, ops, rho, eta)
+    scale = np.linalg.norm(a * st.v)
+    assert np.linalg.norm(a * st.v + eta * st.e) <= 1e-12 * scale
+
+
 def test_one_admm2_step_matches_dense_transcription(rng):
     problem = random_problem(rng, shape=(4, 4))
     ops = ProblemOps(problem)

@@ -193,3 +193,29 @@ def test_pcg_stops_early_on_zero_residual(rng):
     res = pcg_solve(hessian, rhs, cfg)
     assert res.iterations < 10
     assert np.allclose(res.x, rhs / 2.0)
+
+
+def test_pcg_preconditioner_may_return_its_argument(rng):
+    # p must not alias r when the preconditioner hands back r itself, and
+    # neither rhs nor warm_start may be written: no preconditioner, the
+    # identity and a copying identity give bit-identical runs
+    shape = (8, 8)
+    hessian, _, _ = make_masked_hessian(rng, shape)
+    ops = make_ops(random_kernel(rng), shape, "masked")
+    cfg = InnerSolveConfig(mode="pcg", pcg_iterations=50)
+    real = (hessian, rng.standard_normal(shape), rng.standard_normal(shape))
+    spectral = (lambda f: ops.hessian_hat(f, 1.0, 0.25),
+                ops.hat(rng.standard_normal(shape)),
+                ops.hat(rng.standard_normal(shape)))
+    for apply, rhs, warm in (real, spectral):
+        runs = []
+        for pre in (None, lambda r: r, lambda r: r.copy()):
+            rhs_in, warm_in = rhs.copy(), warm.copy()
+            runs.append(pcg_solve(apply, rhs_in, cfg, warm_start=warm_in,
+                                  preconditioner=pre))
+            assert np.array_equal(rhs_in, rhs)
+            assert np.array_equal(warm_in, warm)
+        for other in runs[1:]:
+            assert np.array_equal(other.x, runs[0].x)
+            assert other.residual_norms == runs[0].residual_norms
+        assert runs[0].residual_norms[-1] < 1e-6 * np.linalg.norm(rhs)

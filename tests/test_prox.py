@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbadmm.algorithms import ProblemOps, admm2_step, canonical_init
 from sbadmm.inner import InnerSolveConfig
-from sbadmm.prox import Potential, potential_value_array, prox_array
+from sbadmm.prox import (KINDS, Potential, potential_value_array, prox_array,
+                         shrinkage)
 from conftest import random_problem
 
 
@@ -155,3 +157,64 @@ def test_prox_on_gradient_field_respects_mask(rng):
     assert np.all(out.v[~ops.mask] == 0.0)
     assert np.any(out.v[ops.mask] != 0.0)
     assert potential_value_array(Potential.l1(1.0), out.v) == np.abs(out.v).sum()
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+positive = st.floats(1e-2, 1e2)
+entries = st.lists(st.floats(-1e2, 1e2), min_size=1, max_size=12)
+
+
+@st.composite
+def prox_cases(draw):
+    """A potential, eta and z, with z also holding the breakpoints
+    |z| = a/eta (l1) and t(a + eta)/eta (Huber) and their neighbours."""
+    kind = draw(st.sampled_from(KINDS))
+    a, t, eta = draw(positive), draw(positive), draw(positive)
+    pot = Potential(kind, a, t if kind in ("huber", "fair") else None)
+    kinks = np.array([a / eta, t * (a + eta) / eta])
+    kinks = np.concatenate((kinks, np.nextafter(kinks, 0.0),
+                            np.nextafter(kinks, np.inf)))
+    z = np.concatenate((draw(entries), kinks, -kinks, [0.0]))
+    return pot, eta, z
+
+
+def subgradient_gap(pot, v, g):
+    """Distance of g from the subdifferential of Phi at v, per entry."""
+    a, t = pot.alpha, pot.threshold
+    if pot.kind == "quadratic":
+        return np.abs(g - a * v)
+    if pot.kind == "l1":
+        return np.where(v == 0.0, np.maximum(np.abs(g) - a, 0.0),
+                        np.abs(g - a * np.sign(v)))
+    if pot.kind == "huber":
+        return np.abs(g - a * np.clip(v, -t, t))
+    return np.abs(g - a * v / (1.0 + np.abs(v) / t))
+
+
+@PROPERTY
+@given(prox_cases())
+def test_shrinkage_and_prox_sum_to_z(case):
+    pot, eta, z = case
+    total = shrinkage(pot, z, eta) + prox_array(pot, z, eta)
+    assert np.all(np.abs(total - z) <= 4 * np.spacing(np.abs(z)))
+
+
+@PROPERTY
+@given(prox_cases())
+def test_prox_satisfies_optimality_condition(case):
+    # eta (z - v) lies in the subdifferential of Phi at v = prox(z)
+    pot, eta, z = case
+    v = prox_array(pot, z, eta)
+    gap = subgradient_gap(pot, v, eta * (z - v))
+    scale = eta * np.abs(z) + pot.alpha * (pot.threshold or 1.0)
+    assert np.all(gap <= 1e-12 * scale)
+
+
+@PROPERTY
+@given(positive, positive, entries)
+def test_huber_value_matches_piecewise_formula(a, t, v):
+    v = np.array(v + [t, -t, np.nextafter(t, np.inf)])
+    av = np.abs(v)
+    want = a * np.sum(np.where(av <= t, 0.5 * v * v, t * av - 0.5 * t * t))
+    got = potential_value_array(Potential.huber(a, t), v)
+    assert abs(got - want) <= 1e-14 * want
