@@ -24,8 +24,8 @@ from .inner import (InnerSolveConfig, check_nonsingular,
                     spectral_divide)
 from .operators import (blur, blur_transfer, blur_transpose, diff_gram_spectrum,
                         diff_mask, difference, difference_transpose,
-                        gram_spectrum, half_spectrum,
-                        split_operator_rank_check)
+                        half_spectrum, irfft2, rfft2,
+                        split_operator_rank_check, transfer_gram_spectrum)
 from .prox import Potential, potential_value_array, shrinkage
 
 DIVERGENCE_FACTOR = 1e6
@@ -128,13 +128,13 @@ class ProblemOps:
             raise ValueError("cannot difference a 1x1 image")
         self.mask_mode = problem.mask_mode
         self.potential = problem.potential
+        h, w = self.shape
         self.transfer = blur_transfer(problem.kernel, self.shape)
-        self.lam = gram_spectrum(problem.kernel, self.shape)
+        self.lam = transfer_gram_spectrum(self.transfer, w)
         self.om = diff_gram_spectrum(self.shape)
         self.mask = diff_mask(self.shape, problem.mask_mode)
         self.rank = split_operator_rank_check(self.lam, self.om)
         self._spectra_key = None
-        h, w = self.shape
         # a half-spectrum column other than 0 and w/2 stands for itself and
         # its mirror image, so it weighs twice in Parseval's sum
         weight = np.full(w // 2 + 1, 2.0)
@@ -167,13 +167,20 @@ class ProblemOps:
     def hat(self, x):
         """Unitarily scaled half spectrum: sum(x * y) = Re vdot(hat(x),
         hat(y)) and ||x|| = ||hat(x)||."""
-        f = np.fft.rfft2(x)
+        f = rfft2(x)
         f *= self._scale
         return f
 
+    @cached_property
+    def _scratch(self):
+        """Half spectrum that unhat and A_unhat scale into and irfft2
+        overwrites; never returned."""
+        return np.empty(self.transfer.shape, complex)
+
     def unhat(self, f):
-        """The real array whose hat is f."""
-        return np.fft.irfft2(f * self._unscale, s=self.shape)
+        """The real array whose hat is f; f is not written."""
+        return irfft2(np.multiply(f, self._unscale, out=self._scratch),
+                      self.shape)
 
     @cached_property
     def _at_hat(self):
@@ -181,7 +188,7 @@ class ProblemOps:
 
     def At_hat(self, r):
         """hat(A' r)."""
-        f = np.fft.rfft2(r)
+        f = rfft2(r)
         f *= self._at_hat
         return f
 
@@ -192,10 +199,10 @@ class ProblemOps:
         return self.At_hat(self.y)
 
     def A_unhat(self, f):
-        """A unhat(f)."""
-        g = f * self.transfer
+        """A unhat(f); f is not written."""
+        g = np.multiply(f, self.transfer, out=self._scratch)
         g *= self._unscale
-        return np.fft.irfft2(g, s=self.shape)
+        return irfft2(g, self.shape)
 
     def hessian_spectra(self, rho, eta):
         """(M, floored M, floored?, 1 / floored M) on the half spectrum,
@@ -295,9 +302,9 @@ class ProblemOps:
     def gram(self, z, rho, eta):
         """rho A'A z + eta C'C z: M z, one real FFT pair times the cached
         half spectrum, minus eta W z."""
-        f = np.fft.rfft2(z)
+        f = rfft2(z)
         f *= self.hessian_spectra(rho, eta)[0]
-        out = np.fft.irfft2(f, s=self.shape)
+        out = irfft2(f, self.shape)
         self.subtract_wrap(z, eta, out)
         return out
 

@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import get_blas_funcs
 
-from .operators import half_spectrum
+from .operators import half_spectrum, irfft2, rfft2
 
 PRECONDITIONER_FLOOR = 1e-8
 RZ_UNDERFLOW = np.finfo(float).tiny
@@ -58,9 +59,9 @@ def hessian_spectrum(lam, omega, rho, eta):
 
 def spectral_divide(r, half_denom):
     """Divide the real FFT of r by a half-width spectrum and transform back."""
-    f = np.fft.rfft2(r)
+    f = rfft2(r)
     f /= half_denom
-    return np.fft.irfft2(f, s=r.shape)
+    return irfft2(f, r.shape)
 
 
 def check_nonsingular(denom):
@@ -117,17 +118,23 @@ def pcg_solve(hessian, rhs, config: InnerSolveConfig, warm_start=None,
     nonpositive curvature or preconditioned residual product means the
     operator violated that assumption and raises PcgBreakdownError.  The
     loop stops early once r'z underflows: p'Hp would round to zero next.
-    x, r and p are updated in place, p a copy as the preconditioner may
-    return r; rhs and warm_start are never written.
+    x, r and p are updated in place, x and r by BLAS axpy on the flat views
+    of arrays allocated here (C-contiguous, so the views are not copies);
+    p starts as the first z, copied only when it shares memory with r, as
+    the default preconditioner's does.  rhs and warm_start are never
+    written.
     """
     rhs = np.asarray(rhs)
     x = np.zeros(rhs.shape, np.result_type(rhs, 1.0)) if warm_start is None \
-        else np.array(warm_start, np.result_type(rhs, warm_start, 1.0))
+        else np.array(warm_start, np.result_type(rhs, warm_start, 1.0),
+                      order="C")
     if preconditioner is None:
         preconditioner = lambda r: r
-    r = rhs - hessian(x)
+    r = np.subtract(rhs, hessian(x), dtype=x.dtype, order="C")
+    x_flat, r_flat = x.reshape(-1), r.reshape(-1)
+    axpy = get_blas_funcs("axpy", (x_flat,))
     z = preconditioner(r)
-    p = np.array(z)
+    p = np.array(z) if np.may_share_memory(z, r) else z
     rz = float(np.vdot(r, z).real)
     result = PcgResult(x=x)
     for step in range(config.pcg_iterations):
@@ -144,8 +151,8 @@ def pcg_solve(hessian, rhs, config: InnerSolveConfig, warm_start=None,
         if not np.isfinite(php):
             raise PcgBreakdownError("non-finite curvature at step %d" % step)
         a = rz / php
-        x += a * p
-        r -= a * hp
+        axpy(np.ravel(p), x_flat, a=a)
+        axpy(np.ravel(hp), r_flat, a=-a)
         result.residual_norms.append(math.sqrt(np.vdot(r, r).real))
         if step + 1 == config.pcg_iterations:
             break  # no next direction is needed after the last step

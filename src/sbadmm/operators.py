@@ -10,8 +10,14 @@ stencil, and ``algorithms.ProblemOps`` corrects for the difference.
 The operators act on plain arrays: images are (h, w), difference fields are
 (2, h, w), and spectra are (h, w) float arrays.  A and A' use the real FFT:
 ``rfft2`` keeps the frequency columns 0..w//2, which hold every eigenvalue
-of a real stencil by conjugate symmetry.  ``algorithms.ProblemOps`` builds
-the blur transfer once per problem and passes it in.
+of a real stencil by conjugate symmetry.  ``rfft2`` and ``irfft2`` here are
+numpy's passes with the column pass done in place, so each transform
+writes one array.  ``algorithms.ProblemOps`` builds the blur transfer once
+per problem and passes it in.
+
+No spectrum takes a 2-D FFT: that of A'A is |transfer|^2, mirrored from the
+half spectrum to the full grid, and that of C'C has the closed form
+4 sin^2(pi k / h) + 4 sin^2(pi l / w).
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ def _check_fits(kernel, shape):
 
 
 def embed_kernel(kernel, shape):
-    """Place the stencil on a full grid so fft2 gives the circulant transfer."""
+    """Place the stencil on a full grid so rfft2 gives the circulant transfer."""
     _check_fits(kernel, shape)
     h, w = shape
     z = np.zeros(shape)
@@ -63,20 +69,39 @@ def half_spectrum(a):
     return np.ascontiguousarray(a[:, :a.shape[1] // 2 + 1])
 
 
+def rfft2(x):
+    """numpy's rfft2 of x, bit for bit: the same passes in the same order,
+    the column pass written over the row pass's output."""
+    f = np.fft.rfft(x, axis=1)
+    return np.fft.fft(f, axis=0, out=f)
+
+
+def irfft2(f, shape):
+    """numpy's irfft2 of f to the real shape, bit for bit.  Overwrites f:
+    its column pass is done in place, so pass only a spectrum the caller
+    owns."""
+    np.fft.ifft(f, axis=0, out=f)
+    return np.fft.irfft(f, n=shape[1], axis=1)
+
+
 def blur_transfer(kernel, shape):
     """Half-spectrum rfft2 of the embedded stencil: the eigenvalues of A at
     the frequency columns 0..w//2."""
-    return np.fft.rfft2(embed_kernel(kernel, shape))
+    return rfft2(embed_kernel(kernel, shape))
 
 
 def blur(transfer, x):
     """Apply A through its real-FFT transfer."""
-    return np.fft.irfft2(np.fft.rfft2(x) * transfer, s=x.shape)
+    f = rfft2(x)
+    f *= transfer
+    return irfft2(f, x.shape)
 
 
 def blur_transpose(transfer, r):
     """Apply A'."""
-    return np.fft.irfft2(np.fft.rfft2(r) * np.conj(transfer), s=r.shape)
+    f = rfft2(r)
+    f *= np.conj(transfer)
+    return irfft2(f, r.shape)
 
 
 def diff_mask(shape, mask_mode):
@@ -127,29 +152,31 @@ def difference_transpose(g, mask_mode):
     return out
 
 
+def transfer_gram_spectrum(transfer, w):
+    """Per-frequency eigenvalues |transfer|^2 of A'A on the full (h, w)
+    grid, from the half-spectrum transfer of a real stencil: its spectrum is
+    conjugate symmetric, so column l > w//2 is column w - l at rows
+    -k mod h."""
+    half = np.abs(transfer) ** 2
+    mirrored = half[-np.arange(half.shape[0]) % half.shape[0]]
+    return np.concatenate((half, mirrored[:, (w - 1) // 2:0:-1]), axis=1)
+
+
 def gram_spectrum(kernel: ConvolutionKernel, shape) -> np.ndarray:
     """Per-frequency eigenvalues |fft2|^2 of A'A."""
-    return np.abs(np.fft.fft2(embed_kernel(kernel, shape))) ** 2
-
-
-def _diff_transfers(shape):
-    h, w = shape
-    zh = np.zeros(shape)
-    zh[0, 0] += -1.0
-    zh[0, (w - 1) % w] += 1.0
-    zv = np.zeros(shape)
-    zv[0, 0] += -1.0
-    zv[(h - 1) % h, 0] += 1.0
-    return np.fft.fft2(zh), np.fft.fft2(zv)
+    return transfer_gram_spectrum(blur_transfer(kernel, shape), shape[1])
 
 
 def diff_gram_spectrum(shape) -> np.ndarray:
-    """Per-frequency eigenvalues of C'C for the periodic difference stencils.
+    """Per-frequency eigenvalues of C'C for the periodic difference stencils,
+    4 sin^2(pi k / h) + 4 sin^2(pi l / w): |1 - exp(-2 pi i k / h)|^2 of the
+    vertical difference plus that of the horizontal one.
 
     Used as-is for periodic C and as the circulant surrogate for masked C.
     """
-    th, tv = _diff_transfers(shape)
-    return np.abs(th) ** 2 + np.abs(tv) ** 2
+    h, w = shape
+    return np.add.outer(4.0 * np.sin(np.pi * np.arange(h) / h) ** 2,
+                        4.0 * np.sin(np.pi * np.arange(w) / w) ** 2)
 
 
 def split_operator_rank_check(lam, omega,

@@ -89,10 +89,13 @@ def shrinkage(potential: Potential, z: np.ndarray, eta: float) -> np.ndarray:
         s = (a / (eta + a)) * z
         return np.clip(s, -a * t / eta, a * t / eta, out=s)
     # fair: stationarity  a*v/(1+|v|/t) + eta*(v-z) = 0, root with sign(z)
+    # |v| = (root - b) / (2 eta), root = sqrt(b^2 + 4 eta^2 t |z|); where
+    # b > 0 that difference cancels, and 2 eta t |z| / (b + root) does not
     az = np.abs(z)
     b = eta * t + a * t - eta * az
-    disc = b * b + 4.0 * eta * eta * t * az
-    v = (-b + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * eta)
+    root = np.sqrt(b * b + 4.0 * eta * eta * t * az)
+    v = np.divide(root - b, 2.0 * eta, out=np.empty(z.shape))
+    np.divide(2.0 * eta * t * az, b + root, out=v, where=b > 0.0)
     return z - np.sign(z) * v
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from sbadmm import algorithms
+from sbadmm import algorithms, inner, operators
 from sbadmm.algorithms import (MetricTrace, OuterConfig, ProblemOps,
                                ProblemSpec, _solve_x, admm2_simplified_step,
                                admm2_step, canonical_init,
@@ -458,10 +458,10 @@ def test_generic_pcg_when_preconditioner_is_not_exact(rng, monkeypatch):
 
 
 def test_masked_pcg3_step_call_counts(rng, monkeypatch):
-    # real 2-D FFTs: rfft2 of A'(u + d), of C'(v + e) and, for PCG, of the
-    # warm start; irfft2 of x and of A x.  The solve itself, exact or PCG,
-    # periodic or masked, stays on the half spectrum.  C' of the
-    # right-hand side and C x once each
+    # real 2-D FFTs, all through the library's own pair: rfft2 of
+    # A'(u + d), of C'(v + e) and, for PCG, of the warm start; irfft2 of x
+    # and of A x.  The solve itself, exact or PCG, periodic or masked, stays
+    # on the half spectrum.  C' of the right-hand side and C x once each
     counts = {}
 
     def count(module, name):
@@ -473,18 +473,26 @@ def test_masked_pcg3_step_call_counts(rng, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in ((np.fft, "rfft2"), (np.fft, "irfft2"),
+    for module, name in ((operators, "rfft2"), (operators, "irfft2"),
+                         (inner, "rfft2"), (inner, "irfft2"),
+                         (algorithms, "rfft2"), (algorithms, "irfft2"),
                          (algorithms, "difference"),
                          (algorithms, "difference_transpose")):
         count(module, name)
-    for mode, inner, rffts in (("masked", InnerSolveConfig(mode="pcg"), 3),
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy's two-array real 2-D FFT")
+
+    for name in ("rfft2", "irfft2"):
+        monkeypatch.setattr(np.fft, name, forbidden)
+    for mode, solve, rffts in (("masked", InnerSolveConfig(mode="pcg"), 3),
                                ("periodic", EXACT, 2), ("masked", EXACT, 2)):
         ops = ProblemOps(random_problem(rng, shape=(16, 16), mask_mode=mode))
         # the first step builds the masked capacitance matrix, once per
         # (rho, eta); count the second
-        state = admm2_step(canonical_init(ops, 1.0, 0.5), ops, 1.0, 0.5, inner)
+        state = admm2_step(canonical_init(ops, 1.0, 0.5), ops, 1.0, 0.5, solve)
         counts.clear()
-        admm2_step(state, ops, 1.0, 0.5, inner)
+        admm2_step(state, ops, 1.0, 0.5, solve)
         assert counts == {"rfft2": rffts, "irfft2": 2, "difference": 1,
                           "difference_transpose": 1}
 

@@ -219,3 +219,28 @@ def test_pcg_preconditioner_may_return_its_argument(rng):
             assert np.array_equal(other.x, runs[0].x)
             assert other.residual_norms == runs[0].residual_norms
         assert runs[0].residual_norms[-1] < 1e-6 * np.linalg.norm(rhs)
+
+
+def test_pcg_updates_its_own_arrays_whatever_the_callables_return(rng):
+    # x and r are updated through flat views, which are copies unless the
+    # arrays are C-contiguous: Fortran-ordered Hessian results, rhs and
+    # warm start, and a preconditioner returning a view of r, must give the
+    # run of C-ordered ones
+    shape = (7, 5)
+    hessian, lam, om = make_masked_hessian(rng, shape)
+    cfg = InnerSolveConfig(mode="pcg", pcg_iterations=6)
+    rhs = rng.standard_normal(shape)
+    warm = rng.standard_normal(shape)
+    precond = circulant_preconditioner(lam, om, 1.0, 0.25)
+    want = pcg_solve(hessian, rhs, cfg, warm_start=warm,
+                     preconditioner=precond)
+    got = pcg_solve(lambda z: np.asfortranarray(hessian(z)),
+                    np.asfortranarray(rhs), cfg,
+                    warm_start=np.asfortranarray(warm),
+                    preconditioner=lambda r: np.asfortranarray(precond(r)))
+    scale = np.linalg.norm(want.x)
+    assert np.linalg.norm(got.x - want.x) <= 1e-13 * scale
+    assert np.allclose(got.residual_norms, want.residual_norms, rtol=1e-12)
+    plain = pcg_solve(hessian, rhs, cfg)
+    viewed = pcg_solve(hessian, rhs, cfg, preconditioner=lambda r: r[...])
+    assert np.array_equal(viewed.x, plain.x)

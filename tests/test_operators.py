@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sbadmm.algorithms import ProblemOps
 from sbadmm.grids import ConvolutionKernel
-from sbadmm.operators import (blur_transfer, diff_gram_spectrum, gram_spectrum,
+from sbadmm.operators import (blur_transfer, diff_gram_spectrum, embed_kernel,
+                              gram_spectrum, irfft2, rfft2,
                               sparse_blur_matrix, sparse_diff_matrix,
                               split_operator_rank_check)
 from conftest import (ODD_AND_DEGENERATE_SHAPES, fitting_kernel, make_ops,
-                      random_kernel)
+                      random_kernel, random_problem)
 
 
 def test_identity_kernel_is_identity(rng):
@@ -221,3 +225,77 @@ def test_random_kernel_transfer_is_bounded_away_from_zero():
             assert smallest >= 2.0 * centre - 1.0 - 1e-12
             worst = min(worst, smallest)
         assert worst >= 0.05, (shape, worst)
+
+
+def test_real_fft_pair_is_numpys_bit_for_bit(rng):
+    for shape in ODD_AND_DEGENERATE_SHAPES + [(64, 64)]:
+        x = rng.standard_normal(shape)
+        f = rfft2(x)
+        assert np.array_equal(f, np.fft.rfft2(x))
+        assert np.array_equal(irfft2(f.copy(), shape),
+                              np.fft.irfft2(f, s=shape))
+
+
+def test_rfft2_allocates_one_half_spectrum(rng):
+    # numpy's rfft2 holds the row pass and the column pass at once
+    x = rng.standard_normal((256, 256))
+    half_bytes = 256 * 129 * 16
+    tracemalloc.start()
+    try:
+        f = rfft2(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.shape == (256, 129)
+    assert peak <= 1.05 * half_bytes
+
+
+def test_unhat_leaves_its_argument_and_scratch_private(rng):
+    for mode in ("periodic", "masked"):
+        ops = make_ops(random_kernel(rng), (6, 7), mode)
+        f = ops.hat(rng.standard_normal(ops.shape))
+        before = f.copy()
+        x = ops.unhat(f)
+        ax = ops.A_unhat(f)
+        assert np.array_equal(f, before)
+        assert np.allclose(ops.hat(x), f, atol=1e-13)
+        assert np.allclose(ax, ops.A(x), atol=1e-13)
+        assert not np.shares_memory(x, ax)
+        for out in (x, ax):
+            assert not np.shares_memory(out, ops._scratch)
+
+
+def old_gram_spectrum(kernel, shape):
+    return np.abs(np.fft.fft2(embed_kernel(kernel, shape))) ** 2
+
+
+def old_diff_gram_spectrum(shape):
+    h, w = shape
+    zh = np.zeros(shape)
+    zh[0, 0] += -1.0
+    zh[0, (w - 1) % w] += 1.0
+    zv = np.zeros(shape)
+    zv[0, 0] += -1.0
+    zv[(h - 1) % h, 0] += 1.0
+    return np.abs(np.fft.fft2(zh)) ** 2 + np.abs(np.fft.fft2(zv)) ** 2
+
+
+def test_spectra_match_their_fft2_forms(rng):
+    for shape in ODD_AND_DEGENERATE_SHAPES + [(1, 2), (2, 1)]:
+        k = fitting_kernel(rng, shape)
+        lam, want = gram_spectrum(k, shape), old_gram_spectrum(k, shape)
+        assert lam.shape == want.shape
+        assert np.abs(lam - want).max() <= 1e-14 * np.abs(want).max()
+        om = diff_gram_spectrum(shape)
+        assert np.abs(om - old_diff_gram_spectrum(shape)).max() <= 1e-14
+        assert om[0, 0] == 0.0
+
+
+def test_problem_ops_spectra_need_no_2d_fft(rng, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("2-D complex FFT")
+
+    problem = random_problem(rng, shape=(7, 6), mask_mode="masked")
+    monkeypatch.setattr(np.fft, "fft2", forbidden)
+    ops = ProblemOps(problem)
+    assert np.array_equal(ops.lam, gram_spectrum(problem.kernel, ops.shape))

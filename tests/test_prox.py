@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +70,24 @@ def test_fair_prox_matches_numeric_oracle(rng):
     for z in (-4.0, -0.3, 0.0, 0.9, 6.0):
         got = scalar_prox(pot, z, 1.1)
         assert np.isclose(numeric_prox(pot, z, 1.1), got, atol=1e-6)
+
+
+def test_fair_shrinkage_matches_a_50_digit_root():
+    # the root v of eta v^2 + b v - eta t |z| = 0, b = eta t + a t - eta |z|,
+    # as 2 eta t |z| / (b + sqrt(b^2 + 4 eta^2 t |z|)): no cancellation at
+    # b > 0 in 50 digits; the shrinkage is z - v
+    a, t, eta = 100.0, 1.0, 0.01
+    pot = Potential.fair(a, t)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for z in (1e-3, 0.1, 1.0):
+            dz, dt, de = Decimal(z), Decimal(t), Decimal(eta)
+            b = de * dt + Decimal(a) * dt - de * dz
+            v = 2 * de * dt * dz / (b + (b * b + 4 * de * de * dt * dz).sqrt())
+            want = dz - v
+            for sign in (1.0, -1.0):
+                got = shrinkage(pot, np.array([sign * z]), eta)[0]
+                assert abs(Decimal(sign * got) - want) <= Decimal(1e-14) * want
 
 
 def test_eval_values():
