@@ -19,9 +19,8 @@ from scipy.linalg import cho_factor, cho_solve, circulant
 from scipy.linalg.blas import zgeru
 
 from .grids import ConvolutionKernel, ImageGrid
-from .inner import (InnerSolveConfig, check_nonsingular,
-                    floored_half_spectrum, hessian_spectrum, pcg_solve,
-                    spectral_divide)
+from .inner import (InnerSolveConfig, check_nonsingular, hessian_spectrum,
+                    pcg_solve)
 from .operators import (blur, blur_transfer, blur_transpose, diff_gram_spectrum,
                         diff_mask, difference, difference_transpose,
                         half_spectrum, irfft2, rfft2,
@@ -101,21 +100,20 @@ class ProblemOps:
 
     Built once from a ProblemSpec: the real-FFT blur transfer, the full
     spectra lambda and omega, the validity mask of C, and the rank check of
-    the split.  A/At/C/Ct are the true (possibly masked) operators, gram the
-    x-update Hessian; cost is the objective of the true problem.  Raises
-    ValueError when the kernel does not fit the grid or the grid is a
-    single pixel.
+    the split.  A/At/C/Ct are the true (possibly masked) operators; cost is
+    the objective of the true problem.  Raises ValueError when the kernel
+    does not fit the grid or the grid is a single pixel.
 
-    The Hessian splits as H = M - eta W: M = rho A'A + eta C'C of the
-    periodic stencils is circulant, and W = C'C_periodic - C'C_masked (zero
-    in periodic mode) couples only the first and last row and column;
-    W = U U', U holding the h + w row and column wraps.  The x-update is
-    solved on the half spectrum hat(x), the rfft2 scaled so that it is
-    unitary: there M is a product, and U c and U'z are rank-one updates and
-    matrix-vector products, so no 2-D transform is needed inside a solve.
-    The half spectra of M, of its floored version and of that one's
-    reciprocal, and the Cholesky factor of the exact masked solve, are
-    cached for the last (rho, eta).
+    The x-update Hessian H = rho A'A + eta C'C splits as H = M - eta W:
+    M = rho A'A + eta C'C of the periodic stencils is circulant, and
+    W = C'C_periodic - C'C_masked (zero in periodic mode) couples only the
+    first and last row and column; W = U U', U holding the h + w row and
+    column wraps; so H <= M is singular exactly where M vanishes.  The
+    x-update is solved on the half spectrum hat(x), the rfft2 scaled so that
+    it is unitary: there M is a product, and U c and U'z are rank-one updates
+    and matrix-vector products, so no 2-D transform runs inside a solve.  The
+    half spectra of M and 1 / M, and the Cholesky factor of the exact masked
+    solve, are cached for the last (rho, eta).
     The object holds arrays only, no callables bound to itself, so it is
     freed as soon as it is dropped.
     """
@@ -205,30 +203,17 @@ class ProblemOps:
         return irfft2(g, self.shape)
 
     def hessian_spectra(self, rho, eta):
-        """(M, floored M, floored?, 1 / floored M) on the half spectrum,
-        where M = rho*lambda + eta*omega; computed once per (rho, eta).  The
-        reciprocal is kept because numpy multiplies a complex array by a
-        real one several times faster than it divides."""
+        """(M, 1 / M) on the half spectrum, M = rho lambda + eta omega, once
+        per (rho, eta); raises SingularHessianError where M vanishes.  1 / M
+        is kept as numpy multiplies by a real array faster than it divides."""
         if self._spectra_key != (rho, eta):
             full = hessian_spectrum(self.lam, self.om, rho, eta)
-            floor = floored_half_spectrum(full)
-            self._spectra = (half_spectrum(full),) + floor + (1.0 / floor[0],)
+            check_nonsingular(full)
+            m = half_spectrum(full)
+            self._spectra = (m, 1.0 / m)
             self._spectra_key = (rho, eta)
             self._capacitance = None
         return self._spectra
-
-    def _wrap_adjoint(self, z):
-        """U'z: row wraps z[:, 0] - z[:, -1], then column wraps z[0] - z[-1]."""
-        return np.concatenate((z[:, 0] - z[:, -1], z[0] - z[-1]))
-
-    def _add_wrap(self, c, out):
-        """out += U c, c laid out as _wrap_adjoint returns it; returns out."""
-        h = self.shape[0]
-        out[:, 0] += c[:h]
-        out[:, -1] -= c[:h]
-        out[0] += c[h:]
-        out[-1] -= c[h:]
-        return out
 
     def _wrap_adjoint_hat(self, f):
         """U' unhat(f) as the fft of its row wraps and the scaled rfft (as
@@ -249,37 +234,28 @@ class ProblemOps:
         out_t = zgeru(alpha, self._a_hat, rows, a=out.T, overwrite_a=True)
         return zgeru(alpha, cols, self._b, a=out_t, overwrite_a=True).T
 
-    def subtract_wrap(self, z, eta, out):
-        """out -= eta W z: in masked mode, the wrap-around differences that
-        C'C_periodic has and masked C'C lacks; nothing in periodic mode."""
-        if self.mask_mode != "periodic":
-            self._add_wrap(-eta * self._wrap_adjoint(z), out)
-
     def hessian_hat(self, f, rho, eta):
-        """hat(gram(unhat(f))): M f, minus eta U U' unhat(f) in masked mode
-        by two matrix-vector products and two rank-one updates."""
+        """hat(H unhat(f)): M f, minus eta U U' unhat(f) in masked mode by
+        two matrix-vector products and two rank-one updates."""
         out = f * self.hessian_spectra(rho, eta)[0]
         if self.mask_mode == "periodic":
             return out
         return self._add_wrap_hat(*self._wrap_adjoint_hat(f), out, -eta)
 
     def solve_hat(self, f, rho, eta):
-        """hat of the exact solution of gram(x, rho, eta) = unhat(f): a
-        division by M, plus in masked mode the Woodbury correction
+        """hat of the exact solution of H x = unhat(f): a division by M,
+        plus in masked mode the Woodbury correction
         M^-1 U S^-1 U' M^-1 b, i.e. (f + hat(U c)) / M.  S = I/eta -
         U' M^-1 U is positive definite when H is; as M^-1 commutes with
         shifts, S is read off M^-1 of the first row wrap (gh) and of the
         first column wrap (gv)."""
-        m, _, floored, inverse = self.hessian_spectra(rho, eta)
-        if floored:  # a singular M is floored too
-            check_nonsingular(hessian_spectrum(self.lam, self.om, rho, eta))
-            inverse = 1.0 / m
+        inverse = self.hessian_spectra(rho, eta)[1]
         if self.mask_mode == "periodic":
             return f * inverse
         h, w = self.shape
         if self._capacitance is None:
             gh, gv = (self.unhat(self._add_wrap_hat(
-                rows, cols, np.zeros(m.shape, complex)) * inverse)
+                rows, cols, np.zeros(inverse.shape, complex)) * inverse)
                 for rows, cols in ((np.ones(h), np.zeros(w // 2 + 1)),
                                    (np.zeros(h), self._scale)))
             k_hv = (gv - np.roll(gv, 1, axis=1))[:, -np.arange(w) % w]
@@ -296,17 +272,8 @@ class ProblemOps:
         return out
 
     def solve(self, b, rho, eta):
-        """Exact solution of gram(x, rho, eta) = b."""
+        """Exact solution of (rho A'A + eta C'C) x = b."""
         return self.unhat(self.solve_hat(self.hat(b), rho, eta))
-
-    def gram(self, z, rho, eta):
-        """rho A'A z + eta C'C z: M z, one real FFT pair times the cached
-        half spectrum, minus eta W z."""
-        f = rfft2(z)
-        f *= self.hessian_spectra(rho, eta)[0]
-        out = irfft2(f, self.shape)
-        self.subtract_wrap(z, eta, out)
-        return out
 
     def cost(self, x, ax=None, cx=None):
         """Objective at x, reusing A x and C x when they are given."""
@@ -336,26 +303,16 @@ def canonical_init(ops: ProblemOps, rho: float, eta: float,
 
 def _solve_x(ops, rho, eta, rhs, warm, inner: InnerSolveConfig):
     """Solve (rho A'A + eta C'C) x = unhat(rhs), exactly or by a few PCG
-    steps; returns hat(x) and the relative inner residual."""
+    steps preconditioned by 1 / M; returns hat(x) and the relative residual."""
     if inner.mode == "circulant_exact":
         return ops.solve_hat(rhs, rho, eta), 0.0
-
-    _, denom, floored, inverse = ops.hessian_spectra(rho, eta)
-    if floored:
-        # the floored preconditioner is not M^-1 and H may be singular:
-        # plain PCG on real arrays through the Hessian apply
-        result = pcg_solve(lambda z: ops.gram(z, rho, eta), ops.unhat(rhs),
-                           inner, warm_start=warm,
-                           preconditioner=lambda r: spectral_divide(r, denom))
-        x = ops.hat(result.x)
-    else:
-        result = pcg_solve(lambda f: ops.hessian_hat(f, rho, eta), rhs, inner,
-                           warm_start=ops.hat(warm),
-                           preconditioner=lambda f: f * inverse)
-        x = result.x
+    inverse = ops.hessian_spectra(rho, eta)[1]
+    result = pcg_solve(lambda f: ops.hessian_hat(f, rho, eta), rhs, inner,
+                       warm_start=ops.hat(warm),
+                       preconditioner=lambda f: f * inverse)
     rhs_norm = math.sqrt(np.vdot(rhs, rhs).real)
     rel = result.residual_norms[-1] / rhs_norm if result.residual_norms and rhs_norm else 0.0
-    return x, rel
+    return result.x, rel
 
 
 def _split_update(ops, cx, e, eta):

@@ -1,11 +1,10 @@
 """Inner solvers for the x-update least-squares system (rho A'A + eta C'C) x = b.
 
-Two routes: an exact per-frequency division when both Gram operators are
-circulant, and a fixed-iteration preconditioned conjugate gradient loop for
-the masked (only approximately circulant) case, preconditioned by the
-inverse of the circulant part M of the Hessian.  ``ProblemOps`` runs both
-on the half spectrum, where M is a product; the array helpers here divide
-a real FFT by the half spectrum of M.
+Two routes: an exact solve, and a fixed-iteration preconditioned conjugate
+gradient loop preconditioned by the inverse of the circulant part M of the
+Hessian.  ``ProblemOps`` runs both on the half spectrum, where M is a
+product, and raises SingularHessianError in both where M vanishes; the
+array helpers here divide a real FFT by the half spectrum of M.
 """
 
 from __future__ import annotations
@@ -79,20 +78,12 @@ def circulant_solve_array(lam, omega, rho, eta, rhs):
     return spectral_divide(rhs, half_spectrum(denom))
 
 
-def floored_half_spectrum(denom, floor_rel: float = PRECONDITIONER_FLOOR):
-    """Half spectrum of the circulant Hessian surrogate raised to
-    floor_rel * max at near-null frequencies, and whether the floor raised
-    any frequency (then it is no longer the surrogate's exact inverse)."""
-    floor = floor_rel * denom.max()
-    return half_spectrum(np.maximum(denom, floor)), bool(denom.min() < floor)
-
-
 def circulant_preconditioner(lam, omega, rho, eta,
                              floor_rel: float = PRECONDITIONER_FLOOR):
     """Inverse of the circulant Hessian surrogate, floored at near-null
     frequencies so masked problems cannot divide by (almost) zero."""
-    denom, _ = floored_half_spectrum(hessian_spectrum(lam, omega, rho, eta),
-                                     floor_rel)
+    denom = hessian_spectrum(lam, omega, rho, eta)
+    denom = half_spectrum(np.maximum(denom, floor_rel * denom.max()))
     return lambda r: spectral_divide(r, denom)
 
 

@@ -73,13 +73,30 @@ def potential_value_array(potential: Potential, v: np.ndarray) -> float:
     return a * t * t * float(np.sum(av / t - np.log1p(av / t)))
 
 
-def shrinkage(potential: Potential, z: np.ndarray, eta: float) -> np.ndarray:
-    """z - prox(z), the part of z the prox removes, as a new array."""
+def _positive_eta(z, eta):
+    """z as a float array, once eta is checked to be positive."""
     if not eta > 0:
         raise ValueError("eta must be positive")
+    return np.asarray(z, dtype=float)
+
+
+def _fair_prox(a, t, z, eta):
+    """Root of  a*v/(1+|v|/t) + eta*(v-z) = 0  with sign(z): |v| = (root -
+    b) / (2 eta), root = sqrt(b^2 + 4 eta^2 t |z|); where b > 0 that
+    difference cancels, and 2 eta t |z| / (b + root) does not."""
+    az = np.abs(z)
+    b = eta * t + a * t - eta * az
+    root = np.sqrt(b * b + 4.0 * eta * eta * t * az)
+    v = np.divide(root - b, 2.0 * eta, out=np.empty(z.shape))
+    np.divide(2.0 * eta * t * az, b + root, out=v, where=b > 0.0)
+    return np.sign(z) * v
+
+
+def shrinkage(potential: Potential, z: np.ndarray, eta: float) -> np.ndarray:
+    """z - prox(z), the part of z the prox removes, as a new array."""
+    z = _positive_eta(z, eta)
     a = potential.alpha
     t = potential.threshold
-    z = np.asarray(z, dtype=float)
     if potential.kind == "quadratic":
         return (a / (eta + a)) * z
     if potential.kind == "l1":
@@ -88,17 +105,13 @@ def shrinkage(potential: Potential, z: np.ndarray, eta: float) -> np.ndarray:
         # a z / (eta + a) inside |z| <= t (a + eta) / eta, +-a t / eta beyond
         s = (a / (eta + a)) * z
         return np.clip(s, -a * t / eta, a * t / eta, out=s)
-    # fair: stationarity  a*v/(1+|v|/t) + eta*(v-z) = 0, root with sign(z)
-    # |v| = (root - b) / (2 eta), root = sqrt(b^2 + 4 eta^2 t |z|); where
-    # b > 0 that difference cancels, and 2 eta t |z| / (b + root) does not
-    az = np.abs(z)
-    b = eta * t + a * t - eta * az
-    root = np.sqrt(b * b + 4.0 * eta * eta * t * az)
-    v = np.divide(root - b, 2.0 * eta, out=np.empty(z.shape))
-    np.divide(2.0 * eta * t * az, b + root, out=v, where=b > 0.0)
-    return z - np.sign(z) * v
+    return z - _fair_prox(a, t, z, eta)
 
 
 def prox_array(potential: Potential, z: np.ndarray, eta: float) -> np.ndarray:
-    """argmin_v Phi(v) + (eta/2)(z - v)^2, evaluated elementwise."""
+    """argmin_v Phi(v) + (eta/2)(z - v)^2, evaluated elementwise; for Fair
+    the root itself, as z - shrinkage would cancel where |prox| << |z|."""
+    if potential.kind == "fair":
+        return _fair_prox(potential.alpha, potential.threshold,
+                          _positive_eta(z, eta), eta)
     return np.asarray(z, dtype=float) - shrinkage(potential, z, eta)

@@ -121,23 +121,27 @@ def gamma_pivot(spectrum: DeltaSpectrum) -> float:
                             1.0 / spectrum.alpha]))
 
 
+def _nondegenerate_gamma(spectrum: DeltaSpectrum) -> float:
+    """gamma_pivot, rejecting gamma = 0 and gamma = inf."""
+    gamma = gamma_pivot(spectrum)
+    if gamma == 0.0 or np.isinf(gamma):
+        raise ValueError("degenerate delta spectrum: gamma = %g" % gamma)
+    return gamma
+
+
 def optimal_eta_sb(spectrum: DeltaSpectrum):
     """Optimal split Bregman penalty eta* = sqrt(alpha/gamma).
 
     Returns (eta_star, gamma).  gamma = 1/alpha (the typical huge-dynamic-
     range situation) yields eta* = alpha.
     """
-    gamma = gamma_pivot(spectrum)
-    if gamma == 0.0 or np.isinf(gamma):
-        raise ValueError("degenerate delta spectrum: gamma = %g" % gamma)
+    gamma = _nondegenerate_gamma(spectrum)
     return float(np.sqrt(spectrum.alpha / gamma)), gamma
 
 
 def optimal_rho_al(spectrum: DeltaSpectrum) -> float:
     """Optimal data-split penalty rho* = sqrt(alpha*gamma) for Case II."""
-    gamma = gamma_pivot(spectrum)
-    if gamma == 0.0 or np.isinf(gamma):
-        raise ValueError("degenerate delta spectrum: gamma = %g" % gamma)
+    gamma = _nondegenerate_gamma(spectrum)
     return float(np.sqrt(spectrum.alpha * gamma))
 
 

@@ -172,15 +172,19 @@ def test_pcg_stops_once_rz_underflows():
                 rhs = rng.standard_normal(shape)
                 warm = rng.standard_normal(shape)
                 m = ops.hessian_spectra(rho, eta)[0]
+
+                def hessian(z):
+                    return rho * ops.At(ops.A(z)) + eta * ops.Ct(ops.C(z))
+
                 real = pcg_solve(
-                    lambda z: ops.gram(z, rho, eta), rhs, cfg, warm_start=warm,
+                    hessian, rhs, cfg, warm_start=warm,
                     preconditioner=circulant_preconditioner(ops.lam, ops.om,
                                                             rho, eta))
                 spectral = pcg_solve(
                     lambda f: ops.hessian_hat(f, rho, eta), ops.hat(rhs), cfg,
                     warm_start=ops.hat(warm), preconditioner=lambda f: f / m)
                 for x in (real.x, ops.unhat(spectral.x)):
-                    res = ops.gram(x, rho, eta) - rhs
+                    res = hessian(x) - rhs
                     assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
 
 

@@ -172,21 +172,22 @@ def test_sparse_matrices_match_operators(rng):
 
 
 def test_gram_matches_composition(rng):
-    # the fused Hessian apply against rho A'(A z) + eta C'(C z)
+    # the Hessian apply on the half spectrum against hat(rho A'(A z) +
+    # eta C'(C z)); hat is unitary, so the norms are those of the images
     for shape in ODD_AND_DEGENERATE_SHAPES:
         for mode in ("periodic", "masked"):
             ops = make_ops(fitting_kernel(rng, shape), shape, mode)
             z = rng.standard_normal(shape)
             rho, eta = rng.uniform(0.1, 3.0, size=2)
-            want = rho * ops.At(ops.A(z)) + eta * ops.Ct(ops.C(z))
-            got = ops.gram(z, rho, eta)
+            want = ops.hat(rho * ops.At(ops.A(z)) + eta * ops.Ct(ops.C(z)))
+            got = ops.hessian_hat(ops.hat(z), rho, eta)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_problem_ops_builds_transfer_and_mask_once(rng, monkeypatch):
     # A, A', C, C', the Gram apply and the circulant solves reuse what the
     # constructor built, and none of them takes a complex FFT of real data;
-    # the Gram apply of a periodic kernel needs neither C nor C'
+    # the Gram apply on the half spectrum needs neither C nor C'
     from sbadmm import algorithms, operators
     from sbadmm.inner import circulant_preconditioner, circulant_solve_array
     shape = (6, 7)
@@ -202,13 +203,13 @@ def test_problem_ops_builds_transfer_and_mask_once(rng, monkeypatch):
     monkeypatch.setattr(np.fft, "ifft2", forbidden)
     x = rng.standard_normal(shape)
     ops.Ct(ops.C(ops.At(ops.A(x))))
-    ops.gram(x, 2.0, 0.5)
+    ops.hessian_hat(ops.hat(x), 2.0, 0.5)
     circulant_preconditioner(ops.lam, ops.om, 2.0, 0.5)(x)
     circulant_solve_array(ops.lam, ops.om, 2.0, 0.5, x)
     monkeypatch.setattr(algorithms, "difference", forbidden)
     monkeypatch.setattr(algorithms, "difference_transpose", forbidden)
-    ops.gram(x, 2.0, 0.5)
-    periodic_ops.gram(x, 2.0, 0.5)
+    ops.hessian_hat(ops.hat(x), 2.0, 0.5)
+    periodic_ops.hessian_hat(periodic_ops.hat(x), 2.0, 0.5)
 
 
 def test_random_kernel_transfer_is_bounded_away_from_zero():

@@ -75,7 +75,7 @@ def test_fair_prox_matches_numeric_oracle(rng):
 def test_fair_shrinkage_matches_a_50_digit_root():
     # the root v of eta v^2 + b v - eta t |z| = 0, b = eta t + a t - eta |z|,
     # as 2 eta t |z| / (b + sqrt(b^2 + 4 eta^2 t |z|)): no cancellation at
-    # b > 0 in 50 digits; the shrinkage is z - v
+    # b > 0 in 50 digits; the shrinkage is z - v and the prox is v itself
     a, t, eta = 100.0, 1.0, 0.01
     pot = Potential.fair(a, t)
     with localcontext() as ctx:
@@ -88,6 +88,8 @@ def test_fair_shrinkage_matches_a_50_digit_root():
             for sign in (1.0, -1.0):
                 got = shrinkage(pot, np.array([sign * z]), eta)[0]
                 assert abs(Decimal(sign * got) - want) <= Decimal(1e-14) * want
+                got = prox_array(pot, np.array([sign * z]), eta)[0]
+                assert abs(Decimal(sign * got) - v) <= Decimal(1e-14) * v
 
 
 def test_eval_values():

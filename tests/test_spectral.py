@@ -6,7 +6,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
-from sbadmm.operators import sparse_blur_matrix, sparse_diff_matrix
+from sbadmm.operators import (difference, difference_transpose,
+                              sparse_blur_matrix, sparse_diff_matrix)
 from conftest import fitting_kernel, make_ops
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -54,10 +55,12 @@ def test_hat_preserves_inner_products(shape, mode, seed):
 @example((7, 1), "masked", 0)
 @example((2, 2), "masked", 0)
 def test_spectral_wraps_match_real_wraps(shape, mode, seed):
-    # U U' z on the half spectrum against the slice loops on the image
+    # U U' z on the half spectrum against W z = C'C_periodic z - C'C_masked z
+    # of the difference operators themselves
     ops, rng = problem(shape, mode, seed)
     z = rng.standard_normal(shape)
-    want = ops._add_wrap(ops._wrap_adjoint(z), np.zeros(shape))
+    want = (difference_transpose(difference(z, "periodic"), "periodic")
+            - difference_transpose(difference(z, "masked"), "masked"))
     f = ops.hat(z)
     got = ops.unhat(ops._add_wrap_hat(*ops._wrap_adjoint_hat(f),
                                       np.zeros_like(f)))
