@@ -16,11 +16,11 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, circulant
-from scipy.linalg.blas import zgeru
+from scipy.linalg.blas import zaxpy, zdotc, zgeru
 
 from .grids import ConvolutionKernel, ImageGrid
-from .inner import (InnerSolveConfig, check_nonsingular, hessian_spectrum,
-                    pcg_solve)
+from .inner import (RZ_UNDERFLOW, InnerSolveConfig, PcgBreakdownError,
+                    check_nonsingular, hessian_spectrum)
 from .operators import (blur, blur_transfer, blur_transpose, diff_gram_spectrum,
                         diff_mask, difference, difference_transpose,
                         half_spectrum, irfft2, rfft2,
@@ -81,7 +81,8 @@ class SolverState:
     """Iterate tuple (x, u, v, d, e) as raw arrays, plus the counter.
 
     ax and cx are A x and C x as the step computed them, so the cost of the
-    iterate needs neither again.
+    iterate needs neither again; x_hat is hat(x) as a PCG step computed it,
+    the next PCG step's warm start (None when no PCG step made the state).
     """
 
     x: np.ndarray
@@ -93,6 +94,7 @@ class SolverState:
     inner_residual: float = 0.0
     ax: np.ndarray = None
     cx: np.ndarray = None
+    x_hat: np.ndarray = None
 
 
 class ProblemOps:
@@ -112,8 +114,8 @@ class ProblemOps:
     x-update is solved on the half spectrum hat(x), the rfft2 scaled so that
     it is unitary: there M is a product, and U c and U'z are rank-one updates
     and matrix-vector products, so no 2-D transform runs inside a solve.  The
-    half spectra of M and 1 / M, and the Cholesky factor of the exact masked
-    solve, are cached for the last (rho, eta).
+    half spectra of M and 1 / M, and what the masked solves derive from
+    them, are cached for the last (rho, eta).
     The object holds arrays only, no callables bound to itself, so it is
     freed as soon as it is dropped.
     """
@@ -148,7 +150,12 @@ class ProblemOps:
         self._row_weights = 0.5 * weight * np.conj(a) / (w * self._scale)
         self._col_weights = np.conj(self._b) / h
         self._mirror = -np.arange(h) % h
-        self._self_conjugate = (0, -1) if w % 2 == 0 else (0,)
+        self._self_conjugate = [0, -1] if w % 2 == 0 else [0]
+        # wrap vector of c: (fft(c_row) / sqrt(h), scaled rfft(c_col) sqrt(h))
+        self._wrap_scale = np.concatenate((np.full(h, h ** -0.5),
+                                           np.full(w // 2 + 1, h ** 0.5)))
+        self._gram_in = np.concatenate((np.conj(self._b), self._row_weights))
+        self._gram_out = np.concatenate((self._b / h, self._a_hat))
 
     def A(self, x):
         return blur(self.transfer, x)
@@ -212,7 +219,7 @@ class ProblemOps:
             m = half_spectrum(full)
             self._spectra = (m, 1.0 / m)
             self._spectra_key = (rho, eta)
-            self._capacitance = None
+            self._capacitance = self._gram_diagonal = None
         return self._spectra
 
     def _wrap_adjoint_hat(self, f):
@@ -223,8 +230,7 @@ class ProblemOps:
         rows = f @ self._row_weights
         rows += np.conj(rows[self._mirror])
         cols = self._col_weights @ f
-        for j in self._self_conjugate:
-            cols[j] = cols[j].real
+        cols.imag[self._self_conjugate] = 0.0
         return rows, cols
 
     def _add_wrap_hat(self, rows, cols, out, alpha=1.0):
@@ -271,6 +277,82 @@ class ProblemOps:
         out *= inverse
         return out
 
+    def _add_wraps(self, v, out):
+        """out + hat(U c) for the wrap vector v of c, written into out."""
+        if self.mask_mode == "periodic":
+            return out  # U = 0
+        h, u = self.shape[0], v / self._wrap_scale
+        return self._add_wrap_hat(u[:h], u[h:], out)
+
+    def _wrap_gram(self, v):
+        """G v, G = U' M^-1 U at the last (rho, eta), for the wrap vector v
+        of (R, C) = (fft(c_row), scaled rfft(c_col)): that of R d1 + b M^-1
+        (rw C) and a M^-1' (cw R) + C d2, folded as in _wrap_adjoint_hat, d1 =
+        M^-1 (rw a) and d2 = (b cw) M^-1 real; 1 / M acts through real views."""
+        h = self.shape[0]
+        inverse = self._spectra[1]
+        if self._gram_diagonal is None:
+            self._gram_diagonal = np.concatenate((
+                inverse @ (self._row_weights * self._a_hat).real,
+                (self._b * self._col_weights).real @ inverse))
+        t = (v * self._gram_in).view(float).reshape(-1, 2)
+        g = np.concatenate((inverse @ t[h:], inverse.T @ t[:h]))
+        g = g.view(complex).ravel()
+        g *= self._gram_out
+        g += v * self._gram_diagonal
+        rows = g[:h]
+        rows += rows[self._mirror].conj()
+        g[h:].imag[self._self_conjugate] = 0.0
+        return g
+
+    def pcg_hat(self, b, x0, rho, eta, steps):
+        """hat(x) after `steps` PCG steps on H x = unhat(b) from hat(x0),
+        preconditioned by 1 / M, and its residual relative to |b|.  As
+        M^-1 H = I - eta M^-1 U U', the loop keeps the coordinates of
+        p = pi z0 + M^-1 U c, r = gamma r0 + U e, x - x0 = xi z0 + M^-1 U chi
+        and q = U'p (z0 = r0 / M; H p = pi r0 + U (c - eta q)), so a step
+        applies G once, to a wrap vector (BLAS level 1 on those).  The
+        iterates are those of ``pcg_solve``, with its checks; U = 0 in
+        periodic mode, where one step is exact."""
+        inverse = self.hessian_spectra(rho, eta)[1]
+        r0 = self.hessian_hat(x0, rho, eta)
+        np.subtract(b, r0, out=r0)
+        z0 = r0 * inverse
+        rho0 = np.vdot(r0, z0).real
+        w0 = np.zeros(self._wrap_scale.shape, complex)  # U'z0, U = 0 periodic
+        if self.mask_mode != "periodic":
+            w0 = np.concatenate(self._wrap_adjoint_hat(z0)) * self._wrap_scale
+        pi, gamma, xi, rz = 1.0, 1.0, 0.0, rho0
+        c, e, chi, q = *np.zeros((3,) + w0.shape, complex), w0
+        for step in range(steps):
+            if rz < 0.0:
+                raise PcgBreakdownError("r'z = %g < 0 at step %d" % (rz, step))
+            if rz < RZ_UNDERFLOW:
+                break  # r = 0 to working precision
+            hp = zaxpy(q, c.copy(), a=-eta)
+            php = pi * (pi * rho0 + zdotc(c, w0).real) + zdotc(q, hp).real
+            if not (php > 0.0 and math.isfinite(php)):
+                raise PcgBreakdownError("p'Hp = %g at step %d" % (php, step))
+            a = rz / php
+            xi, gamma = xi + a * pi, gamma - a * pi
+            chi, e = zaxpy(c, chi, a=a), zaxpy(hp, e, a=-a)
+            if step + 1 == steps or self.mask_mode == "periodic":
+                break
+            u = zaxpy(w0, self._wrap_gram(e), a=gamma)  # U'z = G e + gamma w0
+            rz_new = gamma * (gamma * rho0 + zdotc(w0, e).real) \
+                + zdotc(u, e).real
+            beta = rz_new / rz
+            pi, c, rz = gamma + beta * pi, zaxpy(e, c * beta), rz_new
+            q = zaxpy(q, u, a=beta)
+        r = self._add_wraps(e, np.multiply(r0, gamma, out=z0))
+        x = self._add_wraps(chi, np.multiply(r0, xi, out=r0))
+        x *= inverse
+        x += x0
+        if not np.isfinite(x.view(float)).all():
+            raise PcgBreakdownError("non-finite iterate after %d steps" % steps)
+        b_norm = math.sqrt(np.vdot(b, b).real)
+        return x, math.sqrt(np.vdot(r, r).real) / b_norm if b_norm else 0.0
+
     def solve(self, b, rho, eta):
         """Exact solution of (rho A'A + eta C'C) x = b."""
         return self.unhat(self.solve_hat(self.hat(b), rho, eta))
@@ -301,18 +383,15 @@ def canonical_init(ops: ProblemOps, rho: float, eta: float,
     return SolverState(x=x, u=u, v=v, d=d, e=e, k=0, ax=u, cx=v)
 
 
-def _solve_x(ops, rho, eta, rhs, warm, inner: InnerSolveConfig):
-    """Solve (rho A'A + eta C'C) x = unhat(rhs), exactly or by a few PCG
-    steps preconditioned by 1 / M; returns hat(x) and the relative residual."""
+def _solve_x(ops, rho, eta, rhs, warm, inner: InnerSolveConfig,
+             warm_hat=None):
+    """Solve (rho A'A + eta C'C) x = unhat(rhs), exactly or by PCG from the
+    warm start (warm_hat, when the caller has it, saves its rfft2); returns
+    hat(x) and the relative residual."""
     if inner.mode == "circulant_exact":
         return ops.solve_hat(rhs, rho, eta), 0.0
-    inverse = ops.hessian_spectra(rho, eta)[1]
-    result = pcg_solve(lambda f: ops.hessian_hat(f, rho, eta), rhs, inner,
-                       warm_start=ops.hat(warm),
-                       preconditioner=lambda f: f * inverse)
-    rhs_norm = math.sqrt(np.vdot(rhs, rhs).real)
-    rel = result.residual_norms[-1] / rhs_norm if result.residual_norms and rhs_norm else 0.0
-    return result.x, rel
+    return ops.pcg_hat(rhs, ops.hat(warm) if warm_hat is None else warm_hat,
+                       rho, eta, inner.pcg_iterations)
 
 
 def _split_update(ops, cx, e, eta):
@@ -333,13 +412,14 @@ def sb_step(state: SolverState, ops: ProblemOps, eta: float,
             inner: InnerSolveConfig) -> SolverState:
     """One split Bregman sweep: least-squares x, prox v, dual e."""
     rhs = ops.aty_hat + eta * ops.hat(ops.Ct(state.v + state.e))
-    f, res = _solve_x(ops, 1.0, eta, rhs, state.x, inner)
+    f, res = _solve_x(ops, 1.0, eta, rhs, state.x, inner, state.x_hat)
     x, u = ops.unhat(f), ops.A_unhat(f)
-    del rhs, f  # free both spectra before the prox
+    x_hat = f if inner.mode == "pcg" else None
+    del rhs, f  # free the spectra the next step does not warm-start from
     cx = ops.C(x)
     v, e = _split_update(ops, cx, state.e, eta)
-    return SolverState(x=x, u=u, v=v, d=ops.y - u, e=e,
-                       k=state.k + 1, inner_residual=res, ax=u, cx=cx)
+    return SolverState(x=x, u=u, v=v, d=ops.y - u, e=e, k=state.k + 1,
+                       inner_residual=res, ax=u, cx=cx, x_hat=x_hat)
 
 
 def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
@@ -350,8 +430,9 @@ def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
     f = ops.hat(ops.Ct(state.v + state.e))
     f *= eta
     rhs += f
-    f, res = _solve_x(ops, rho, eta, rhs, state.x, inner)
+    f, res = _solve_x(ops, rho, eta, rhs, state.x, inner, state.x_hat)
     x, ax = ops.unhat(f), ops.A_unhat(f)
+    x_hat = f if inner.mode == "pcg" else None
     del rhs, f
     u = ax - state.d
     u *= rho
@@ -362,7 +443,7 @@ def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
     cx = ops.C(x)
     v, e = _split_update(ops, cx, state.e, eta)
     return SolverState(x=x, u=u, v=v, d=d, e=e, k=state.k + 1,
-                       inner_residual=res, ax=ax, cx=cx)
+                       inner_residual=res, ax=ax, cx=cx, x_hat=x_hat)
 
 
 def admm2_simplified_step(state: SolverState, ops: ProblemOps, rho: float,
@@ -370,14 +451,16 @@ def admm2_simplified_step(state: SolverState, ops: ProblemOps, rho: float,
     """Two-split ADMM with d eliminated; requires the canonical d init."""
     rhs = ops.aty_hat + (rho - 1.0) * ops.At_hat(state.u) \
         + eta * ops.hat(ops.Ct(state.v + state.e))
-    f, res = _solve_x(ops, rho, eta, rhs, state.x, inner)
+    f, res = _solve_x(ops, rho, eta, rhs, state.x, inner, state.x_hat)
     x, ax = ops.unhat(f), ops.A_unhat(f)
+    x_hat = f if inner.mode == "pcg" else None
     del rhs, f
     u = (rho * ax + state.u) / (rho + 1.0)
     cx = ops.C(x)
     v, e = _split_update(ops, cx, state.e, eta)
     return SolverState(x=x, u=u, v=v, d=(ops.y - u) / rho, e=e,
-                       k=state.k + 1, inner_residual=res, ax=ax, cx=cx)
+                       k=state.k + 1, inner_residual=res, ax=ax, cx=cx,
+                       x_hat=x_hat)
 
 
 def quadratic_closed_form_step(state: SolverState, ops: ProblemOps, rho: float,
@@ -502,7 +585,7 @@ def run(problem: ProblemSpec, config: OuterConfig,
     return trace
 
 
-def solution_state(ops: ProblemOps, x_hat: np.ndarray, rho: float,
+def solution_state(ops: ProblemOps, x: np.ndarray, rho: float,
                    eta: float) -> SolverState:
     """State assembled from a solved x with consistent splits and duals.
 
@@ -510,8 +593,8 @@ def solution_state(ops: ProblemOps, x_hat: np.ndarray, rho: float,
     """
     if ops.potential.kind != "quadratic":
         raise ValueError("solution_state is defined for the quadratic potential")
-    u = ops.A(x_hat)
-    v = ops.C(x_hat)
+    u = ops.A(x)
+    v = ops.C(x)
     d = (ops.y - u) / rho
     e = -(ops.potential.alpha / eta) * v
-    return SolverState(x=np.array(x_hat, dtype=float), u=u, v=v, d=d, e=e, k=0)
+    return SolverState(x=np.array(x, dtype=float), u=u, v=v, d=d, e=e, k=0)

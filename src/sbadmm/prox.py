@@ -2,9 +2,9 @@
 
 All potentials are convex and elementwise separable, so the proximal
 mapping argmin_v Phi(v) + (eta/2) ||z - v||^2 is evaluated per entry.
-It is z minus the shrinkage z - prox(z), a scaling and a clip for the
-quadratic, l1 and Huber potentials.  In masked mode the steps set v to zero
-on the two wrap-around slices of C, which are not optimization variables.
+The steps use the shrinkage z - prox(z), a scaling and a clip for the
+quadratic, l1 and Huber potentials, and set v to zero in masked mode on
+the two wrap-around slices of C, which are not optimization variables.
 """
 
 from __future__ import annotations
@@ -109,9 +109,15 @@ def shrinkage(potential: Potential, z: np.ndarray, eta: float) -> np.ndarray:
 
 
 def prox_array(potential: Potential, z: np.ndarray, eta: float) -> np.ndarray:
-    """argmin_v Phi(v) + (eta/2)(z - v)^2, evaluated elementwise; for Fair
-    the root itself, as z - shrinkage would cancel where |prox| << |z|."""
+    """argmin_v Phi(v) + (eta/2)(z - v)^2, evaluated elementwise.  z -
+    shrinkage would cancel where |prox| << |z|, so Fair returns the root, and
+    the quadratic eta z / (eta + a), which Huber clips to z -+ a t / eta."""
+    z, a, t = _positive_eta(z, eta), potential.alpha, potential.threshold
     if potential.kind == "fair":
-        return _fair_prox(potential.alpha, potential.threshold,
-                          _positive_eta(z, eta), eta)
-    return np.asarray(z, dtype=float) - shrinkage(potential, z, eta)
+        return _fair_prox(a, t, z, eta)
+    if potential.kind == "l1":
+        return z - shrinkage(potential, z, eta)
+    p = (eta / (eta + a)) * z
+    if potential.kind == "huber":
+        np.clip(p, z - a * t / eta, z + a * t / eta, out=p)
+    return p

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from sbadmm.algorithms import (MetricTrace, OuterConfig, ProblemOps,
                                quadratic_closed_form_step, run, sb_step,
                                solution_state)
 from sbadmm.grids import ConvolutionKernel, ImageGrid
-from sbadmm.inner import (InnerSolveConfig, SingularHessianError,
-                          circulant_preconditioner, pcg_solve)
+from sbadmm.inner import (InnerSolveConfig, PcgBreakdownError,
+                          SingularHessianError, circulant_preconditioner,
+                          pcg_solve)
 from sbadmm.operators import sparse_blur_matrix, sparse_diff_matrix
 from sbadmm.prox import Potential, prox_array
 from conftest import (ODD_AND_DEGENERATE_SHAPES, fitting_kernel, make_ops,
@@ -383,27 +385,10 @@ def test_rank_deficiency_is_reported(rng):
     assert not trace.full_rank
 
 
-def spy_pcg(monkeypatch):
-    """Record whether each PCG solve of _solve_x ran on the half spectrum,
-    and its result."""
-    calls = []
-    real = algorithms.pcg_solve
-
-    def spy(hessian, rhs, *args, **kwargs):
-        calls.append([np.iscomplexobj(rhs), None])
-        calls[-1][1] = real(hessian, rhs, *args, **kwargs)
-        return calls[-1][1]
-
-    monkeypatch.setattr(algorithms, "pcg_solve", spy)
-    return calls
-
-
-def test_split_pcg_matches_generic_pcg(rng, monkeypatch):
-    # PCG on the half spectrum, H f = M f - eta hat(U U' unhat(f)), against
-    # PCG applying the Hessian by composition on real arrays; residual
-    # histories agree to 1e-12 of |rhs|, and one may stop early only on a
-    # residual that is already that small
-    calls = spy_pcg(monkeypatch)
+def test_split_pcg_matches_generic_pcg(rng):
+    # PCG in the wrap subspace of the half spectrum against PCG applying the
+    # Hessian by composition on real arrays: x agrees to 1e-12 relative and
+    # the final residual to 1e-12 of |rhs|
     for shape in ODD_AND_DEGENERATE_SHAPES:
         for mode in ("periodic", "masked"):
             ops = make_ops(fitting_kernel(rng, shape), shape, mode)
@@ -414,19 +399,74 @@ def test_split_pcg_matches_generic_pcg(rng, monkeypatch):
             tol = 1e-12 * np.linalg.norm(rhs)
             for steps in (1, 3, 50):
                 cfg = InnerSolveConfig(mode="pcg", pcg_iterations=steps)
-                f, _ = _solve_x(ops, rho, eta, ops.hat(rhs), warm, cfg)
-                x = ops.unhat(f)
-                spectral, split = calls[-1]
-                assert spectral
+                f, rel = _solve_x(ops, rho, eta, ops.hat(rhs), warm, cfg)
                 generic = pcg_solve(
                     lambda z: rho * ops.At(ops.A(z)) + eta * ops.Ct(ops.C(z)),
                     rhs, cfg, warm_start=warm, preconditioner=pre)
-                assert (np.linalg.norm(x - generic.x)
+                assert (np.linalg.norm(ops.unhat(f) - generic.x)
                         <= 1e-12 * np.linalg.norm(generic.x))
-                a, b = split.residual_norms, generic.residual_norms
-                n = min(len(a), len(b))
-                assert np.allclose(a[:n], b[:n], rtol=0.0, atol=tol)
-                assert max(a[n:] + b[n:], default=0.0) <= tol
+                assert abs(rel * np.linalg.norm(rhs)
+                           - generic.residual_norms[-1]) <= tol
+
+
+def test_wrap_gram_matches_the_capacitance_matrix(rng, monkeypatch):
+    # the matrix-free G = U' M^-1 U of PCG against the dense G in the
+    # capacitance S = I/eta - G of the exact masked solve, on wrap vectors
+    # c = (c_row, c_col); several (rho, eta) per problem, as G's cached
+    # diagonals must follow them
+    factored = []
+    real = algorithms.cho_factor
+    monkeypatch.setattr(algorithms, "cho_factor",
+                        lambda s: factored.append(s) or real(s))
+    for shape in ODD_AND_DEGENERATE_SHAPES:
+        h, w = shape
+        ops = make_ops(fitting_kernel(rng, shape), shape, "masked")
+        for _ in range(3):
+            rho, eta = rng.uniform(0.1, 3.0, size=2)
+            ops.solve_hat(np.zeros(ops.transfer.shape, complex), rho, eta)
+            dense = np.eye(h + w) / eta - factored[-1]
+            c = rng.standard_normal(h + w)
+            v = ops._wrap_gram(ops._wrap_scale * np.concatenate(
+                (np.fft.fft(c[:h]), np.fft.rfft(c[h:]) * ops._scale)))
+            v /= ops._wrap_scale
+            got = np.concatenate((np.fft.ifft(v[:h]).real,
+                                  np.fft.irfft(v[h:] * ops._unscale, n=w)))
+            want = dense @ c
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_pcg_rejects_a_non_finite_right_hand_side(rng):
+    # a NaN or an infinity in the right-hand side makes p'Hp non-finite in
+    # the first step (inf * 0 on the way is a NaN, not yet the error)
+    pcg = InnerSolveConfig(mode="pcg", pcg_iterations=3)
+    for mode in ("periodic", "masked"):
+        ops = make_ops(fitting_kernel(rng, (6, 8)), (6, 8), mode)
+        for bad in (np.nan, np.inf, -np.inf):
+            rhs = rng.standard_normal((6, 8))
+            rhs[2, 3] = bad
+            with np.errstate(invalid="ignore"), pytest.raises(
+                    PcgBreakdownError, match="p'Hp = (nan|inf)"):
+                _solve_x(ops, 1.0, 0.5, ops.hat(rhs), np.zeros((6, 8)), pcg)
+
+
+def test_cached_warm_start_spectrum_matches_a_fresh_one(rng):
+    # a PCG step stores hat(x) for the next one; a state without it (made
+    # by canonical_init or by hand) warm-starts from hat(x) computed afresh
+    pcg = InnerSolveConfig(mode="pcg", pcg_iterations=3)
+    steps = (lambda s, ops, c: sb_step(s, ops, 0.5, c),
+             lambda s, ops, c: admm2_step(s, ops, 2.0, 0.5, c),
+             lambda s, ops, c: admm2_simplified_step(s, ops, 2.0, 0.5, c))
+    for mode in ("periodic", "masked"):
+        ops = ProblemOps(random_problem(rng, shape=(9, 12), mask_mode=mode))
+        for step in steps:
+            state = step(canonical_init(ops, 2.0, 0.5), ops, pcg)
+            assert step(state, ops, EXACT).x_hat is None
+            assert np.allclose(state.x_hat, ops.hat(state.x),
+                               rtol=0.0, atol=1e-14 * np.linalg.norm(state.x))
+            cached = step(state, ops, pcg).x
+            fresh = step(replace(state, x_hat=None), ops, pcg).x
+            assert (np.linalg.norm(cached - fresh)
+                    <= 1e-12 * np.linalg.norm(fresh))
 
 
 def test_pcg_preconditioner_is_exact_on_near_singular_kernel():
@@ -459,9 +499,10 @@ def test_pcg_preconditioner_is_exact_on_near_singular_kernel():
 
 def test_masked_pcg3_step_call_counts(rng, monkeypatch):
     # real 2-D FFTs, all through the library's own pair: rfft2 of
-    # A'(u + d), of C'(v + e) and, for PCG, of the warm start; irfft2 of x
-    # and of A x.  The solve itself, exact or PCG, periodic or masked, stays
-    # on the half spectrum.  C' of the right-hand side and C x once each
+    # A'(u + d), of C'(v + e) and, for PCG from a state that lacks the
+    # x_hat of a PCG step, of the warm start; irfft2 of x and of A x.  The
+    # solve itself, exact or PCG, periodic or masked, stays on the half
+    # spectrum.  C' of the right-hand side and C x once each
     counts = {}
 
     def count(module, name):
@@ -485,12 +526,17 @@ def test_masked_pcg3_step_call_counts(rng, monkeypatch):
 
     for name in ("rfft2", "irfft2"):
         monkeypatch.setattr(np.fft, name, forbidden)
-    for mode, solve, rffts in (("masked", InnerSolveConfig(mode="pcg"), 3),
-                               ("periodic", EXACT, 2), ("masked", EXACT, 2)):
+    pcg = InnerSolveConfig(mode="pcg")
+    for mode, solve, cached, rffts in (("masked", pcg, True, 2),
+                                       ("masked", pcg, False, 3),
+                                       ("periodic", EXACT, True, 2),
+                                       ("masked", EXACT, True, 2)):
         ops = ProblemOps(random_problem(rng, shape=(16, 16), mask_mode=mode))
         # the first step builds the masked capacitance matrix, once per
         # (rho, eta); count the second
         state = admm2_step(canonical_init(ops, 1.0, 0.5), ops, 1.0, 0.5, solve)
+        if not cached:
+            state = replace(state, x_hat=None)
         counts.clear()
         admm2_step(state, ops, 1.0, 0.5, solve)
         assert counts == {"rfft2": rffts, "irfft2": 2, "difference": 1,

@@ -92,6 +92,23 @@ def test_fair_shrinkage_matches_a_50_digit_root():
                 assert abs(Decimal(sign * got) - v) <= Decimal(1e-14) * v
 
 
+def test_quadratic_and_huber_prox_match_a_50_digit_value(rng):
+    # at a >> eta the prox eta z / (eta + a) of the quadratic, and of Huber
+    # inside its quadratic zone |z| <= t (a + eta) / eta, is much smaller
+    # than z, so z - shrinkage(z) would cancel
+    a, t, eta = 100.0, 1.0, 0.01
+    z = np.concatenate(([1e-3, 1.0], rng.uniform(1e-3, 1.0, 2000)))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        want = [Decimal(eta) * Decimal(v) / (Decimal(eta) + Decimal(a))
+                for v in z]
+        for pot in (Potential.quadratic(a), Potential.huber(a, t)):
+            for sign in (1.0, -1.0):
+                got = prox_array(pot, sign * z, eta)
+                assert max(abs(Decimal(sign * g) - v) / v
+                           for g, v in zip(got, want)) <= Decimal(1e-14)
+
+
 def test_eval_values():
     v = np.array([2.0, 0.0])  # ||v||^2 = 4
     assert potential_value_array(Potential.quadratic(2.0), v) == 4.0
