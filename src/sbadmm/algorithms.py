@@ -4,7 +4,9 @@ the quadratic-case closed-form recursion.
 All steps share the canonical initialization x0 = 0 (or y), u0 = A x0, v0 = C x0,
 d0 = (y - u0)/rho, e0 = -(alpha/eta) v0 (quadratic case; zero otherwise),
 which makes the dual variables redundant:  u + rho*d = y holds after every
-two-split step, and alpha*v + eta*e = 0 in the quadratic case.
+two-split step, and alpha*v + eta*e = 0 in the quadratic case.  u and d
+are kept as half spectra (u0 = transfer hat(x0)), where A is a product, so
+a step makes one rfft2, of its C' term, and one irfft2, of x.
 """
 
 from __future__ import annotations
@@ -80,19 +82,20 @@ class OuterConfig:
 class SolverState:
     """Iterate tuple (x, u, v, d, e) as raw arrays, plus the counter.
 
-    ax and cx are A x and C x as the step computed them, so the cost of the
+    u and d are kept as u_hat = hat(u) and d_hat = hat(d); ax_hat and cx
+    are hat(A x) and C x as the step computed them, so the cost of the
     iterate needs neither again; x_hat is hat(x) as a PCG step computed it,
     the next PCG step's warm start (None when no PCG step made the state).
     """
 
     x: np.ndarray
-    u: np.ndarray
+    u_hat: np.ndarray
     v: np.ndarray
-    d: np.ndarray
+    d_hat: np.ndarray
     e: np.ndarray
     k: int = 0
     inner_residual: float = 0.0
-    ax: np.ndarray = None
+    ax_hat: np.ndarray = None
     cx: np.ndarray = None
     x_hat: np.ndarray = None
 
@@ -130,6 +133,8 @@ class ProblemOps:
         self.potential = problem.potential
         h, w = self.shape
         self.transfer = blur_transfer(problem.kernel, self.shape)
+        # hat(A x) = transfer hat(x), hat(A' r) = adjoint_transfer hat(r)
+        self.adjoint_transfer = np.conj(self.transfer)
         self.lam = transfer_gram_spectrum(self.transfer, w)
         self.om = diff_gram_spectrum(self.shape)
         self.mask = diff_mask(self.shape, problem.mask_mode)
@@ -178,8 +183,7 @@ class ProblemOps:
 
     @cached_property
     def _scratch(self):
-        """Half spectrum that unhat and A_unhat scale into and irfft2
-        overwrites; never returned."""
+        """unhat's scratch half spectrum, never returned."""
         return np.empty(self.transfer.shape, complex)
 
     def unhat(self, f):
@@ -188,26 +192,15 @@ class ProblemOps:
                       self.shape)
 
     @cached_property
-    def _at_hat(self):
-        return np.conj(self.transfer) * self._scale
-
-    def At_hat(self, r):
-        """hat(A' r)."""
-        f = rfft2(r)
-        f *= self._at_hat
-        return f
+    def y_hat(self):
+        """hat(y).  It and aty_hat are computed on first use, so a
+        ProblemOps built only for its real-array operators skips them."""
+        return self.hat(self.y)
 
     @cached_property
     def aty_hat(self):
-        """hat(A' y).  Both spectra are computed on first use, so a
-        ProblemOps built only for its real-array operators skips them."""
-        return self.At_hat(self.y)
-
-    def A_unhat(self, f):
-        """A unhat(f); f is not written."""
-        g = np.multiply(f, self.transfer, out=self._scratch)
-        g *= self._unscale
-        return irfft2(g, self.shape)
+        """hat(A' y)."""
+        return self.adjoint_transfer * self.y_hat
 
     def hessian_spectra(self, rho, eta):
         """(M, 1 / M) on the half spectrum, M = rho lambda + eta omega, once
@@ -357,10 +350,12 @@ class ProblemOps:
         """Exact solution of (rho A'A + eta C'C) x = b."""
         return self.unhat(self.solve_hat(self.hat(b), rho, eta))
 
-    def cost(self, x, ax=None, cx=None):
-        """Objective at x, reusing A x and C x when they are given."""
-        res = self.y - (self.A(x) if ax is None else ax)
-        return 0.5 * float(np.vdot(res, res)) + potential_value_array(
+    def cost(self, x, ax_hat=None, cx=None):
+        """Objective at x, reusing hat(A x) and C x when they are given.
+        The data term is 1/2 |hat(y) - hat(A x)|^2, by Parseval."""
+        res = self.y_hat - (self.transfer * self.hat(x) if ax_hat is None
+                            else ax_hat)
+        return 0.5 * np.vdot(res, res).real + potential_value_array(
             self.potential, self.C(x) if cx is None else cx)
 
 
@@ -373,14 +368,15 @@ def canonical_init(ops: ProblemOps, rho: float, eta: float,
         x = ops.y.copy()
     else:
         raise ValueError("x0_mode must be 'zero' or 'data'")
-    u = ops.A(x)
+    u_hat = ops.transfer * ops.hat(x)
     v = ops.C(x)
-    d = (ops.y - u) / rho
+    d_hat = (ops.y_hat - u_hat) / rho
     if ops.potential.kind == "quadratic":
         e = -(ops.potential.alpha / eta) * v
     else:
         e = np.zeros_like(v)
-    return SolverState(x=x, u=u, v=v, d=d, e=e, k=0, ax=u, cx=v)
+    return SolverState(x=x, u_hat=u_hat, v=v, d_hat=d_hat, e=e, k=0,
+                       ax_hat=u_hat, cx=v)
 
 
 def _solve_x(ops, rho, eta, rhs, warm, inner: InnerSolveConfig,
@@ -413,54 +409,56 @@ def sb_step(state: SolverState, ops: ProblemOps, eta: float,
     """One split Bregman sweep: least-squares x, prox v, dual e."""
     rhs = ops.aty_hat + eta * ops.hat(ops.Ct(state.v + state.e))
     f, res = _solve_x(ops, 1.0, eta, rhs, state.x, inner, state.x_hat)
-    x, u = ops.unhat(f), ops.A_unhat(f)
+    x, u_hat = ops.unhat(f), f * ops.transfer
     x_hat = f if inner.mode == "pcg" else None
     del rhs, f  # free the spectra the next step does not warm-start from
     cx = ops.C(x)
     v, e = _split_update(ops, cx, state.e, eta)
-    return SolverState(x=x, u=u, v=v, d=ops.y - u, e=e, k=state.k + 1,
-                       inner_residual=res, ax=u, cx=cx, x_hat=x_hat)
+    return SolverState(x=x, u_hat=u_hat, v=v, d_hat=ops.y_hat - u_hat, e=e,
+                       k=state.k + 1, inner_residual=res, ax_hat=u_hat, cx=cx,
+                       x_hat=x_hat)
 
 
 def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
                inner: InnerSolveConfig) -> SolverState:
     """One two-split ADMM sweep (x, u, v, then both dual updates)."""
-    rhs = ops.At_hat(state.u + state.d)
+    rhs = state.u_hat + state.d_hat
+    rhs *= ops.adjoint_transfer
     rhs *= rho
     f = ops.hat(ops.Ct(state.v + state.e))
     f *= eta
     rhs += f
     f, res = _solve_x(ops, rho, eta, rhs, state.x, inner, state.x_hat)
-    x, ax = ops.unhat(f), ops.A_unhat(f)
+    x, ax_hat = ops.unhat(f), f * ops.transfer
     x_hat = f if inner.mode == "pcg" else None
     del rhs, f
-    u = ax - state.d
-    u *= rho
-    u += ops.y
-    u /= rho + 1.0
-    d = state.d - ax
-    d += u
+    u_hat = ax_hat - state.d_hat
+    u_hat *= rho
+    u_hat += ops.y_hat
+    u_hat /= rho + 1.0
+    d_hat = state.d_hat - ax_hat
+    d_hat += u_hat
     cx = ops.C(x)
     v, e = _split_update(ops, cx, state.e, eta)
-    return SolverState(x=x, u=u, v=v, d=d, e=e, k=state.k + 1,
-                       inner_residual=res, ax=ax, cx=cx, x_hat=x_hat)
+    return SolverState(x=x, u_hat=u_hat, v=v, d_hat=d_hat, e=e, k=state.k + 1,
+                       inner_residual=res, ax_hat=ax_hat, cx=cx, x_hat=x_hat)
 
 
 def admm2_simplified_step(state: SolverState, ops: ProblemOps, rho: float,
                           eta: float, inner: InnerSolveConfig) -> SolverState:
     """Two-split ADMM with d eliminated; requires the canonical d init."""
-    rhs = ops.aty_hat + (rho - 1.0) * ops.At_hat(state.u) \
+    rhs = ops.aty_hat + (rho - 1.0) * ops.adjoint_transfer * state.u_hat \
         + eta * ops.hat(ops.Ct(state.v + state.e))
     f, res = _solve_x(ops, rho, eta, rhs, state.x, inner, state.x_hat)
-    x, ax = ops.unhat(f), ops.A_unhat(f)
+    x, ax_hat = ops.unhat(f), f * ops.transfer
     x_hat = f if inner.mode == "pcg" else None
     del rhs, f
-    u = (rho * ax + state.u) / (rho + 1.0)
+    u_hat = (rho * ax_hat + state.u_hat) / (rho + 1.0)
     cx = ops.C(x)
     v, e = _split_update(ops, cx, state.e, eta)
-    return SolverState(x=x, u=u, v=v, d=(ops.y - u) / rho, e=e,
-                       k=state.k + 1, inner_residual=res, ax=ax, cx=cx,
-                       x_hat=x_hat)
+    return SolverState(x=x, u_hat=u_hat, v=v, d_hat=(ops.y_hat - u_hat) / rho,
+                       e=e, k=state.k + 1, inner_residual=res, ax_hat=ax_hat,
+                       cx=cx, x_hat=x_hat)
 
 
 def quadratic_closed_form_step(state: SolverState, ops: ProblemOps, rho: float,
@@ -475,16 +473,17 @@ def quadratic_closed_form_step(state: SolverState, ops: ProblemOps, rho: float,
     if ops.mask_mode != "periodic":
         raise ValueError("closed-form recursion requires periodic operators")
     alpha = ops.potential.alpha
-    rhs = ops.aty_hat + (rho - 1.0) * ops.At_hat(state.u) \
+    rhs = ops.aty_hat + (rho - 1.0) * ops.adjoint_transfer * state.u_hat \
         + (eta - alpha) * ops.hat(ops.Ct(state.v))
     f = ops.solve_hat(rhs, rho, eta)
-    x, ax = ops.unhat(f), ops.A_unhat(f)
+    x, ax_hat = ops.unhat(f), f * ops.transfer
     del rhs, f
-    u = (rho * ax + state.u) / (rho + 1.0)
+    u_hat = (rho * ax_hat + state.u_hat) / (rho + 1.0)
     cx = ops.C(x)
     v = (eta / (eta + alpha)) * cx + (alpha / (eta + alpha)) * state.v
-    return SolverState(x=x, u=u, v=v, d=(ops.y - u) / rho,
-                       e=-(alpha / eta) * v, k=state.k + 1, ax=ax, cx=cx)
+    return SolverState(x=x, u_hat=u_hat, v=v, d_hat=(ops.y_hat - u_hat) / rho,
+                       e=-(alpha / eta) * v, k=state.k + 1, ax_hat=ax_hat,
+                       cx=cx)
 
 
 @dataclass
@@ -560,7 +559,7 @@ def run(problem: ProblemSpec, config: OuterConfig,
         trace.absolute_cost_error = True
 
     def record(state):
-        c = ops.cost(state.x, state.ax, state.cx)
+        c = ops.cost(state.x, state.ax_hat, state.cx)
         if not math.isfinite(c):
             raise SolverDivergenceError("non-finite cost at iteration %d" % state.k)
         if ref is None:
@@ -593,8 +592,9 @@ def solution_state(ops: ProblemOps, x: np.ndarray, rho: float,
     """
     if ops.potential.kind != "quadratic":
         raise ValueError("solution_state is defined for the quadratic potential")
-    u = ops.A(x)
+    u_hat = ops.transfer * ops.hat(x)
     v = ops.C(x)
-    d = (ops.y - u) / rho
+    d_hat = (ops.y_hat - u_hat) / rho
     e = -(ops.potential.alpha / eta) * v
-    return SolverState(x=np.array(x, dtype=float), u=u, v=v, d=d, e=e, k=0)
+    return SolverState(x=np.array(x, dtype=float), u_hat=u_hat, v=v,
+                       d_hat=d_hat, e=e, k=0)

@@ -70,8 +70,11 @@ def test_criterion_2_elimination_identities():
         st = canonical_init(ops, rho, eta)
         for _ in range(100):
             st = admm2_step(st, ops, rho, eta, EXACT)
+            u, d = ops.unhat(st.u_hat), ops.unhat(st.d_hat)
             worst_ud = max(worst_ud,
-                           float(np.linalg.norm(st.u + rho * st.d - ops.y)) / yn)
+                           float(np.linalg.norm(u + rho * d - ops.y)) / yn,
+                           float(np.linalg.norm(st.u_hat + rho * st.d_hat
+                                                - ops.y_hat)) / yn)
             scale = max(float(np.linalg.norm(a * st.v)), 1.0)
             worst_ve = max(worst_ve,
                            float(np.linalg.norm(a * st.v + eta * st.e)) / scale)
@@ -124,7 +127,7 @@ def closed_form_errors(ops, rho, eta, iterations, split=False):
     for _ in range(iterations):
         st = quadratic_closed_form_step(st, ops, rho, eta)
         if split:
-            err = np.sqrt(np.sum((st.u - hat.u) ** 2)
+            err = np.sqrt(np.sum(ops.unhat(st.u_hat - hat.u_hat) ** 2)
                           + np.sum((st.v - hat.v) ** 2))
         else:
             err = np.linalg.norm(st.x - hat.x)

@@ -17,7 +17,7 @@ from sbadmm.inner import (InnerSolveConfig, PcgBreakdownError,
                           SingularHessianError, circulant_preconditioner,
                           pcg_solve)
 from sbadmm.operators import sparse_blur_matrix, sparse_diff_matrix
-from sbadmm.prox import Potential, prox_array
+from sbadmm.prox import Potential, potential_value_array, prox_array
 from conftest import (ODD_AND_DEGENERATE_SHAPES, fitting_kernel, make_ops,
                       random_problem)
 
@@ -60,11 +60,14 @@ def test_canonical_init_identities(rng):
     rho, eta = 2.5, 0.7
     st = canonical_init(ops, rho, eta)
     assert np.all(st.x == 0.0)
-    assert np.allclose(st.u + rho * st.d, ops.y, atol=1e-14)
+    assert np.allclose(ops.unhat(st.u_hat) + rho * ops.unhat(st.d_hat), ops.y,
+                       atol=1e-14)
     assert np.all(st.e == 0.0)  # v0 = 0 so e0 = 0
     st = canonical_init(ops, rho, eta, x0_mode="data")
     assert np.array_equal(st.x, ops.y)
-    assert np.allclose(st.u + rho * st.d, ops.y, atol=1e-12)
+    assert np.allclose(ops.unhat(st.u_hat) + rho * ops.unhat(st.d_hat), ops.y,
+                       atol=1e-12)
+    assert np.allclose(ops.unhat(st.u_hat), ops.A(ops.y), atol=1e-12)
     a = problem.potential.alpha
     assert np.allclose(a * st.v + eta * st.e, 0.0, atol=1e-12)
 
@@ -107,7 +110,8 @@ def test_three_admm_variants_agree(rng):
         for other in states[1:]:
             assert np.max(np.abs(states[0].x - other.x)) <= 1e-12
             assert np.max(np.abs(states[0].v - other.v)) <= 1e-12
-            assert np.max(np.abs(states[0].u - other.u)) <= 1e-12
+            assert np.max(np.abs(ops.unhat(states[0].u_hat)
+                                 - ops.unhat(other.u_hat))) <= 1e-12
 
 
 def test_elimination_identities_along_run(rng):
@@ -119,7 +123,11 @@ def test_elimination_identities_along_run(rng):
     yn = np.linalg.norm(ops.y)
     for _ in range(25):
         st = admm2_step(st, ops, rho, eta, EXACT)
-        assert np.linalg.norm(st.u + rho * st.d - ops.y) <= 1e-10 * yn
+        u, d = ops.unhat(st.u_hat), ops.unhat(st.d_hat)
+        assert np.linalg.norm(u + rho * d - ops.y) <= 1e-10 * yn
+        # the same invariant on the half spectrum, where the steps keep it
+        assert (np.linalg.norm(st.u_hat + rho * st.d_hat - ops.y_hat)
+                <= 1e-10 * yn)
         scale = max(np.linalg.norm(a * st.v), 1.0)
         assert np.linalg.norm(a * st.v + eta * st.e) <= 1e-10 * scale
 
@@ -181,17 +189,17 @@ def test_one_admm2_step_matches_dense_transcription(rng):
     C = sparse_diff_matrix((4, 4), problem.mask_mode).toarray()
     y = ops.y.ravel()
     H = rho * (A.T @ A) + eta * (C.T @ C)
-    rhs = rho * A.T @ (st.u.ravel() + st.d.ravel()) \
-        + eta * C.T @ (st.v.ravel() + st.e.ravel())
+    u0, d0 = ops.unhat(st.u_hat).ravel(), ops.unhat(st.d_hat).ravel()
+    rhs = rho * A.T @ (u0 + d0) + eta * C.T @ (st.v.ravel() + st.e.ravel())
     x = np.linalg.solve(H, rhs)
-    u = (rho * (A @ x - st.d.ravel()) + y) / (rho + 1.0)
+    u = (rho * (A @ x - d0) + y) / (rho + 1.0)
     v = prox_array(problem.potential, (C @ x) - st.e.ravel(), eta)
-    d = st.d.ravel() - A @ x + u
+    d = d0 - A @ x + u
     e = st.e.ravel() - C @ x + v
     assert np.allclose(nxt.x.ravel(), x, atol=1e-12)
-    assert np.allclose(nxt.u.ravel(), u, atol=1e-12)
+    assert np.allclose(ops.unhat(nxt.u_hat).ravel(), u, atol=1e-12)
     assert np.allclose(nxt.v.ravel(), v, atol=1e-12)
-    assert np.allclose(nxt.d.ravel(), d, atol=1e-12)
+    assert np.allclose(ops.unhat(nxt.d_hat).ravel(), d, atol=1e-12)
     assert np.allclose(nxt.e.ravel(), e, atol=1e-12)
 
 
@@ -210,7 +218,8 @@ def test_solution_state_is_fixed_point(rng):
         scale = max(np.linalg.norm(x_hat), 1.0)
         assert np.linalg.norm(stepped.x - st.x) <= 1e-10 * scale
         assert np.linalg.norm(stepped.v - st.v) <= 1e-10 * scale
-        assert np.linalg.norm(stepped.u - st.u) <= 1e-10 * scale
+        assert (np.linalg.norm(ops.unhat(stepped.u_hat) - ops.unhat(st.u_hat))
+                <= 1e-10 * scale)
 
 
 def test_solution_state_rejects_nonquadratic(rng):
@@ -371,6 +380,28 @@ def test_trace_cost_is_cost_of_each_iterate(rng, algorithm, mask_mode):
         assert abs(trace.cost[k] - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "l1", "huber", "fair"])
+def test_parseval_cost_matches_the_real_space_cost(rng, kind):
+    # the data term 1/2 |hat(y) - hat(A x)|^2 weighs column 0 (and w/2 for
+    # even w) once and every other column twice; against 1/2 |y - A x|^2 +
+    # Phi(C x) with A and C as sparse matrices
+    pot = Potential(kind, 0.3, 0.7 if kind in ("huber", "fair") else None)
+    for shape in ODD_AND_DEGENERATE_SHAPES + [(1, 2), (2, 1), (64, 64)]:
+        for mode in ("periodic", "masked"):
+            kernel = fitting_kernel(rng, shape)
+            ops = ProblemOps(ProblemSpec(y=ImageGrid(rng.standard_normal(shape)),
+                                         kernel=kernel, mask_mode=mode,
+                                         potential=pot))
+            x = rng.standard_normal(shape)
+            res = ops.y.ravel() - sparse_blur_matrix(kernel, shape) @ x.ravel()
+            cx = (sparse_diff_matrix(shape, mode) @ x.ravel()).reshape(
+                (2,) + shape)
+            want = 0.5 * res @ res + potential_value_array(pot, cx)
+            for got in (ops.cost(x),
+                        ops.cost(x, ops.transfer * ops.hat(x), ops.C(x))):
+                assert abs(got - want) <= 1e-13 * abs(want), (shape, mode)
+
+
 def test_rank_deficiency_is_reported(rng):
     # a pure difference kernel annihilates constants, as does C
     from sbadmm.grids import ConvolutionKernel
@@ -498,11 +529,11 @@ def test_pcg_preconditioner_is_exact_on_near_singular_kernel():
 
 
 def test_masked_pcg3_step_call_counts(rng, monkeypatch):
-    # real 2-D FFTs, all through the library's own pair: rfft2 of
-    # A'(u + d), of C'(v + e) and, for PCG from a state that lacks the
-    # x_hat of a PCG step, of the warm start; irfft2 of x and of A x.  The
-    # solve itself, exact or PCG, periodic or masked, stays on the half
-    # spectrum.  C' of the right-hand side and C x once each
+    # real 2-D FFTs, all through the library's own pair: rfft2 of C'(v + e)
+    # and, for PCG from a state that lacks the x_hat of a PCG step, of the
+    # warm start; irfft2 of x.  u, d and A x stay on the half spectrum, as
+    # does the solve itself, exact or PCG, periodic or masked, in every
+    # step variant.  C' of the right-hand side and C x once each
     counts = {}
 
     def count(module, name):
@@ -527,20 +558,30 @@ def test_masked_pcg3_step_call_counts(rng, monkeypatch):
     for name in ("rfft2", "irfft2"):
         monkeypatch.setattr(np.fft, name, forbidden)
     pcg = InnerSolveConfig(mode="pcg")
-    for mode, solve, cached, rffts in (("masked", pcg, True, 2),
-                                       ("masked", pcg, False, 3),
-                                       ("periodic", EXACT, True, 2),
-                                       ("masked", EXACT, True, 2)):
+    steps = {"sb": lambda s, ops, c: sb_step(s, ops, 0.5, c),
+             "admm2": lambda s, ops, c: admm2_step(s, ops, 1.0, 0.5, c),
+             "admm2_simplified": lambda s, ops, c: admm2_simplified_step(
+                 s, ops, 1.0, 0.5, c),
+             "quadratic_closed_form": lambda s, ops, c:
+                 quadratic_closed_form_step(s, ops, 1.0, 0.5)}
+    cases = [(name, mode, solve, cached, rffts)
+             for name in ("sb", "admm2", "admm2_simplified")
+             for mode, solve, cached, rffts in (("masked", pcg, True, 1),
+                                                ("masked", pcg, False, 2),
+                                                ("periodic", EXACT, True, 1),
+                                                ("masked", EXACT, True, 1))]
+    cases.append(("quadratic_closed_form", "periodic", EXACT, True, 1))
+    for name, mode, solve, cached, rffts in cases:
         ops = ProblemOps(random_problem(rng, shape=(16, 16), mask_mode=mode))
         # the first step builds the masked capacitance matrix, once per
-        # (rho, eta); count the second
-        state = admm2_step(canonical_init(ops, 1.0, 0.5), ops, 1.0, 0.5, solve)
+        # (rho, eta), and the cached spectra of y; count the second
+        state = steps[name](canonical_init(ops, 1.0, 0.5), ops, solve)
         if not cached:
             state = replace(state, x_hat=None)
         counts.clear()
-        admm2_step(state, ops, 1.0, 0.5, solve)
-        assert counts == {"rfft2": rffts, "irfft2": 2, "difference": 1,
-                          "difference_transpose": 1}
+        steps[name](state, ops, solve)
+        assert counts == {"rfft2": rffts, "irfft2": 1, "difference": 1,
+                          "difference_transpose": 1}, (name, mode, cached)
 
 
 def test_problem_ops_is_freed_without_cycle_collection(rng):

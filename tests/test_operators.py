@@ -257,13 +257,24 @@ def test_unhat_leaves_its_argument_and_scratch_private(rng):
         f = ops.hat(rng.standard_normal(ops.shape))
         before = f.copy()
         x = ops.unhat(f)
-        ax = ops.A_unhat(f)
+        again = ops.unhat(f)
         assert np.array_equal(f, before)
         assert np.allclose(ops.hat(x), f, atol=1e-13)
-        assert np.allclose(ax, ops.A(x), atol=1e-13)
-        assert not np.shares_memory(x, ax)
-        for out in (x, ax):
+        assert not np.shares_memory(x, again)
+        for out in (x, again):
             assert not np.shares_memory(out, ops._scratch)
+
+
+def test_transfer_and_its_conjugate_act_as_a_and_its_adjoint_on_hat(rng):
+    # hat scales whole columns, so it keeps A diagonal: hat(A x) =
+    # transfer hat(x) and hat(A' r) = conj(transfer) hat(r)
+    for shape in ODD_AND_DEGENERATE_SHAPES:
+        ops = make_ops(fitting_kernel(rng, shape), shape)
+        x = rng.standard_normal(shape)
+        for got, want in ((ops.transfer * ops.hat(x), ops.hat(ops.A(x))),
+                          (ops.adjoint_transfer * ops.hat(x),
+                           ops.hat(ops.At(x)))):
+            assert np.abs(got - want).max() <= 1e-13, shape
 
 
 def old_gram_spectrum(kernel, shape):

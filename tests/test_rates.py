@@ -232,10 +232,10 @@ def test_dense_oracle_matches_closed_form_iterate(rng):
     nxt = quadratic_closed_form_step(st, ops, rho, eta)
 
     oracle = dense_transition_oracle(kernel, shape, rho, eta, alpha, y=y)
-    stacked = np.concatenate([st.u.ravel(), st.v.ravel()])
+    stacked = np.concatenate([ops.unhat(st.u_hat).ravel(), st.v.ravel()])
     out = oracle.G @ stacked + oracle.offset
     n = y.size
-    assert np.max(np.abs(out[:n] - nxt.u.ravel())) <= 1e-12
+    assert np.max(np.abs(out[:n] - ops.unhat(nxt.u_hat).ravel())) <= 1e-12
     assert np.max(np.abs(out[n:] - nxt.v.ravel())) <= 1e-12
 
 
