@@ -22,7 +22,7 @@ from scipy.linalg.blas import zaxpy, zdotc, zgeru
 
 from .grids import ConvolutionKernel, ImageGrid
 from .inner import (RZ_UNDERFLOW, InnerSolveConfig, PcgBreakdownError,
-                    check_nonsingular, hessian_spectrum)
+                    hessian_spectrum)
 from .operators import (blur, blur_transfer, blur_transpose, diff_gram_spectrum,
                         diff_mask, difference, difference_transpose,
                         half_spectrum, irfft2, rfft2,
@@ -207,9 +207,7 @@ class ProblemOps:
         per (rho, eta); raises SingularHessianError where M vanishes.  1 / M
         is kept as numpy multiplies by a real array faster than it divides."""
         if self._spectra_key != (rho, eta):
-            full = hessian_spectrum(self.lam, self.om, rho, eta)
-            check_nonsingular(full)
-            m = half_spectrum(full)
+            m = half_spectrum(hessian_spectrum(self.lam, self.om, rho, eta))
             self._spectra = (m, 1.0 / m)
             self._spectra_key = (rho, eta)
             self._capacitance = self._gram_diagonal = None
@@ -359,24 +357,28 @@ class ProblemOps:
             self.potential, self.C(x) if cx is None else cx)
 
 
-def canonical_init(ops: ProblemOps, rho: float, eta: float,
-                   x0_mode: str = "zero") -> SolverState:
-    """Initial state making the dual variables redundant from step one."""
-    if x0_mode == "zero":
-        x = np.zeros(ops.shape)
-    elif x0_mode == "data":
-        x = ops.y.copy()
-    else:
-        raise ValueError("x0_mode must be 'zero' or 'data'")
+def _consistent_state(ops: ProblemOps, x, rho: float,
+                      eta: float) -> SolverState:
+    """The state at x whose splits and duals agree with it: u = A x,
+    v = C x, u + rho*d = y, and alpha*v + eta*e = 0 for the quadratic
+    potential (e = 0 otherwise)."""
     u_hat = ops.transfer * ops.hat(x)
     v = ops.C(x)
-    d_hat = (ops.y_hat - u_hat) / rho
     if ops.potential.kind == "quadratic":
         e = -(ops.potential.alpha / eta) * v
     else:
         e = np.zeros_like(v)
-    return SolverState(x=x, u_hat=u_hat, v=v, d_hat=d_hat, e=e, k=0,
-                       ax_hat=u_hat, cx=v)
+    return SolverState(x=x, u_hat=u_hat, v=v, d_hat=(ops.y_hat - u_hat) / rho,
+                       e=e, k=0, ax_hat=u_hat, cx=v)
+
+
+def canonical_init(ops: ProblemOps, rho: float, eta: float,
+                   x0_mode: str = "zero") -> SolverState:
+    """Initial state making the dual variables redundant from step one."""
+    if x0_mode not in ("zero", "data"):
+        raise ValueError("x0_mode must be 'zero' or 'data'")
+    x = np.zeros(ops.shape) if x0_mode == "zero" else ops.y.copy()
+    return _consistent_state(ops, x, rho, eta)
 
 
 def _solve_x(ops, rho, eta, rhs, warm, inner: InnerSolveConfig,
@@ -592,9 +594,4 @@ def solution_state(ops: ProblemOps, x: np.ndarray, rho: float,
     """
     if ops.potential.kind != "quadratic":
         raise ValueError("solution_state is defined for the quadratic potential")
-    u_hat = ops.transfer * ops.hat(x)
-    v = ops.C(x)
-    d_hat = (ops.y_hat - u_hat) / rho
-    e = -(ops.potential.alpha / eta) * v
-    return SolverState(x=np.array(x, dtype=float), u_hat=u_hat, v=v,
-                       d_hat=d_hat, e=e, k=0)
+    return _consistent_state(ops, np.array(x, dtype=float), rho, eta)

@@ -9,6 +9,7 @@ go to --output-dir only; standard output carries the human-readable summary.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import sys
 
@@ -16,8 +17,8 @@ import click
 import numpy as np
 
 from .algorithms import ALGORITHMS, OuterConfig, SolverDivergenceError, run
-from .experiments import (ExperimentConfig, benchmark_protocol, make_problem,
-                          reference_solution)
+from .experiments import (ExperimentConfig, benchmark_protocol,
+                          gaussian_kernel, make_problem, reference_solution)
 from .grids import ConvolutionKernel, write_pgm
 from .inner import PcgBreakdownError, SingularHessianError
 from .operators import diff_gram_spectrum, gram_spectrum, write_spectra_csv
@@ -121,23 +122,35 @@ def _fail(code, message):
     sys.exit(code)
 
 
-def _catching(fn):
-    try:
-        fn()
-    except (ConfigError, ValueError) as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except (SolverDivergenceError, SingularHessianError,
-            PcgBreakdownError, RuntimeError) as exc:
-        _fail(EXIT_SOLVER, str(exc))
+def _exit_codes(command):
+    """Exit 2 on a configuration error and 3 on a solver abort."""
+    @functools.wraps(command)
+    def wrapped(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except (ConfigError, ValueError) as exc:
+            _fail(EXIT_CONFIG, str(exc))
+        except (SolverDivergenceError, SingularHessianError,
+                PcgBreakdownError, RuntimeError) as exc:
+            _fail(EXIT_SOLVER, str(exc))
+
+    return wrapped
 
 
-def _delta_spectrum_from(config):
-    from .experiments import gaussian_kernel
+def _config_and_spectra(config_path, alpha, output_dir, rate_analysis=True):
+    """The command's config, and the delta, blur Gram and difference Gram
+    spectra of its grid.  The rate analysis holds for the quadratic
+    potential only."""
+    config = build_experiment_config(config_path, alpha=alpha,
+                                     output_dir=output_dir)
+    if rate_analysis and config.potential_kind != "quadratic":
+        raise ConfigError("rate analysis applies to the quadratic "
+                          "potential only (got %r)" % config.potential_kind)
     kernel = gaussian_kernel(config.psf_size, config.psf_sigma)
     shape = (config.height, config.width)
     lam = gram_spectrum(kernel, shape)
     om = diff_gram_spectrum(shape)
-    return delta_spectrum(lam, om, config.alpha), lam, om
+    return config, delta_spectrum(lam, om, config.alpha), lam, om
 
 
 @click.group()
@@ -165,35 +178,32 @@ def _common_options(fn):
 @click.option("--algorithm", type=click.Choice(ALGORITHMS), default="admm2")
 @click.option("--x0", "x0_mode", type=click.Choice(["zero", "data"]),
               default="zero", help="initial image: zeros or the data y")
+@_exit_codes
 def restore(config_path, alpha, output_dir, rho, eta, iters, inner_mode,
             pcg_iters, seed, algorithm, x0_mode):
     """Run one restoration and write its trace CSV and final image."""
-
-    def body():
-        config = build_experiment_config(
-            config_path, alpha=alpha, output_dir=output_dir,
-            max_iters=iters, inner=inner_mode, pcg_iters=pcg_iters,
-            noise_seed=seed)
-        problem, _ = make_problem(config)
-        outer = OuterConfig(rho=rho, eta=config.alpha if eta is None else eta,
-                            max_iterations=config.max_iterations,
-                            inner=config.inner, algorithm=algorithm,
-                            x0_mode=x0_mode)
-        reference = reference_solution(problem)
-        trace = run(problem, outer, reference=reference)
-        outdir = config.output_dir
-        os.makedirs(outdir, exist_ok=True)
-        trace.to_csv(os.path.join(outdir, "trace.csv"))
-        write_pgm(trace.final_image, os.path.join(outdir, "final.pgm"))
-        if not trace.full_rank:
-            click.echo("warning: split operator is rank deficient; "
-                       "convergence not guaranteed")
-        click.echo("iterations: %d" % trace.iterations[-1])
-        click.echo("final cost: %.9g" % trace.cost[-1])
-        click.echo("final rel_cost_err: %.3g" % trace.rel_cost_err[-1])
-        click.echo("final rmsd: %.6g" % trace.rmsd[-1])
-
-    _catching(body)
+    config = build_experiment_config(
+        config_path, alpha=alpha, output_dir=output_dir,
+        max_iters=iters, inner=inner_mode, pcg_iters=pcg_iters,
+        noise_seed=seed)
+    problem, _ = make_problem(config)
+    outer = OuterConfig(rho=rho, eta=config.alpha if eta is None else eta,
+                        max_iterations=config.max_iterations,
+                        inner=config.inner, algorithm=algorithm,
+                        x0_mode=x0_mode)
+    reference = reference_solution(problem)
+    trace = run(problem, outer, reference=reference)
+    outdir = config.output_dir
+    os.makedirs(outdir, exist_ok=True)
+    trace.to_csv(os.path.join(outdir, "trace.csv"))
+    write_pgm(trace.final_image, os.path.join(outdir, "final.pgm"))
+    if not trace.full_rank:
+        click.echo("warning: split operator is rank deficient; "
+                   "convergence not guaranteed")
+    click.echo("iterations: %d" % trace.iterations[-1])
+    click.echo("final cost: %.9g" % trace.cost[-1])
+    click.echo("final rel_cost_err: %.3g" % trace.rel_cost_err[-1])
+    click.echo("final rmsd: %.6g" % trace.rmsd[-1])
 
 
 @main.command("predict")
@@ -201,98 +211,77 @@ def restore(config_path, alpha, output_dir, rho, eta, iters, inner_mode,
 @click.option("--case", type=click.Choice(["I", "II", "III"]), required=True)
 @click.option("--rho", type=float, default=None)
 @click.option("--eta", type=float, default=None)
+@_exit_codes
 def predict_cmd(config_path, alpha, output_dir, case, rho, eta):
     """Predicted per-frequency rates and spectral radius for one case."""
-
-    def body():
-        config = build_experiment_config(config_path, alpha=alpha,
-                                         output_dir=output_dir)
-        if config.potential_kind != "quadratic":
-            raise ConfigError("rate analysis applies to the quadratic "
-                              "potential only (got %r)" % config.potential_kind)
-        spectrum, _, _ = _delta_spectrum_from(config)
-        report = predict(case, spectrum, rho=rho, eta=eta)
-        click.echo("case %s: rho=%g eta=%g alpha=%g" %
-                   (case, report.rho, report.eta, report.alpha))
-        click.echo("gamma: %.9g" % report.gamma)
-        click.echo("eta_star: %.9g" % report.optimal_eta)
-        click.echo("rho_star: %.9g" % report.optimal_rho)
-        click.echo("predicted spectral radius: %.9g" % report.spectral_radius)
-        outdir = config.output_dir
-        os.makedirs(outdir, exist_ok=True)
-        rate_report_to_csv(report, spectrum, os.path.join(outdir, "rates.csv"))
-
-    _catching(body)
+    config, spectrum, _, _ = _config_and_spectra(config_path, alpha,
+                                                 output_dir)
+    report = predict(case, spectrum, rho=rho, eta=eta)
+    click.echo("case %s: rho=%g eta=%g alpha=%g" %
+               (case, report.rho, report.eta, report.alpha))
+    click.echo("gamma: %.9g" % report.gamma)
+    click.echo("eta_star: %.9g" % report.optimal_eta)
+    click.echo("rho_star: %.9g" % report.optimal_rho)
+    click.echo("predicted spectral radius: %.9g" % report.spectral_radius)
+    outdir = config.output_dir
+    os.makedirs(outdir, exist_ok=True)
+    rate_report_to_csv(report, spectrum, os.path.join(outdir, "rates.csv"))
 
 
 @main.command()
 @_common_options
 @click.option("--eta", type=float, default=None,
               help="also compare this eta against the matched split")
+@_exit_codes
 def recommend(config_path, alpha, output_dir, eta):
     """Print the optimal penalty parameters eta* and rho*."""
-
-    def body():
-        config = build_experiment_config(config_path, alpha=alpha,
-                                         output_dir=output_dir)
-        if config.potential_kind != "quadratic":
-            raise ConfigError("rate analysis applies to the quadratic "
-                              "potential only (got %r)" % config.potential_kind)
-        spectrum, _, _ = _delta_spectrum_from(config)
-        eta_star, gamma = optimal_eta_sb(spectrum)
-        rho_star = optimal_rho_al(spectrum)
-        click.echo("gamma: %.17g" % gamma)
-        click.echo("eta_star: %.17g" % eta_star)
-        click.echo("rho_star: %.17g" % rho_star)
-        if eta is not None:
-            cmp = compare_sb_vs_admm(eta, config.alpha, spectrum)
-            click.echo("at eta=%g: faster=%s rho_recommended=%.9g "
-                       "radius_sb=%.9g radius_admm=%.9g"
-                       % (eta, cmp.faster, cmp.rho_recommended,
-                          cmp.radius_sb, cmp.radius_admm))
-
-    _catching(body)
+    config, spectrum, _, _ = _config_and_spectra(config_path, alpha,
+                                                 output_dir)
+    eta_star, gamma = optimal_eta_sb(spectrum)
+    rho_star = optimal_rho_al(spectrum)
+    click.echo("gamma: %.17g" % gamma)
+    click.echo("eta_star: %.17g" % eta_star)
+    click.echo("rho_star: %.17g" % rho_star)
+    if eta is not None:
+        cmp = compare_sb_vs_admm(eta, config.alpha, spectrum)
+        click.echo("at eta=%g: faster=%s rho_recommended=%.9g "
+                   "radius_sb=%.9g radius_admm=%.9g"
+                   % (eta, cmp.faster, cmp.rho_recommended,
+                      cmp.radius_sb, cmp.radius_admm))
 
 
 @main.command()
 @_common_options
 @click.option("--iters", type=int, default=None)
+@_exit_codes
 def benchmark(config_path, alpha, output_dir, iters):
     """Run the benchmark parameter grid and write one trace CSV per setting."""
-
-    def body():
-        config = build_experiment_config(config_path, alpha=alpha,
-                                         output_dir=output_dir,
-                                         max_iters=iters)
-        traces, _ = benchmark_protocol(config)
-        for (rho, eta), trace in sorted(traces.items()):
-            if trace is None:
-                click.echo("rho=%g eta=%g: FAILED" % (rho, eta))
-            else:
-                hit = trace.iterations_to(1e-6)
-                click.echo("rho=%g eta=%g: final rel_cost_err %.3g, "
-                           "iters to 1e-6: %s"
-                           % (rho, eta, trace.rel_cost_err[-1],
-                              "n/a" if hit is None else hit))
-
-    _catching(body)
+    config = build_experiment_config(config_path, alpha=alpha,
+                                     output_dir=output_dir,
+                                     max_iters=iters)
+    traces, _ = benchmark_protocol(config)
+    for (rho, eta), trace in sorted(traces.items()):
+        if trace is None:
+            click.echo("rho=%g eta=%g: FAILED" % (rho, eta))
+        else:
+            hit = trace.iterations_to(1e-6)
+            click.echo("rho=%g eta=%g: final rel_cost_err %.3g, "
+                       "iters to 1e-6: %s"
+                       % (rho, eta, trace.rel_cost_err[-1],
+                          "n/a" if hit is None else hit))
 
 
 @main.command()
 @_common_options
+@_exit_codes
 def spectra(config_path, alpha, output_dir):
     """Write the blur and difference Gram spectra as CSV."""
-
-    def body():
-        config = build_experiment_config(config_path, alpha=alpha,
-                                         output_dir=output_dir)
-        _, lam, om = _delta_spectrum_from(config)
-        outdir = config.output_dir
-        os.makedirs(outdir, exist_ok=True)
-        write_spectra_csv(lam, om, os.path.join(outdir, "spectra.csv"))
-        click.echo("wrote %s" % os.path.join(outdir, "spectra.csv"))
-
-    _catching(body)
+    config, _, lam, om = _config_and_spectra(config_path, alpha, output_dir,
+                                             rate_analysis=False)
+    outdir = config.output_dir
+    os.makedirs(outdir, exist_ok=True)
+    write_spectra_csv(lam, om, os.path.join(outdir, "spectra.csv"))
+    click.echo("wrote %s" % os.path.join(outdir, "spectra.csv"))
 
 
 @main.command()
@@ -301,31 +290,28 @@ def spectra(config_path, alpha, output_dir):
 @click.option("--rho", type=float, default=None)
 @click.option("--eta", type=float, default=None)
 @click.option("--alpha", type=float, default=2.0 ** -4)
+@_exit_codes
 def oracle(grid_text, case, rho, eta, alpha):
     """Dense-vs-analytic spectral radius comparison on a tiny grid."""
-
-    def body():
-        try:
-            h, w = (int(p) for p in grid_text.lower().split("x"))
-        except ValueError:
-            raise ConfigError("--grid must look like 4x4")
-        if case == "II":
-            rho_, eta_ = case_parameters(case, alpha, 2.0 if rho is None else rho,
-                                         eta)
-        else:
-            rho_, eta_ = case_parameters(case, alpha, rho,
-                                         2.0 * alpha if eta is None else eta)
-        kernel = _oracle_kernel(h, w)
-        result = dense_transition_oracle(kernel, (h, w), rho_, eta_, alpha)
-        radii = result.cases[case]
-        click.echo("case %s on %dx%d: rho=%g eta=%g alpha=%g"
-                   % (case, h, w, rho_, eta_, alpha))
-        click.echo("dense radius:    %.12g" % radii.radius_dense)
-        click.echo("analytic radius: %.12g" % radii.radius_analytic)
-        click.echo("difference:      %.3g"
-                   % abs(radii.radius_dense - radii.radius_analytic))
-
-    _catching(body)
+    try:
+        h, w = (int(p) for p in grid_text.lower().split("x"))
+    except ValueError:
+        raise ConfigError("--grid must look like 4x4")
+    if case == "II":
+        rho_, eta_ = case_parameters(case, alpha, 2.0 if rho is None else rho,
+                                     eta)
+    else:
+        rho_, eta_ = case_parameters(case, alpha, rho,
+                                     2.0 * alpha if eta is None else eta)
+    kernel = _oracle_kernel(h, w)
+    result = dense_transition_oracle(kernel, (h, w), rho_, eta_, alpha)
+    radii = result.cases[case]
+    click.echo("case %s on %dx%d: rho=%g eta=%g alpha=%g"
+               % (case, h, w, rho_, eta_, alpha))
+    click.echo("dense radius:    %.12g" % radii.radius_dense)
+    click.echo("analytic radius: %.12g" % radii.radius_analytic)
+    click.echo("difference:      %.3g"
+               % abs(radii.radius_dense - radii.radius_analytic))
 
 
 def _oracle_kernel(h, w):
@@ -333,7 +319,6 @@ def _oracle_kernel(h, w):
         return ConvolutionKernel(np.array([[0.5, 0.5]]), (0, 0))
     if w == 1:
         return ConvolutionKernel(np.array([[0.5], [0.5]]), (0, 0))
-    from .experiments import gaussian_kernel
     return gaussian_kernel(3, 1.0)
 
 

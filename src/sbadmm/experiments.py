@@ -23,6 +23,9 @@ from .prox import Potential
 
 DEFAULT_ALPHA = 2.0 ** -4
 LONG_RUN_ITERATIONS = 2000
+REFERENCE_TOLERANCE = 1e-10  # normal-equation residual relative to |A'y|
+SUMMARY_TOLERANCE = 1e-6  # the summary's iterations-to column
+RATE_DISCARD, RATE_WINDOW = 0.5, 0.25  # trace fractions, see empirical_rate
 
 # (value, semi-axis a, semi-axis b, center x, center y, angle degrees)
 # in [-1, 1] coordinates; a modified Shepp-Logan-style intensity set.
@@ -142,8 +145,7 @@ def make_problem(config: ExperimentConfig):
     return problem, truth
 
 
-def reference_solution(problem: ProblemSpec,
-                       residual_tol: float = 1e-10) -> ImageGrid:
+def reference_solution(problem: ProblemSpec) -> ImageGrid:
     """Converged reference reconstruction.
 
     Quadratic potential: the exact solve of the normal equations
@@ -158,7 +160,7 @@ def reference_solution(problem: ProblemSpec,
     rhs = ops.At(ops.y)
     x = ops.solve(rhs, 1.0, alpha)
     res = np.linalg.norm(ops.At(ops.A(x)) + alpha * ops.Ct(ops.C(x)) - rhs)
-    bound = residual_tol * np.linalg.norm(rhs)
+    bound = REFERENCE_TOLERANCE * np.linalg.norm(rhs)
     # a NaN fails this test; zero data gives rhs = 0, x = 0 and passes it
     if not res <= bound:
         raise RuntimeError("normal-equation residual %g exceeds %g" % (res, bound))
@@ -166,12 +168,11 @@ def reference_solution(problem: ProblemSpec,
 
 
 def long_run_reference(problem: ProblemSpec) -> ImageGrid:
-    """A long run of the (rho, eta) = (1, alpha) configuration with deep
-    inner solves; no optimality check."""
+    """A long run of the (rho, eta) = (1, alpha) configuration with exact
+    x-updates; no optimality check."""
     alpha = problem.potential.alpha
     config = OuterConfig(rho=1.0, eta=alpha, max_iterations=LONG_RUN_ITERATIONS,
-                         inner=InnerSolveConfig(mode="pcg", pcg_iterations=50),
-                         algorithm="admm2")
+                         inner=InnerSolveConfig(), algorithm="admm2")
     return run(problem, config).final_image
 
 
@@ -209,24 +210,23 @@ def benchmark_protocol(config: ExperimentConfig, write_artifacts: bool = True):
     return traces, reference
 
 
-def _write_summary(path, traces, failures, tol=1e-6):
+def _write_summary(path, traces, failures):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["rho", "eta", "status", "final_rel_cost_err",
-                         "iters_to_%g" % tol])
+                         "iters_to_%g" % SUMMARY_TOLERANCE])
         for (rho, eta), trace in traces.items():
             if trace is None:
                 writer.writerow(["%.17g" % rho, "%.17g" % eta,
                                  "failed: " + failures[(rho, eta)], "", ""])
                 continue
-            hit = trace.iterations_to(tol)
+            hit = trace.iterations_to(SUMMARY_TOLERANCE)
             writer.writerow(["%.17g" % rho, "%.17g" % eta, "ok",
                              "%.17g" % trace.rel_cost_err[-1],
                              "" if hit is None else "%d" % hit])
 
 
-def empirical_rate(errors, discard_fraction: float = 0.5,
-                   window_fraction: float = 0.25) -> float:
+def empirical_rate(errors) -> float:
     """Asymptotic per-iteration error ratio.
 
     Geometric-mean ratio over the last window of iterations after
@@ -236,7 +236,7 @@ def empirical_rate(errors, discard_fraction: float = 0.5,
     n = errors.size
     if n < 4:
         raise ValueError("need at least 4 error samples")
-    start = max(int(n * (1.0 - window_fraction)) - 1, int(n * discard_fraction))
+    start = max(int(n * (1.0 - RATE_WINDOW)) - 1, int(n * RATE_DISCARD))
     e0, e1 = errors[start], errors[-1]
     if e0 <= 0 or e1 <= 0:
         raise ValueError("errors must stay positive to estimate a rate")

@@ -3,8 +3,9 @@
 Two routes: an exact solve, and a fixed-iteration preconditioned conjugate
 gradient loop preconditioned by the inverse of the circulant part M of the
 Hessian.  ``ProblemOps`` runs both on the half spectrum, where M is a
-product, and raises SingularHessianError in both where M vanishes; the
-array helpers here divide a real FFT by the half spectrum of M.
+product, and raises SingularHessianError in both where M vanishes.  The
+array helpers here divide a real FFT by the exact half spectrum of M, and
+``pcg_solve`` is the plain PCG loop the library's solve is checked against.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import get_blas_funcs
 
 from .operators import half_spectrum, irfft2, rfft2
 
-PRECONDITIONER_FLOOR = 1e-8
 RZ_UNDERFLOW = np.finfo(float).tiny
 
 
@@ -49,42 +48,31 @@ class InnerSolveConfig:
 
 
 def hessian_spectrum(lam, omega, rho, eta):
+    """M = rho lambda + eta omega, the full spectrum of the circulant part of
+    the Hessian; raises SingularHessianError where it vanishes."""
     if lam.shape != omega.shape:
         raise ValueError("spectra live on different grids")
     if not (rho > 0 and eta > 0):
         raise ValueError("rho and eta must be positive")
-    return rho * lam + eta * omega
-
-
-def spectral_divide(r, half_denom):
-    """Divide the real FFT of r by a half-width spectrum and transform back."""
-    f = rfft2(r)
-    f /= half_denom
-    return irfft2(f, r.shape)
-
-
-def check_nonsingular(denom):
-    """Raise SingularHessianError where the full Hessian spectrum vanishes."""
+    denom = rho * lam + eta * omega
     if denom.min() <= 0.0:
         i, j = np.unravel_index(int(np.argmin(denom)), denom.shape)
         raise SingularHessianError(
             "rho*lambda + eta*omega vanishes at frequency (%d, %d)" % (i, j))
+    return denom
+
+
+def circulant_preconditioner(lam, omega, rho, eta):
+    """Inverse of the circulant Hessian surrogate M = rho lambda + eta omega,
+    as a map on real arrays: their real FFT divided by the half spectrum of
+    M.  Raises SingularHessianError where M vanishes."""
+    denom = half_spectrum(hessian_spectrum(lam, omega, rho, eta))
+    return lambda r: irfft2(rfft2(r) / denom, r.shape)
 
 
 def circulant_solve_array(lam, omega, rho, eta, rhs):
     """Exact solve of (rho A'A + eta C'C) x = rhs by frequency division."""
-    denom = hessian_spectrum(lam, omega, rho, eta)
-    check_nonsingular(denom)
-    return spectral_divide(rhs, half_spectrum(denom))
-
-
-def circulant_preconditioner(lam, omega, rho, eta,
-                             floor_rel: float = PRECONDITIONER_FLOOR):
-    """Inverse of the circulant Hessian surrogate, floored at near-null
-    frequencies so masked problems cannot divide by (almost) zero."""
-    denom = hessian_spectrum(lam, omega, rho, eta)
-    denom = half_spectrum(np.maximum(denom, floor_rel * denom.max()))
-    return lambda r: spectral_divide(r, denom)
+    return circulant_preconditioner(lam, omega, rho, eta)(rhs)
 
 
 @dataclass
@@ -101,31 +89,25 @@ def pcg_solve(hessian, rhs, config: InnerSolveConfig, warm_start=None,
               preconditioner=None) -> PcgResult:
     """Run config.pcg_iterations preconditioned CG steps on hessian(x) = rhs.
 
-    ``hessian`` and ``preconditioner`` are pure callables on arrays; the
-    Hessian must be symmetric positive definite on the full-rank split.  The
-    arrays are real images or their unitarily scaled half spectra
-    (``ProblemOps.hat``), on which Re vdot is the same inner product.  The
-    error in the Hessian norm decreases monotonically by construction; a
-    nonpositive curvature or preconditioned residual product means the
-    operator violated that assumption and raises PcgBreakdownError.  The
-    loop stops early once r'z underflows: p'Hp would round to zero next.
-    x, r and p are updated in place, x and r by BLAS axpy on the flat views
-    of arrays allocated here (C-contiguous, so the views are not copies);
-    p starts as the first z, copied only when it shares memory with r, as
-    the default preconditioner's does.  rhs and warm_start are never
-    written.
+    The plain textbook loop, kept as the reference that ``ProblemOps.pcg_hat``
+    is tested against.  ``hessian`` and ``preconditioner`` are pure callables
+    on arrays; the Hessian must be symmetric positive definite on the
+    full-rank split.  The arrays are real images or their unitarily scaled
+    half spectra (``ProblemOps.hat``), on which Re vdot is the same inner
+    product.  The error in the Hessian norm decreases monotonically by
+    construction; a nonpositive curvature or preconditioned residual product
+    means the operator violated that assumption and raises
+    PcgBreakdownError.  The loop stops early once r'z underflows: p'Hp would
+    round to zero next.  No array is updated in place, so rhs and warm_start
+    are never written.
     """
     rhs = np.asarray(rhs)
     x = np.zeros(rhs.shape, np.result_type(rhs, 1.0)) if warm_start is None \
-        else np.array(warm_start, np.result_type(rhs, warm_start, 1.0),
-                      order="C")
+        else np.array(warm_start, np.result_type(rhs, warm_start, 1.0))
     if preconditioner is None:
         preconditioner = lambda r: r
-    r = np.subtract(rhs, hessian(x), dtype=x.dtype, order="C")
-    x_flat, r_flat = x.reshape(-1), r.reshape(-1)
-    axpy = get_blas_funcs("axpy", (x_flat,))
-    z = preconditioner(r)
-    p = np.array(z) if np.may_share_memory(z, r) else z
+    r = rhs - hessian(x)
+    p = z = preconditioner(r)
     rz = float(np.vdot(r, z).real)
     result = PcgResult(x=x)
     for step in range(config.pcg_iterations):
@@ -142,16 +124,14 @@ def pcg_solve(hessian, rhs, config: InnerSolveConfig, warm_start=None,
         if not np.isfinite(php):
             raise PcgBreakdownError("non-finite curvature at step %d" % step)
         a = rz / php
-        axpy(np.ravel(p), x_flat, a=a)
-        axpy(np.ravel(hp), r_flat, a=-a)
+        x = x + a * p
+        r = r - a * hp
         result.residual_norms.append(math.sqrt(np.vdot(r, r).real))
         if step + 1 == config.pcg_iterations:
             break  # no next direction is needed after the last step
         z = preconditioner(r)
         rz_new = float(np.vdot(r, z).real)
-        beta = rz_new / rz
-        p *= beta
-        p += z
+        p = z + (rz_new / rz) * p
         rz = rz_new
     result.x = x
     if not np.all(np.isfinite(x)):

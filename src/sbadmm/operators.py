@@ -179,15 +179,14 @@ def diff_gram_spectrum(shape) -> np.ndarray:
                         4.0 * np.sin(np.pi * np.arange(w) / w) ** 2)
 
 
-def split_operator_rank_check(lam, omega,
-                              tol: float = EIGENVALUE_TOLERANCE) -> RankCheck:
+def split_operator_rank_check(lam, omega) -> RankCheck:
     """Check whether the stacked split operator S = [A; C] has full column
     rank, via the minimum of the spectrum of S'S = A'A + C'C."""
     if lam.shape != omega.shape:
         raise ValueError("spectra live on different grids")
-    combined = lam + omega
-    mn = float(combined.min())
-    return RankCheck(full_rank=mn > tol, min_combined_eigenvalue=mn)
+    mn = float((lam + omega).min())
+    return RankCheck(full_rank=mn > EIGENVALUE_TOLERANCE,
+                     min_combined_eigenvalue=mn)
 
 
 def sparse_blur_matrix(kernel: ConvolutionKernel, shape) -> sp.csr_matrix:

@@ -1,6 +1,6 @@
 import gc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,8 +8,9 @@ import scipy.sparse.linalg as spla
 
 from sbadmm import algorithms, inner, operators
 from sbadmm.algorithms import (MetricTrace, OuterConfig, ProblemOps,
-                               ProblemSpec, _solve_x, admm2_simplified_step,
-                               admm2_step, canonical_init,
+                               ProblemSpec, SolverState, _solve_x,
+                               admm2_simplified_step, admm2_step,
+                               canonical_init,
                                quadratic_closed_form_step, run, sb_step,
                                solution_state)
 from sbadmm.grids import ConvolutionKernel, ImageGrid
@@ -70,6 +71,13 @@ def test_canonical_init_identities(rng):
     assert np.allclose(ops.unhat(st.u_hat), ops.A(ops.y), atol=1e-12)
     a = problem.potential.alpha
     assert np.allclose(a * st.v + eta * st.e, 0.0, atol=1e-12)
+    # the solution state at x = y is the data start, field for field
+    sol = solution_state(ops, ops.y, rho, eta)
+    for f in fields(SolverState):
+        got, want = getattr(sol, f.name), getattr(st, f.name)
+        assert (got is None and want is None) or np.array_equal(got, want), \
+            f.name
+    assert sol.ax_hat is not None and sol.cx is not None
 
 
 def test_zero_data_stays_zero(rng):

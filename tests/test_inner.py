@@ -73,6 +73,9 @@ def test_circulant_solve_singular_names_frequency():
     om = diff_gram_spectrum((2, 2))  # omega is 0 at DC too
     with pytest.raises(SingularHessianError, match=r"\(0, 0\)"):
         circulant_solve_array(lam, om, 1.0, 1.0, np.ones((2, 2)))
+    # the preconditioner divides by the same exact M
+    with pytest.raises(SingularHessianError, match=r"\(0, 0\)"):
+        circulant_preconditioner(lam, om, 1.0, 1.0)(np.ones((2, 2)))
 
 
 def make_masked_hessian(rng, shape, rho=1.0, eta=0.25):
@@ -226,10 +229,9 @@ def test_pcg_preconditioner_may_return_its_argument(rng):
 
 
 def test_pcg_updates_its_own_arrays_whatever_the_callables_return(rng):
-    # x and r are updated through flat views, which are copies unless the
-    # arrays are C-contiguous: Fortran-ordered Hessian results, rhs and
-    # warm start, and a preconditioner returning a view of r, must give the
-    # run of C-ordered ones
+    # Fortran-ordered Hessian results, rhs and warm start, and a
+    # preconditioner returning a view of r, must give the run of C-ordered
+    # ones
     shape = (7, 5)
     hessian, lam, om = make_masked_hessian(rng, shape)
     cfg = InnerSolveConfig(mode="pcg", pcg_iterations=6)
