@@ -82,10 +82,10 @@ class OuterConfig:
 class SolverState:
     """Iterate tuple (x, u, v, d, e) as raw arrays, plus the counter.
 
-    u and d are kept as u_hat = hat(u) and d_hat = hat(d); ax_hat and cx
-    are hat(A x) and C x as the step computed them, so the cost of the
-    iterate needs neither again; x_hat is hat(x) as a PCG step computed it,
-    the next PCG step's warm start (None when no PCG step made the state).
+    u and d are kept as u_hat = hat(u) and d_hat = hat(d); x_hat, ax_hat
+    and cx are hat(x), hat(A x) and C x as the step computed them, so the
+    cost of the iterate needs neither of the last two again and the next
+    PCG step warm-starts from x_hat without an rfft2.
     """
 
     x: np.ndarray
@@ -93,11 +93,11 @@ class SolverState:
     v: np.ndarray
     d_hat: np.ndarray
     e: np.ndarray
+    x_hat: np.ndarray
+    ax_hat: np.ndarray
+    cx: np.ndarray
     k: int = 0
     inner_residual: float = 0.0
-    ax_hat: np.ndarray = None
-    cx: np.ndarray = None
-    x_hat: np.ndarray = None
 
 
 class ProblemOps:
@@ -148,19 +148,22 @@ class ProblemOps:
             weight[-1] = 1.0
         self._scale = np.sqrt(weight / (h * w))
         self._unscale = 1.0 / self._scale
-        # rfft2(U c) = outer(fft(c_row), a) + outer(b, rfft(c_col))
+        # the wrap vector of c = (c_row, c_col) is its unitary spectrum
+        # v = (fft(c_row) / sqrt(h), rfft(c_col) col_scale), so Re vdot of
+        # two is the dot product of their wraps.  rfft2(U c) =
+        # outer(fft(c_row), a) + outer(b, rfft(c_col)) with a = 1 -
+        # exp(2 pi i l/w) and b = 1 - exp(2 pi i k/h); the constants below
+        # carry sqrt(h), so hat(U c) = outer(v_row, _a_hat) + outer(_b, v_col)
+        self._col_scale = self._scale * math.sqrt(h)
         a = 1.0 - np.exp(2j * np.pi * np.arange(w // 2 + 1) / w)
-        self._b = 1.0 - np.exp(2j * np.pi * np.arange(h) / h)
-        self._a_hat = a * self._scale
-        self._row_weights = 0.5 * weight * np.conj(a) / (w * self._scale)
-        self._col_weights = np.conj(self._b) / h
+        self._b = (1.0 - np.exp(2j * np.pi * np.arange(h) / h)) / math.sqrt(h)
+        self._a_hat = a * self._col_scale
+        self._row_weights = 0.5 * weight * np.conj(a) / (w * self._col_scale)
+        self._col_weights = np.conj(self._b)
         self._mirror = -np.arange(h) % h
         self._self_conjugate = [0, -1] if w % 2 == 0 else [0]
-        # wrap vector of c: (fft(c_row) / sqrt(h), scaled rfft(c_col) sqrt(h))
-        self._wrap_scale = np.concatenate((np.full(h, h ** -0.5),
-                                           np.full(w // 2 + 1, h ** 0.5)))
-        self._gram_in = np.concatenate((np.conj(self._b), self._row_weights))
-        self._gram_out = np.concatenate((self._b / h, self._a_hat))
+        self._gram_in = np.concatenate((self._col_weights, self._row_weights))
+        self._gram_out = np.concatenate((self._b, self._a_hat))
 
     def A(self, x):
         return blur(self.transfer, x)
@@ -214,22 +217,21 @@ class ProblemOps:
         return self._spectra
 
     def _wrap_adjoint_hat(self, f):
-        """U' unhat(f) as the fft of its row wraps and the scaled rfft (as
-        hat scales it) of its column wraps.  A column of f off 0 and w/2
+        """The wrap vector of U' unhat(f).  A column of f off 0 and w/2
         also stands for its mirror image, whose share of the row wraps is
         the conjugate of the mirrored row frequency; the fold adds it."""
         rows = f @ self._row_weights
         rows += np.conj(rows[self._mirror])
         cols = self._col_weights @ f
         cols.imag[self._self_conjugate] = 0.0
-        return rows, cols
+        return np.concatenate((rows, cols))
 
-    def _add_wrap_hat(self, rows, cols, out, alpha=1.0):
-        """out + alpha hat(U c), from fft(c_row) and the scaled rfft of
-        c_col, by two rank-one BLAS updates that overwrite a C-contiguous
-        out."""
-        out_t = zgeru(alpha, self._a_hat, rows, a=out.T, overwrite_a=True)
-        return zgeru(alpha, cols, self._b, a=out_t, overwrite_a=True).T
+    def _add_wrap_hat(self, v, out, alpha=1.0):
+        """out + alpha hat(U c), from the wrap vector v of c, by two
+        rank-one BLAS updates that overwrite a C-contiguous out."""
+        h = self.shape[0]
+        out_t = zgeru(alpha, self._a_hat, v[:h], a=out.T, overwrite_a=True)
+        return zgeru(alpha, v[h:], self._b, a=out_t, overwrite_a=True).T
 
     def hessian_hat(self, f, rho, eta):
         """hat(H unhat(f)): M f, minus eta U U' unhat(f) in masked mode by
@@ -237,7 +239,7 @@ class ProblemOps:
         out = f * self.hessian_spectra(rho, eta)[0]
         if self.mask_mode == "periodic":
             return out
-        return self._add_wrap_hat(*self._wrap_adjoint_hat(f), out, -eta)
+        return self._add_wrap_hat(self._wrap_adjoint_hat(f), out, -eta)
 
     def solve_hat(self, f, rho, eta):
         """hat of the exact solution of H x = unhat(f): a division by M,
@@ -252,34 +254,29 @@ class ProblemOps:
         h, w = self.shape
         if self._capacitance is None:
             gh, gv = (self.unhat(self._add_wrap_hat(
-                rows, cols, np.zeros(inverse.shape, complex)) * inverse)
-                for rows, cols in ((np.ones(h), np.zeros(w // 2 + 1)),
-                                   (np.zeros(h), self._scale)))
+                v, np.zeros(inverse.shape, complex)) * inverse)
+                for v in (np.r_[np.full(h, h ** -0.5), np.zeros(w // 2 + 1)],
+                          np.r_[np.zeros(h), self._col_scale]))
             k_hv = (gv - np.roll(gv, 1, axis=1))[:, -np.arange(w) % w]
             s = np.eye(h + w) / eta - np.block(
                 [[circulant(gh[:, 0] - gh[:, -1]), k_hv],
                  [k_hv.T, circulant(gv[0] - gv[-1])]])
             self._capacitance = cho_factor(s)
-        rows, cols = self._wrap_adjoint_hat(f * inverse)
+        v = self._wrap_adjoint_hat(f * inverse)
         c = cho_solve(self._capacitance, np.concatenate(
-            (np.fft.ifft(rows).real, np.fft.irfft(cols * self._unscale, n=w))))
-        out = self._add_wrap_hat(np.fft.fft(c[:h]),
-                                 np.fft.rfft(c[h:]) * self._scale, f.copy())
+            (np.fft.ifft(v[:h], norm="ortho").real,
+             np.fft.irfft(v[h:] / self._col_scale, n=w))))
+        out = self._add_wrap_hat(
+            np.concatenate((np.fft.fft(c[:h], norm="ortho"),
+                            np.fft.rfft(c[h:]) * self._col_scale)), f.copy())
         out *= inverse
         return out
 
-    def _add_wraps(self, v, out):
-        """out + hat(U c) for the wrap vector v of c, written into out."""
-        if self.mask_mode == "periodic":
-            return out  # U = 0
-        h, u = self.shape[0], v / self._wrap_scale
-        return self._add_wrap_hat(u[:h], u[h:], out)
-
     def _wrap_gram(self, v):
-        """G v, G = U' M^-1 U at the last (rho, eta), for the wrap vector v
-        of (R, C) = (fft(c_row), scaled rfft(c_col)): that of R d1 + b M^-1
-        (rw C) and a M^-1' (cw R) + C d2, folded as in _wrap_adjoint_hat, d1 =
-        M^-1 (rw a) and d2 = (b cw) M^-1 real; 1 / M acts through real views."""
+        """G v, G = U' M^-1 U at the last (rho, eta), for the wrap vector
+        v = (R, C): that of R d1 + b M^-1 (rw C) and a M^-1' (cw R) + C d2,
+        folded as in _wrap_adjoint_hat, d1 = M^-1 (rw a) and d2 = (b cw)
+        M^-1 real; 1 / M acts through real views."""
         h = self.shape[0]
         inverse = self._spectra[1]
         if self._gram_diagonal is None:
@@ -306,13 +303,14 @@ class ProblemOps:
         iterates are those of ``pcg_solve``, with its checks; U = 0 in
         periodic mode, where one step is exact."""
         inverse = self.hessian_spectra(rho, eta)[1]
+        periodic = self.mask_mode == "periodic"
         r0 = self.hessian_hat(x0, rho, eta)
         np.subtract(b, r0, out=r0)
         z0 = r0 * inverse
         rho0 = np.vdot(r0, z0).real
-        w0 = np.zeros(self._wrap_scale.shape, complex)  # U'z0, U = 0 periodic
-        if self.mask_mode != "periodic":
-            w0 = np.concatenate(self._wrap_adjoint_hat(z0)) * self._wrap_scale
+        # U'z0; U = 0 in periodic mode
+        w0 = np.zeros(self.shape[0] + x0.shape[1], complex) if periodic \
+            else self._wrap_adjoint_hat(z0)
         pi, gamma, xi, rz = 1.0, 1.0, 0.0, rho0
         c, e, chi, q = *np.zeros((3,) + w0.shape, complex), w0
         for step in range(steps):
@@ -327,7 +325,7 @@ class ProblemOps:
             a = rz / php
             xi, gamma = xi + a * pi, gamma - a * pi
             chi, e = zaxpy(c, chi, a=a), zaxpy(hp, e, a=-a)
-            if step + 1 == steps or self.mask_mode == "periodic":
+            if step + 1 == steps or periodic:
                 break
             u = zaxpy(w0, self._wrap_gram(e), a=gamma)  # U'z = G e + gamma w0
             rz_new = gamma * (gamma * rho0 + zdotc(w0, e).real) \
@@ -335,8 +333,10 @@ class ProblemOps:
             beta = rz_new / rz
             pi, c, rz = gamma + beta * pi, zaxpy(e, c * beta), rz_new
             q = zaxpy(q, u, a=beta)
-        r = self._add_wraps(e, np.multiply(r0, gamma, out=z0))
-        x = self._add_wraps(chi, np.multiply(r0, xi, out=r0))
+        r = np.multiply(r0, gamma, out=z0)
+        x = np.multiply(r0, xi, out=r0)
+        if not periodic:
+            r, x = self._add_wrap_hat(e, r), self._add_wrap_hat(chi, x)
         x *= inverse
         x += x0
         if not np.isfinite(x.view(float)).all():
@@ -362,14 +362,15 @@ def _consistent_state(ops: ProblemOps, x, rho: float,
     """The state at x whose splits and duals agree with it: u = A x,
     v = C x, u + rho*d = y, and alpha*v + eta*e = 0 for the quadratic
     potential (e = 0 otherwise)."""
-    u_hat = ops.transfer * ops.hat(x)
+    x_hat = ops.hat(x)
+    u_hat = ops.transfer * x_hat
     v = ops.C(x)
     if ops.potential.kind == "quadratic":
         e = -(ops.potential.alpha / eta) * v
     else:
         e = np.zeros_like(v)
     return SolverState(x=x, u_hat=u_hat, v=v, d_hat=(ops.y_hat - u_hat) / rho,
-                       e=e, k=0, ax_hat=u_hat, cx=v)
+                       e=e, x_hat=x_hat, ax_hat=u_hat, cx=v)
 
 
 def canonical_init(ops: ProblemOps, rho: float, eta: float,
@@ -381,15 +382,12 @@ def canonical_init(ops: ProblemOps, rho: float, eta: float,
     return _consistent_state(ops, x, rho, eta)
 
 
-def _solve_x(ops, rho, eta, rhs, warm, inner: InnerSolveConfig,
-             warm_hat=None):
+def _solve_x(ops, rho, eta, rhs, x_hat, inner: InnerSolveConfig):
     """Solve (rho A'A + eta C'C) x = unhat(rhs), exactly or by PCG from the
-    warm start (warm_hat, when the caller has it, saves its rfft2); returns
-    hat(x) and the relative residual."""
+    warm start unhat(x_hat); returns hat(x) and the relative residual."""
     if inner.mode == "circulant_exact":
         return ops.solve_hat(rhs, rho, eta), 0.0
-    return ops.pcg_hat(rhs, ops.hat(warm) if warm_hat is None else warm_hat,
-                       rho, eta, inner.pcg_iterations)
+    return ops.pcg_hat(rhs, x_hat, rho, eta, inner.pcg_iterations)
 
 
 def _split_update(ops, cx, e, eta):
@@ -410,15 +408,14 @@ def sb_step(state: SolverState, ops: ProblemOps, eta: float,
             inner: InnerSolveConfig) -> SolverState:
     """One split Bregman sweep: least-squares x, prox v, dual e."""
     rhs = ops.aty_hat + eta * ops.hat(ops.Ct(state.v + state.e))
-    f, res = _solve_x(ops, 1.0, eta, rhs, state.x, inner, state.x_hat)
+    f, res = _solve_x(ops, 1.0, eta, rhs, state.x_hat, inner)
     x, u_hat = ops.unhat(f), f * ops.transfer
-    x_hat = f if inner.mode == "pcg" else None
-    del rhs, f  # free the spectra the next step does not warm-start from
+    del rhs  # free the spectrum the next step does not warm-start from
     cx = ops.C(x)
     v, e = _split_update(ops, cx, state.e, eta)
     return SolverState(x=x, u_hat=u_hat, v=v, d_hat=ops.y_hat - u_hat, e=e,
-                       k=state.k + 1, inner_residual=res, ax_hat=u_hat, cx=cx,
-                       x_hat=x_hat)
+                       x_hat=f, ax_hat=u_hat, cx=cx, k=state.k + 1,
+                       inner_residual=res)
 
 
 def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
@@ -430,10 +427,9 @@ def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
     f = ops.hat(ops.Ct(state.v + state.e))
     f *= eta
     rhs += f
-    f, res = _solve_x(ops, rho, eta, rhs, state.x, inner, state.x_hat)
+    f, res = _solve_x(ops, rho, eta, rhs, state.x_hat, inner)
     x, ax_hat = ops.unhat(f), f * ops.transfer
-    x_hat = f if inner.mode == "pcg" else None
-    del rhs, f
+    del rhs
     u_hat = ax_hat - state.d_hat
     u_hat *= rho
     u_hat += ops.y_hat
@@ -442,8 +438,8 @@ def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
     d_hat += u_hat
     cx = ops.C(x)
     v, e = _split_update(ops, cx, state.e, eta)
-    return SolverState(x=x, u_hat=u_hat, v=v, d_hat=d_hat, e=e, k=state.k + 1,
-                       inner_residual=res, ax_hat=ax_hat, cx=cx, x_hat=x_hat)
+    return SolverState(x=x, u_hat=u_hat, v=v, d_hat=d_hat, e=e, x_hat=f,
+                       ax_hat=ax_hat, cx=cx, k=state.k + 1, inner_residual=res)
 
 
 def admm2_simplified_step(state: SolverState, ops: ProblemOps, rho: float,
@@ -451,16 +447,15 @@ def admm2_simplified_step(state: SolverState, ops: ProblemOps, rho: float,
     """Two-split ADMM with d eliminated; requires the canonical d init."""
     rhs = ops.aty_hat + (rho - 1.0) * ops.adjoint_transfer * state.u_hat \
         + eta * ops.hat(ops.Ct(state.v + state.e))
-    f, res = _solve_x(ops, rho, eta, rhs, state.x, inner, state.x_hat)
+    f, res = _solve_x(ops, rho, eta, rhs, state.x_hat, inner)
     x, ax_hat = ops.unhat(f), f * ops.transfer
-    x_hat = f if inner.mode == "pcg" else None
-    del rhs, f
+    del rhs
     u_hat = (rho * ax_hat + state.u_hat) / (rho + 1.0)
     cx = ops.C(x)
     v, e = _split_update(ops, cx, state.e, eta)
     return SolverState(x=x, u_hat=u_hat, v=v, d_hat=(ops.y_hat - u_hat) / rho,
-                       e=e, k=state.k + 1, inner_residual=res, ax_hat=ax_hat,
-                       cx=cx, x_hat=x_hat)
+                       e=e, x_hat=f, ax_hat=ax_hat, cx=cx, k=state.k + 1,
+                       inner_residual=res)
 
 
 def quadratic_closed_form_step(state: SolverState, ops: ProblemOps, rho: float,
@@ -479,13 +474,13 @@ def quadratic_closed_form_step(state: SolverState, ops: ProblemOps, rho: float,
         + (eta - alpha) * ops.hat(ops.Ct(state.v))
     f = ops.solve_hat(rhs, rho, eta)
     x, ax_hat = ops.unhat(f), f * ops.transfer
-    del rhs, f
+    del rhs
     u_hat = (rho * ax_hat + state.u_hat) / (rho + 1.0)
     cx = ops.C(x)
     v = (eta / (eta + alpha)) * cx + (alpha / (eta + alpha)) * state.v
     return SolverState(x=x, u_hat=u_hat, v=v, d_hat=(ops.y_hat - u_hat) / rho,
-                       e=-(alpha / eta) * v, k=state.k + 1, ax_hat=ax_hat,
-                       cx=cx)
+                       e=-(alpha / eta) * v, x_hat=f, ax_hat=ax_hat, cx=cx,
+                       k=state.k + 1)
 
 
 @dataclass

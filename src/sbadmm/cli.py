@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from .algorithms import ALGORITHMS, OuterConfig, SolverDivergenceError, run
-from .experiments import (ExperimentConfig, benchmark_protocol,
+from .experiments import (DEFAULT_ALPHA, ExperimentConfig, benchmark_protocol,
                           gaussian_kernel, make_problem, reference_solution)
 from .grids import ConvolutionKernel, write_pgm
 from .inner import PcgBreakdownError, SingularHessianError
@@ -289,7 +289,7 @@ def spectra(config_path, alpha, output_dir):
 @click.option("--case", type=click.Choice(["I", "II", "III"]), required=True)
 @click.option("--rho", type=float, default=None)
 @click.option("--eta", type=float, default=None)
-@click.option("--alpha", type=float, default=2.0 ** -4)
+@click.option("--alpha", type=float, default=DEFAULT_ALPHA)
 @_exit_codes
 def oracle(grid_text, case, rho, eta, alpha):
     """Dense-vs-analytic spectral radius comparison on a tiny grid."""

@@ -147,7 +147,6 @@ def optimal_rho_al(spectrum: DeltaSpectrum) -> float:
 
 @dataclass(frozen=True)
 class RateReport:
-    case: str
     rates: np.ndarray
     spectral_radius: float
     eta: float
@@ -205,7 +204,7 @@ def predict(case: str, spectrum: DeltaSpectrum, rho: float = None,
     else:
         rates = np.full(spectrum.deltas.shape, rate_s3(eta, alpha))
     eta_star, gamma = optimal_eta_sb(spectrum)
-    return RateReport(case=case, rates=np.asarray(rates, dtype=float),
+    return RateReport(rates=np.asarray(rates, dtype=float),
                       spectral_radius=float(np.max(rates)), eta=float(eta),
                       rho=float(rho), alpha=float(alpha),
                       optimal_eta=eta_star, optimal_rho=optimal_rho_al(spectrum),
@@ -218,7 +217,6 @@ class Comparison:
     rho_recommended: float
     radius_sb: float
     radius_admm: float
-    note: str = ""
 
 
 def compare_sb_vs_admm(eta: float, alpha: float,
@@ -228,17 +226,9 @@ def compare_sb_vs_admm(eta: float, alpha: float,
     _check_positive(eta=eta, alpha=alpha)
     radius_sb = float(np.max(rate_s1(spectrum.deltas, eta, alpha)))
     radius_admm = rate_s3(eta, alpha)
-    if eta < alpha:
-        faster, note = "admm_matched", "under-estimated eta: matched split wins"
-    elif eta > alpha:
-        faster, note = "tie", ("equal predicted radii; split Bregman is "
-                               "faster in practice because s1 < s3 at every "
-                               "finite delta (2.2x fewer iterations to 1e-6 "
-                               "at eta = 20 alpha on the default benchmark)")
-    else:
-        faster, note = "tie", "eta = alpha: both rates 1/2"
-    return Comparison(faster=faster, rho_recommended=eta / alpha,
-                      radius_sb=radius_sb, radius_admm=radius_admm, note=note)
+    return Comparison(faster="admm_matched" if eta < alpha else "tie",
+                      rho_recommended=eta / alpha, radius_sb=radius_sb,
+                      radius_admm=radius_admm)
 
 
 def rate_report_to_csv(report: RateReport, spectrum: DeltaSpectrum, path):
@@ -259,7 +249,6 @@ def rate_report_to_csv(report: RateReport, spectrum: DeltaSpectrum, path):
 
 @dataclass(frozen=True)
 class CaseRadii:
-    H: np.ndarray
     radius_dense: float
     radius_analytic: float
 
@@ -268,11 +257,6 @@ class CaseRadii:
 class TransitionOracle:
     """Dense transition machinery of the quadratic recursion on a tiny grid."""
 
-    A: np.ndarray
-    C: np.ndarray
-    s: np.ndarray
-    P: np.ndarray
-    Q: np.ndarray
     G: np.ndarray
     offset: np.ndarray
     cases: dict
@@ -281,8 +265,9 @@ class TransitionOracle:
 def dense_transition_oracle(kernel: ConvolutionKernel, shape, rho: float,
                             eta: float, alpha: float,
                             y: np.ndarray = None) -> TransitionOracle:
-    """Materialize s, P, Q, the split transition matrix G and the
-    applicable per-case x transition matrices as explicit dense matrices.
+    """Materialize the split transition matrix G and its offset as explicit
+    dense matrices, and the spectral radii of the applicable per-case x
+    transition matrices, dense and analytic.
 
     Restricted to periodic operators on grids of at most 16x16 pixels;
     intended purely as a ground-truth check of the per-frequency formulas.
@@ -318,17 +303,16 @@ def dense_transition_oracle(kernel: ConvolutionKernel, shape, rho: float,
     cases = {}
     if _matches(rho, 1.0):
         H1 = cv * (Q @ C) + (alpha / (eta + alpha)) * np.eye(n)
-        cases["I"] = CaseRadii(H1, _radius(H1),
+        cases["I"] = CaseRadii(_radius(H1),
                                float(np.max(rate_s1(deltas.deltas, eta, alpha))))
     if _matches(eta, alpha):
         H2 = cu * (P @ A) + np.eye(n) / (rho + 1.0)
-        cases["II"] = CaseRadii(H2, _radius(H2),
+        cases["II"] = CaseRadii(_radius(H2),
                                 float(np.max(rate_s2(deltas.deltas, rho, alpha))))
     if _matches(rho, eta / alpha):
         H3 = cv * (P @ A + Q @ C) + (alpha / (eta + alpha)) * np.eye(n)
-        cases["III"] = CaseRadii(H3, _radius(H3), rate_s3(eta, alpha))
-    return TransitionOracle(A=A, C=C, s=s, P=P, Q=Q, G=G, offset=offset,
-                            cases=cases)
+        cases["III"] = CaseRadii(_radius(H3), rate_s3(eta, alpha))
+    return TransitionOracle(G=G, offset=offset, cases=cases)
 
 
 def _radius(mat):

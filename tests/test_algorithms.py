@@ -1,6 +1,6 @@
 import gc
 import weakref
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,9 +18,11 @@ from sbadmm.inner import (InnerSolveConfig, PcgBreakdownError,
                           SingularHessianError, circulant_preconditioner,
                           pcg_solve)
 from sbadmm.operators import sparse_blur_matrix, sparse_diff_matrix
-from sbadmm.prox import Potential, potential_value_array, prox_array
+from sbadmm.prox import KINDS, Potential, potential_value_array, prox_array
 from conftest import (ODD_AND_DEGENERATE_SHAPES, fitting_kernel, make_ops,
                       random_problem)
+from hypothesis import example, given, strategies
+from test_spectral import PROPERTY, modes, seeds, shapes
 
 EXACT = InnerSolveConfig(mode="circulant_exact")
 
@@ -74,10 +76,8 @@ def test_canonical_init_identities(rng):
     # the solution state at x = y is the data start, field for field
     sol = solution_state(ops, ops.y, rho, eta)
     for f in fields(SolverState):
-        got, want = getattr(sol, f.name), getattr(st, f.name)
-        assert (got is None and want is None) or np.array_equal(got, want), \
+        assert np.array_equal(getattr(sol, f.name), getattr(st, f.name)), \
             f.name
-    assert sol.ax_hat is not None and sol.cx is not None
 
 
 def test_zero_data_stays_zero(rng):
@@ -185,30 +185,62 @@ def test_quadratic_dual_invariant_after_twenty_steps(rng, algorithm, mode):
     assert np.linalg.norm(a * st.v + eta * st.e) <= 1e-12 * scale
 
 
-def test_one_admm2_step_matches_dense_transcription(rng):
-    problem = random_problem(rng, shape=(4, 4))
-    ops = ProblemOps(problem)
-    rho, eta = 1.7, 0.35
-    a = problem.potential.alpha
-    st = canonical_init(ops, rho, eta, x0_mode="data")
-    nxt = admm2_step(st, ops, rho, eta, EXACT)
+@PROPERTY
+@given(shapes, modes, seeds, strategies.sampled_from(KINDS),
+       strategies.sampled_from(["sb", "admm2"]),
+       strategies.sampled_from([0, 1, 3]), strategies.floats(0.1, 3.0),
+       strategies.floats(0.1, 3.0))
+@example((1, 6), "masked", 0, "huber", "admm2", 3, 1.7, 0.35)
+@example((7, 1), "masked", 0, "fair", "sb", 1, 1.0, 0.35)
+@example((4, 4), "periodic", 0, "quadratic", "admm2", 0, 1.7, 0.35)
+def test_one_admm2_step_matches_dense_transcription(shape, mode, seed, kind,
+                                                    algorithm, pcg_steps, rho,
+                                                    eta):
+    # one admm2 step, or one sb step (admm2 at rho = 1), from the data start
+    # against the same step written out with dense A and C: x exactly, or
+    # by pcg_solve on the dense Hessian preconditioned by 1 / M (pcg_steps >
+    # 0), then u, v, d, e and what the state carries beside them: hat(x),
+    # hat(A x) and C x
+    rng = np.random.default_rng(seed)
+    threshold = rng.uniform(0.1, 2.0) if kind in ("huber", "fair") else None
+    pot = Potential(kind, rng.uniform(0.05, 2.0), threshold)
+    ops = ProblemOps(ProblemSpec(y=ImageGrid(rng.standard_normal(shape)),
+                                 kernel=fitting_kernel(rng, shape),
+                                 mask_mode=mode, potential=pot))
+    inner_cfg = InnerSolveConfig(mode="pcg", pcg_iterations=pcg_steps) \
+        if pcg_steps else EXACT
+    if algorithm == "sb":
+        rho = 1.0
+    st0 = canonical_init(ops, rho, eta, x0_mode="data")
+    nxt = (sb_step(st0, ops, eta, inner_cfg) if algorithm == "sb"
+           else admm2_step(st0, ops, rho, eta, inner_cfg))
 
-    A = sparse_blur_matrix(problem.kernel, (4, 4)).toarray()
-    C = sparse_diff_matrix((4, 4), problem.mask_mode).toarray()
+    A = sparse_blur_matrix(ops.problem.kernel, shape).toarray()
+    C = sparse_diff_matrix(shape, mode).toarray()
     y = ops.y.ravel()
     H = rho * (A.T @ A) + eta * (C.T @ C)
-    u0, d0 = ops.unhat(st.u_hat).ravel(), ops.unhat(st.d_hat).ravel()
-    rhs = rho * A.T @ (u0 + d0) + eta * C.T @ (st.v.ravel() + st.e.ravel())
-    x = np.linalg.solve(H, rhs)
+    u0, d0 = ops.unhat(st0.u_hat).ravel(), ops.unhat(st0.d_hat).ravel()
+    e0 = st0.e.ravel()
+    rhs = rho * A.T @ (u0 + d0) + eta * C.T @ (st0.v.ravel() + e0)
+    if pcg_steps:
+        x = pcg_solve(lambda z: (H @ z.ravel()).reshape(shape),
+                      rhs.reshape(shape), inner_cfg, warm_start=st0.x,
+                      preconditioner=circulant_preconditioner(
+                          ops.lam, ops.om, rho, eta)).x.ravel()
+    else:
+        x = np.linalg.solve(H, rhs)
     u = (rho * (A @ x - d0) + y) / (rho + 1.0)
-    v = prox_array(problem.potential, (C @ x) - st.e.ravel(), eta)
     d = d0 - A @ x + u
-    e = st.e.ravel() - C @ x + v
-    assert np.allclose(nxt.x.ravel(), x, atol=1e-12)
-    assert np.allclose(ops.unhat(nxt.u_hat).ravel(), u, atol=1e-12)
-    assert np.allclose(nxt.v.ravel(), v, atol=1e-12)
-    assert np.allclose(ops.unhat(nxt.d_hat).ravel(), d, atol=1e-12)
-    assert np.allclose(nxt.e.ravel(), e, atol=1e-12)
+    if algorithm == "sb":
+        u, d = A @ x, y - A @ x
+    v = prox_array(pot, C @ x - e0, eta)
+    e = e0 - C @ x + v
+    x_hat = ops.hat(x.reshape(shape))
+    scale = max(np.linalg.norm(x), np.linalg.norm(y), 1.0)
+    for got, want in ((nxt.x, x), (ops.unhat(nxt.u_hat), u), (nxt.v, v),
+                      (ops.unhat(nxt.d_hat), d), (nxt.e, e), (nxt.x_hat, x_hat),
+                      (nxt.ax_hat, ops.transfer * x_hat), (nxt.cx, C @ x)):
+        assert np.linalg.norm(got.ravel() - want.ravel()) <= 1e-11 * scale
 
 
 def test_solution_state_is_fixed_point(rng):
@@ -303,7 +335,7 @@ def test_exact_solve_singular_names_frequency():
         pcg = InnerSolveConfig(mode="pcg", pcg_iterations=3)
         with pytest.raises(SingularHessianError, match=r"\(0, 0\)"):
             _solve_x(ops, 1.0, 0.5, ops.hat(np.ones((4, 5))),
-                     np.zeros((4, 5)), pcg)
+                     ops.hat(np.zeros((4, 5))), pcg)
 
 
 def test_run_trace_contract(rng):
@@ -438,7 +470,8 @@ def test_split_pcg_matches_generic_pcg(rng):
             tol = 1e-12 * np.linalg.norm(rhs)
             for steps in (1, 3, 50):
                 cfg = InnerSolveConfig(mode="pcg", pcg_iterations=steps)
-                f, rel = _solve_x(ops, rho, eta, ops.hat(rhs), warm, cfg)
+                f, rel = _solve_x(ops, rho, eta, ops.hat(rhs), ops.hat(warm),
+                                  cfg)
                 generic = pcg_solve(
                     lambda z: rho * ops.At(ops.A(z)) + eta * ops.Ct(ops.C(z)),
                     rhs, cfg, warm_start=warm, preconditioner=pre)
@@ -450,9 +483,9 @@ def test_split_pcg_matches_generic_pcg(rng):
 
 def test_wrap_gram_matches_the_capacitance_matrix(rng, monkeypatch):
     # the matrix-free G = U' M^-1 U of PCG against the dense G in the
-    # capacitance S = I/eta - G of the exact masked solve, on wrap vectors
-    # c = (c_row, c_col); several (rho, eta) per problem, as G's cached
-    # diagonals must follow them
+    # capacitance S = I/eta - G of the exact masked solve, on the wrap
+    # vectors of real wraps c = (c_row, c_col); several (rho, eta) per
+    # problem, as G's cached diagonals must follow them
     factored = []
     real = algorithms.cho_factor
     monkeypatch.setattr(algorithms, "cho_factor",
@@ -465,11 +498,11 @@ def test_wrap_gram_matches_the_capacitance_matrix(rng, monkeypatch):
             ops.solve_hat(np.zeros(ops.transfer.shape, complex), rho, eta)
             dense = np.eye(h + w) / eta - factored[-1]
             c = rng.standard_normal(h + w)
-            v = ops._wrap_gram(ops._wrap_scale * np.concatenate(
-                (np.fft.fft(c[:h]), np.fft.rfft(c[h:]) * ops._scale)))
-            v /= ops._wrap_scale
-            got = np.concatenate((np.fft.ifft(v[:h]).real,
-                                  np.fft.irfft(v[h:] * ops._unscale, n=w)))
+            v = ops._wrap_gram(np.concatenate(
+                (np.fft.fft(c[:h], norm="ortho"),
+                 np.fft.rfft(c[h:]) * ops._col_scale)))
+            got = np.concatenate((np.fft.ifft(v[:h], norm="ortho").real,
+                                  np.fft.irfft(v[h:] / ops._col_scale, n=w)))
             want = dense @ c
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -485,27 +518,31 @@ def test_pcg_rejects_a_non_finite_right_hand_side(rng):
             rhs[2, 3] = bad
             with np.errstate(invalid="ignore"), pytest.raises(
                     PcgBreakdownError, match="p'Hp = (nan|inf)"):
-                _solve_x(ops, 1.0, 0.5, ops.hat(rhs), np.zeros((6, 8)), pcg)
+                _solve_x(ops, 1.0, 0.5, ops.hat(rhs),
+                         ops.hat(np.zeros((6, 8))), pcg)
 
 
 def test_cached_warm_start_spectrum_matches_a_fresh_one(rng):
-    # a PCG step stores hat(x) for the next one; a state without it (made
-    # by canonical_init or by hand) warm-starts from hat(x) computed afresh
+    # every state carries hat(x), the next PCG step's warm start: the
+    # initial and solution states and every step, exact or PCG
     pcg = InnerSolveConfig(mode="pcg", pcg_iterations=3)
     steps = (lambda s, ops, c: sb_step(s, ops, 0.5, c),
              lambda s, ops, c: admm2_step(s, ops, 2.0, 0.5, c),
              lambda s, ops, c: admm2_simplified_step(s, ops, 2.0, 0.5, c))
     for mode in ("periodic", "masked"):
         ops = ProblemOps(random_problem(rng, shape=(9, 12), mask_mode=mode))
+        states = [canonical_init(ops, 2.0, 0.5, x0) for x0 in ("zero", "data")]
+        states.append(solution_state(ops, rng.standard_normal(ops.shape),
+                                     2.0, 0.5))
         for step in steps:
-            state = step(canonical_init(ops, 2.0, 0.5), ops, pcg)
-            assert step(state, ops, EXACT).x_hat is None
-            assert np.allclose(state.x_hat, ops.hat(state.x),
-                               rtol=0.0, atol=1e-14 * np.linalg.norm(state.x))
-            cached = step(state, ops, pcg).x
-            fresh = step(replace(state, x_hat=None), ops, pcg).x
-            assert (np.linalg.norm(cached - fresh)
-                    <= 1e-12 * np.linalg.norm(fresh))
+            for inner_cfg in (EXACT, pcg):
+                states.append(step(states[1], ops, inner_cfg))
+                states.append(step(states[-1], ops, inner_cfg))
+        if mode == "periodic":
+            states.append(quadratic_closed_form_step(states[1], ops, 2.0, 0.5))
+        for state in states:
+            assert np.allclose(state.x_hat, ops.hat(state.x), rtol=0.0,
+                               atol=1e-14 * max(np.linalg.norm(state.x), 1.0))
 
 
 def test_pcg_preconditioner_is_exact_on_near_singular_kernel():
@@ -530,7 +567,8 @@ def test_pcg_preconditioner_is_exact_on_near_singular_kernel():
                 warm = rng.standard_normal(shape)
                 want = np.linalg.solve(hessian, rhs.ravel())
                 cfg = InnerSolveConfig(mode="pcg", pcg_iterations=steps)
-                f, _ = _solve_x(ops, rho, eta, ops.hat(rhs), warm, cfg)
+                f, _ = _solve_x(ops, rho, eta, ops.hat(rhs), ops.hat(warm),
+                                cfg)
                 errors = [np.sqrt(e @ hessian @ e) for e in
                           (warm.ravel() - want, ops.unhat(f).ravel() - want)]
                 assert errors[1] <= bound * errors[0], (seed, shape, mode)
@@ -538,10 +576,9 @@ def test_pcg_preconditioner_is_exact_on_near_singular_kernel():
 
 def test_masked_pcg3_step_call_counts(rng, monkeypatch):
     # real 2-D FFTs, all through the library's own pair: rfft2 of C'(v + e)
-    # and, for PCG from a state that lacks the x_hat of a PCG step, of the
-    # warm start; irfft2 of x.  u, d and A x stay on the half spectrum, as
-    # does the solve itself, exact or PCG, periodic or masked, in every
-    # step variant.  C' of the right-hand side and C x once each
+    # and irfft2 of x.  u, d, A x and the warm start stay on the half
+    # spectrum, as does the solve itself, exact or PCG, periodic or masked,
+    # in every step variant.  C' of the right-hand side and C x once each
     counts = {}
 
     def count(module, name):
@@ -572,24 +609,20 @@ def test_masked_pcg3_step_call_counts(rng, monkeypatch):
                  s, ops, 1.0, 0.5, c),
              "quadratic_closed_form": lambda s, ops, c:
                  quadratic_closed_form_step(s, ops, 1.0, 0.5)}
-    cases = [(name, mode, solve, cached, rffts)
+    cases = [(name, mode, solve)
              for name in ("sb", "admm2", "admm2_simplified")
-             for mode, solve, cached, rffts in (("masked", pcg, True, 1),
-                                                ("masked", pcg, False, 2),
-                                                ("periodic", EXACT, True, 1),
-                                                ("masked", EXACT, True, 1))]
-    cases.append(("quadratic_closed_form", "periodic", EXACT, True, 1))
-    for name, mode, solve, cached, rffts in cases:
+             for mode, solve in (("masked", pcg), ("periodic", EXACT),
+                                 ("masked", EXACT))]
+    cases.append(("quadratic_closed_form", "periodic", EXACT))
+    for name, mode, solve in cases:
         ops = ProblemOps(random_problem(rng, shape=(16, 16), mask_mode=mode))
         # the first step builds the masked capacitance matrix, once per
         # (rho, eta), and the cached spectra of y; count the second
         state = steps[name](canonical_init(ops, 1.0, 0.5), ops, solve)
-        if not cached:
-            state = replace(state, x_hat=None)
         counts.clear()
         steps[name](state, ops, solve)
-        assert counts == {"rfft2": rffts, "irfft2": 1, "difference": 1,
-                          "difference_transpose": 1}, (name, mode, cached)
+        assert counts == {"rfft2": 1, "irfft2": 1, "difference": 1,
+                          "difference_transpose": 1}, (name, mode)
 
 
 def test_problem_ops_is_freed_without_cycle_collection(rng):

@@ -202,7 +202,7 @@ def test_pcg_stops_early_on_zero_residual(rng):
     assert np.allclose(res.x, rhs / 2.0)
 
 
-def test_pcg_preconditioner_may_return_its_argument(rng):
+def test_pcg_never_writes_rhs_or_the_warm_start(rng):
     # p must not alias r when the preconditioner hands back r itself, and
     # neither rhs nor warm_start may be written: no preconditioner, the
     # identity and a copying identity give bit-identical runs
@@ -228,7 +228,7 @@ def test_pcg_preconditioner_may_return_its_argument(rng):
         assert runs[0].residual_norms[-1] < 1e-6 * np.linalg.norm(rhs)
 
 
-def test_pcg_updates_its_own_arrays_whatever_the_callables_return(rng):
+def test_pcg_accepts_a_preconditioner_returning_its_argument(rng):
     # Fortran-ordered Hessian results, rhs and warm start, and a
     # preconditioner returning a view of r, must give the run of C-ordered
     # ones

@@ -56,15 +56,19 @@ def test_hat_preserves_inner_products(shape, mode, seed):
 @example((2, 2), "masked", 0)
 def test_spectral_wraps_match_real_wraps(shape, mode, seed):
     # U U' z on the half spectrum against W z = C'C_periodic z - C'C_masked z
-    # of the difference operators themselves
+    # of the difference operators themselves; U'z on the half spectrum is
+    # the wrap vector (the unitary spectra) of the real wraps of z
     ops, rng = problem(shape, mode, seed)
     z = rng.standard_normal(shape)
     want = (difference_transpose(difference(z, "periodic"), "periodic")
             - difference_transpose(difference(z, "masked"), "masked"))
     f = ops.hat(z)
-    got = ops.unhat(ops._add_wrap_hat(*ops._wrap_adjoint_hat(f),
-                                      np.zeros_like(f)))
+    v = ops._wrap_adjoint_hat(f)
+    got = ops.unhat(ops._add_wrap_hat(v, np.zeros_like(f)))
     assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+    wraps = np.concatenate((np.fft.fft(z[:, 0] - z[:, -1], norm="ortho"),
+                            np.fft.rfft(z[0] - z[-1]) * ops._col_scale))
+    assert np.allclose(v, wraps, rtol=0.0, atol=1e-13)
 
 
 @PROPERTY
