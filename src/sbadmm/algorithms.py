@@ -11,7 +11,6 @@ a step makes one rfft2, of its C' term, and one irfft2, of x.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -20,13 +19,13 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, circulant
 from scipy.linalg.blas import zaxpy, zdotc, zgeru
 
-from .grids import ConvolutionKernel, ImageGrid
+from .grids import ConvolutionKernel, ImageGrid, write_csv
 from .inner import (RZ_UNDERFLOW, InnerSolveConfig, PcgBreakdownError,
                     hessian_spectrum)
-from .operators import (blur, blur_transfer, blur_transpose, diff_gram_spectrum,
-                        diff_mask, difference, difference_transpose,
-                        half_spectrum, irfft2, rfft2,
-                        split_operator_rank_check, transfer_gram_spectrum)
+from .operators import (blur, blur_transfer, diff_gram_spectrum, diff_mask,
+                        difference, difference_transpose, half_spectrum,
+                        irfft2, rfft2, split_operator_rank_check,
+                        transfer_gram_spectrum)
 from .prox import Potential, potential_value_array, shrinkage
 
 DIVERGENCE_FACTOR = 1e6
@@ -169,7 +168,7 @@ class ProblemOps:
         return blur(self.transfer, x)
 
     def At(self, r):
-        return blur_transpose(self.transfer, r)
+        return blur(self.adjoint_transfer, r)
 
     def C(self, x):
         return difference(x, self.mask_mode)
@@ -300,17 +299,16 @@ class ProblemOps:
         p = pi z0 + M^-1 U c, r = gamma r0 + U e, x - x0 = xi z0 + M^-1 U chi
         and q = U'p (z0 = r0 / M; H p = pi r0 + U (c - eta q)), so a step
         applies G once, to a wrap vector (BLAS level 1 on those).  The
-        iterates are those of ``pcg_solve``, with its checks; U = 0 in
-        periodic mode, where one step is exact."""
+        iterates are those of ``pcg_solve``, with its checks.  In periodic
+        mode U = 0, so H = M and the answer is the exact division."""
+        if self.mask_mode == "periodic":
+            return self.solve_hat(b, rho, eta), 0.0
         inverse = self.hessian_spectra(rho, eta)[1]
-        periodic = self.mask_mode == "periodic"
         r0 = self.hessian_hat(x0, rho, eta)
         np.subtract(b, r0, out=r0)
         z0 = r0 * inverse
         rho0 = np.vdot(r0, z0).real
-        # U'z0; U = 0 in periodic mode
-        w0 = np.zeros(self.shape[0] + x0.shape[1], complex) if periodic \
-            else self._wrap_adjoint_hat(z0)
+        w0 = self._wrap_adjoint_hat(z0)  # U'z0
         pi, gamma, xi, rz = 1.0, 1.0, 0.0, rho0
         c, e, chi, q = *np.zeros((3,) + w0.shape, complex), w0
         for step in range(steps):
@@ -325,7 +323,7 @@ class ProblemOps:
             a = rz / php
             xi, gamma = xi + a * pi, gamma - a * pi
             chi, e = zaxpy(c, chi, a=a), zaxpy(hp, e, a=-a)
-            if step + 1 == steps or periodic:
+            if step + 1 == steps:
                 break
             u = zaxpy(w0, self._wrap_gram(e), a=gamma)  # U'z = G e + gamma w0
             rz_new = gamma * (gamma * rho0 + zdotc(w0, e).real) \
@@ -333,10 +331,8 @@ class ProblemOps:
             beta = rz_new / rz
             pi, c, rz = gamma + beta * pi, zaxpy(e, c * beta), rz_new
             q = zaxpy(q, u, a=beta)
-        r = np.multiply(r0, gamma, out=z0)
-        x = np.multiply(r0, xi, out=r0)
-        if not periodic:
-            r, x = self._add_wrap_hat(e, r), self._add_wrap_hat(chi, x)
+        r = self._add_wrap_hat(e, np.multiply(r0, gamma, out=z0))
+        x = self._add_wrap_hat(chi, np.multiply(r0, xi, out=r0))
         x *= inverse
         x += x0
         if not np.isfinite(x.view(float)).all():
@@ -515,13 +511,10 @@ class MetricTrace:
         return None
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["iter", "cost", "rel_cost_err", "rmsd",
-                             "inner_residual"])
-            for row in zip(self.iterations, self.cost, self.rel_cost_err,
-                           self.rmsd, self.inner_residual):
-                writer.writerow(["%d" % row[0]] + ["%.17g" % x for x in row[1:]])
+        write_csv(path, ["iter", "cost", "rel_cost_err", "rmsd",
+                         "inner_residual"],
+                  zip(self.iterations, self.cost, self.rel_cost_err,
+                      self.rmsd, self.inner_residual))
 
 
 def _make_step(config: OuterConfig):

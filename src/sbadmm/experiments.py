@@ -8,7 +8,6 @@ CG inner solves, and records cost / RMSD traces as CSV.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, field
@@ -16,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import OuterConfig, ProblemOps, ProblemSpec, run
-from .grids import ConvolutionKernel, ImageGrid, read_matrix_text, read_pgm, write_pgm
+from .grids import (ConvolutionKernel, ImageGrid, read_matrix_text, read_pgm,
+                    write_csv, write_pgm)
 from .inner import InnerSolveConfig
 from .operators import blur, blur_transfer
 from .prox import Potential
@@ -73,6 +73,8 @@ def gaussian_kernel(size: int = 7, sigma: float = 2.0) -> ConvolutionKernel:
     """Normalized truncated Gaussian PSF with a centered anchor."""
     if size < 1 or size % 2 == 0:
         raise ValueError("size must be a positive odd number")
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ValueError("sigma must be positive and finite")
     k = np.arange(size) - size // 2
     g = np.exp(-k ** 2 / (2.0 * sigma ** 2))
     taps = np.outer(g, g)
@@ -135,11 +137,9 @@ def make_problem(config: ExperimentConfig):
         std = 0.01 * (truth.values.max() - truth.values.min())
     rng = np.random.default_rng(config.noise_seed)
     y = blurred + std * rng.standard_normal(truth.shape)
-    if config.potential_kind in ("huber", "fair"):
-        potential = Potential(config.potential_kind, config.alpha,
-                              config.potential_threshold)
-    else:
-        potential = Potential(config.potential_kind, config.alpha)
+    # the quadratic and l1 potentials ignore the threshold
+    potential = Potential(config.potential_kind, config.alpha,
+                          config.potential_threshold)
     problem = ProblemSpec(y=ImageGrid(y), kernel=kernel,
                           mask_mode=config.mask_mode, potential=potential)
     return problem, truth
@@ -211,19 +211,13 @@ def benchmark_protocol(config: ExperimentConfig, write_artifacts: bool = True):
 
 
 def _write_summary(path, traces, failures):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["rho", "eta", "status", "final_rel_cost_err",
-                         "iters_to_%g" % SUMMARY_TOLERANCE])
-        for (rho, eta), trace in traces.items():
-            if trace is None:
-                writer.writerow(["%.17g" % rho, "%.17g" % eta,
-                                 "failed: " + failures[(rho, eta)], "", ""])
-                continue
-            hit = trace.iterations_to(SUMMARY_TOLERANCE)
-            writer.writerow(["%.17g" % rho, "%.17g" % eta, "ok",
-                             "%.17g" % trace.rel_cost_err[-1],
-                             "" if hit is None else "%d" % hit])
+    write_csv(path, ["rho", "eta", "status", "final_rel_cost_err",
+                     "iters_to_%g" % SUMMARY_TOLERANCE],
+              ((rho, eta, "failed: " + failures[(rho, eta)], "", "")
+               if trace is None else
+               (rho, eta, "ok", trace.rel_cost_err[-1],
+                trace.iterations_to(SUMMARY_TOLERANCE))
+               for (rho, eta), trace in traces.items()))
 
 
 def empirical_rate(errors) -> float:

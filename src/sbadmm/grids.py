@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,3 +112,13 @@ def write_matrix_text(grid: ImageGrid, path):
 
 def read_matrix_text(path) -> ImageGrid:
     return ImageGrid(np.atleast_2d(np.loadtxt(path)))
+
+
+def write_csv(path, header, rows):
+    """Write a header row, then the rows; float cells are written as %.17g
+    (an exact round trip), other cells as csv writes them (None as "")."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows([("%.17g" % c if isinstance(c, float) else c)
+                          for c in row] for row in rows)

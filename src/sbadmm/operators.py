@@ -22,13 +22,12 @@ half spectrum to the full grid, and that of C'C has the closed form
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .grids import ConvolutionKernel
+from .grids import ConvolutionKernel, write_csv
 
 EIGENVALUE_TOLERANCE = 1e-12
 
@@ -91,17 +90,10 @@ def blur_transfer(kernel, shape):
 
 
 def blur(transfer, x):
-    """Apply A through its real-FFT transfer."""
+    """Apply A through its real-FFT transfer, or A' through its conjugate."""
     f = rfft2(x)
     f *= transfer
     return irfft2(f, x.shape)
-
-
-def blur_transpose(transfer, r):
-    """Apply A'."""
-    f = rfft2(r)
-    f *= np.conj(transfer)
-    return irfft2(f, r.shape)
 
 
 def diff_mask(shape, mask_mode):
@@ -234,12 +226,6 @@ def write_spectra_csv(lam, omega, path):
     """Dump both Gram spectra as (freq_row, freq_col, lambda, omega) rows."""
     if lam.shape != omega.shape:
         raise ValueError("spectra live on different grids")
-    h, w = lam.shape
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["freq_row", "freq_col", "lambda", "omega"])
-        for i in range(h):
-            for j in range(w):
-                writer.writerow([i, j,
-                                 "%.17g" % lam[i, j],
-                                 "%.17g" % omega[i, j]])
+    write_csv(path, ["freq_row", "freq_col", "lambda", "omega"],
+              ((i, j, lam[i, j], omega[i, j])
+               for i, j in np.ndindex(lam.shape)))

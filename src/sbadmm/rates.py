@@ -20,12 +20,12 @@ matrices and cross-checks the analytic radii by eigendecomposition.
 
 from __future__ import annotations
 
-import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ConvolutionKernel
+from .grids import ConvolutionKernel, write_csv
 from .operators import (diff_gram_spectrum, gram_spectrum, sparse_blur_matrix,
                         sparse_diff_matrix)
 
@@ -82,25 +82,19 @@ def delta_spectrum(lam, omega, alpha: float) -> DeltaSpectrum:
 
 
 def rate_s1(delta, eta, alpha):
-    """Case I per-frequency rate; handles delta = +inf by its limit."""
+    """Case I per-frequency rate, written so that delta = +inf gives its
+    limit eta/(eta+alpha) and eta = alpha gives exactly 1/2."""
     _check_positive(eta=eta, alpha=alpha)
     delta = np.asarray(delta, dtype=float)
-    limit = eta / (eta + alpha)
-    finite = np.where(np.isinf(delta), 0.0, delta)
-    val = limit * (alpha + eta ** 2 * finite) / (eta + eta ** 2 * finite)
-    out = np.where(np.isinf(delta), limit, val)
-    return float(out) if out.ndim == 0 else out
+    return (eta + (alpha - eta) / (1.0 + eta * delta)) / (eta + alpha)
 
 
 def rate_s2(delta, rho, alpha):
-    """Case II per-frequency rate; delta = +inf gives 1/(rho+1)."""
+    """Case II per-frequency rate, written so that delta = +inf gives its
+    limit 1/(rho+1) and rho = 1 gives exactly 1/2."""
     _check_positive(rho=rho, alpha=alpha)
     delta = np.asarray(delta, dtype=float)
-    finite = np.where(np.isinf(delta), 0.0, delta)
-    val = (rho / (rho + 1.0)) * (rho ** 2 + alpha * finite) \
-        / (rho ** 2 + alpha * rho * finite)
-    out = np.where(np.isinf(delta), 1.0 / (rho + 1.0), val)
-    return float(out) if out.ndim == 0 else out
+    return (1.0 + (rho - 1.0) * rho / (rho + alpha * delta)) / (rho + 1.0)
 
 
 def rate_s3(eta, alpha):
@@ -111,8 +105,8 @@ def rate_s3(eta, alpha):
 
 def _check_positive(**kwargs):
     for name, value in kwargs.items():
-        if not value > 0:
-            raise ValueError("%s must be positive" % name)
+        if not 0 < value < np.inf:
+            raise ValueError("%s must be positive and finite" % name)
 
 
 def gamma_pivot(spectrum: DeltaSpectrum) -> float:
@@ -213,7 +207,7 @@ def predict(case: str, spectrum: DeltaSpectrum, rho: float = None,
 
 @dataclass(frozen=True)
 class Comparison:
-    faster: str
+    faster: str  # "sb", "admm_matched", or "tie" when the radii match
     rho_recommended: float
     radius_sb: float
     radius_admm: float
@@ -226,21 +220,22 @@ def compare_sb_vs_admm(eta: float, alpha: float,
     _check_positive(eta=eta, alpha=alpha)
     radius_sb = float(np.max(rate_s1(spectrum.deltas, eta, alpha)))
     radius_admm = rate_s3(eta, alpha)
-    return Comparison(faster="admm_matched" if eta < alpha else "tie",
+    if _matches(radius_sb, radius_admm):
+        faster = "tie"
+    else:
+        faster = "sb" if radius_sb < radius_admm else "admm_matched"
+    return Comparison(faster=faster,
                       rho_recommended=eta / alpha, radius_sb=radius_sb,
                       radius_admm=radius_admm)
 
 
 def rate_report_to_csv(report: RateReport, spectrum: DeltaSpectrum, path):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["index", "delta", "rate"])
-        for i, (d, r) in enumerate(zip(spectrum.deltas, report.rates)):
-            writer.writerow([i, "%.17g" % d, "%.17g" % r])
-        writer.writerow(["# radius", "%.17g" % report.spectral_radius, ""])
-        writer.writerow(["# eta_star", "%.17g" % report.optimal_eta, ""])
-        writer.writerow(["# rho_star", "%.17g" % report.optimal_rho, ""])
-        writer.writerow(["# gamma", "%.17g" % report.gamma, ""])
+    write_csv(path, ["index", "delta", "rate"], itertools.chain(
+        zip(itertools.count(), spectrum.deltas, report.rates),
+        [("# radius", report.spectral_radius, ""),
+         ("# eta_star", report.optimal_eta, ""),
+         ("# rho_star", report.optimal_rho, ""),
+         ("# gamma", report.gamma, "")]))
 
 
 # ---------------------------------------------------------------------------

@@ -509,17 +509,38 @@ def test_wrap_gram_matches_the_capacitance_matrix(rng, monkeypatch):
 
 def test_pcg_rejects_a_non_finite_right_hand_side(rng):
     # a NaN or an infinity in the right-hand side makes p'Hp non-finite in
-    # the first step (inf * 0 on the way is a NaN, not yet the error)
+    # the first step (inf * 0 on the way is a NaN, not yet the error); only
+    # masked mode runs a PCG loop, periodic mode divides by M
     pcg = InnerSolveConfig(mode="pcg", pcg_iterations=3)
-    for mode in ("periodic", "masked"):
-        ops = make_ops(fitting_kernel(rng, (6, 8)), (6, 8), mode)
-        for bad in (np.nan, np.inf, -np.inf):
-            rhs = rng.standard_normal((6, 8))
-            rhs[2, 3] = bad
-            with np.errstate(invalid="ignore"), pytest.raises(
-                    PcgBreakdownError, match="p'Hp = (nan|inf)"):
-                _solve_x(ops, 1.0, 0.5, ops.hat(rhs),
-                         ops.hat(np.zeros((6, 8))), pcg)
+    ops = make_ops(fitting_kernel(rng, (6, 8)), (6, 8), "masked")
+    for bad in (np.nan, np.inf, -np.inf):
+        rhs = rng.standard_normal((6, 8))
+        rhs[2, 3] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(
+                PcgBreakdownError, match="p'Hp = (nan|inf)"):
+            _solve_x(ops, 1.0, 0.5, ops.hat(rhs),
+                     ops.hat(np.zeros((6, 8))), pcg)
+
+
+def test_periodic_pcg_traces_equal_exact_traces(rng):
+    # periodic C leaves no wraps, H = M, so a PCG x-update is the division
+    # by M of the exact solve, to the bit, whatever its step count
+    problem = random_problem(rng, shape=(8, 9), mask_mode="periodic")
+    ref = ImageGrid(solve_reference(problem))
+    columns = ("iterations", "cost", "rel_cost_err", "rmsd", "inner_residual")
+    for algorithm in ("sb", "admm2", "admm2_simplified"):
+        traces = [run(problem, OuterConfig(
+            rho=2.0, eta=0.5, max_iterations=6, inner=inner_cfg,
+            algorithm=algorithm), reference=ref)
+            for inner_cfg in (EXACT, InnerSolveConfig(mode="pcg",
+                                                      pcg_iterations=1),
+                              InnerSolveConfig(mode="pcg", pcg_iterations=3))]
+        for trace in traces[1:]:
+            for name in columns:
+                assert getattr(trace, name) == getattr(traces[0], name), \
+                    (algorithm, name)
+            assert np.array_equal(trace.final_image.values,
+                                  traces[0].final_image.values)
 
 
 def test_cached_warm_start_spectrum_matches_a_fresh_one(rng):

@@ -144,6 +144,37 @@ def test_recommend_with_eta_comparison(runner):
     assert "faster=admm_matched" in result.output
 
 
+def test_recommend_verdict_follows_the_radii(tmp_path, runner):
+    # a narrow PSF on 8x8 puts every s1 below s3 at eta = 1.25
+    config = write_config(tmp_path / "c.cfg", "psf_size = 3\n"
+                          "psf_sigma = 0.5\nheight = 8\nwidth = 8\n")
+    result = runner.invoke(main, ["recommend", "--config", config,
+                                  "--eta", "1.25"])
+    assert result.exit_code == 0, result.output
+    assert "faster=sb rho_recommended=20 radius_sb=0.942666703 " \
+        "radius_admm=0.952380952" in result.output
+    # the default 64x64 radii differ by about 6e-15 relative only
+    result = runner.invoke(main, ["recommend", "--eta", "1.25"])
+    assert result.exit_code == 0, result.output
+    assert "faster=tie" in result.output
+    # no verdict from NaN radii: an infinite penalty is a bad argument
+    for args in (["recommend", "--eta", "inf"],
+                 ["predict", "--case", "II", "--rho", "inf",
+                  "--output-dir", str(tmp_path / "o")]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "must be positive and finite" in result.output
+
+
+def test_zero_psf_sigma_exits_2(tmp_path, runner):
+    config = write_config(tmp_path / "c.cfg", "psf_sigma = 0\n")
+    for command in ("restore", "spectra"):
+        result = runner.invoke(main, [command, "--config", config,
+                                      "--output-dir", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "sigma must be positive and finite" in result.output
+
+
 def test_predict_case_and_csv(tmp_path, runner):
     out = str(tmp_path / "out")
     result = runner.invoke(main, ["predict", "--case", "III",

@@ -50,6 +50,10 @@ def test_gaussian_kernel_normalized():
     assert k.anchor == (3, 3)
     with pytest.raises(ValueError):
         ex.gaussian_kernel(4, 2.0)
+    for sigma in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="sigma must be positive and "
+                           "finite"):
+            ex.gaussian_kernel(3, sigma)
 
 
 def test_default_parameter_grid():

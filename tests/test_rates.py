@@ -1,12 +1,16 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
 from sbadmm.grids import ConvolutionKernel
-from sbadmm.operators import diff_gram_spectrum, gram_spectrum
+from sbadmm.operators import (diff_gram_spectrum, gram_spectrum,
+                              write_spectra_csv)
 from sbadmm.rates import (DeltaSpectrum, compare_sb_vs_admm, delta_spectrum,
                           dense_transition_oracle, gamma_pivot, optimal_eta_sb,
-                          optimal_rho_al, predict, rate_s1, rate_s2, rate_s3)
+                          optimal_rho_al, predict, rate_report_to_csv, rate_s1,
+                          rate_s2, rate_s3)
 from conftest import random_kernel
 
 ALPHA = 2.0 ** -4
@@ -63,6 +67,14 @@ def test_rates_reject_nonpositive_parameters():
         rate_s2(1.0, 1.0, -1.0)
     with pytest.raises(ValueError):
         rate_s3(-2.0, 1.0)
+    # an infinite or NaN penalty would make every rate NaN
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            rate_s1(1.0, bad, 1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            rate_s2(1.0, bad, 1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            rate_s3(1.0, bad)
 
 
 def test_s1_sign_and_monotonicity(rng):
@@ -184,6 +196,45 @@ def test_compare_sb_vs_admm():
 
     eq = compare_sb_vs_admm(ALPHA, ALPHA, spec)
     assert eq.faster == "tie" and eq.radius_admm == 0.5
+
+    # without delta = +inf, eta > alpha keeps every s1 below s3
+    finite = DeltaSpectrum(np.array([0.0, 1.0]), ALPHA)
+    sb = compare_sb_vs_admm(20.0 * ALPHA, ALPHA, finite)
+    assert sb.faster == "sb" and sb.radius_sb < sb.radius_admm
+
+
+def test_rate_and_spectra_csv_round_trip(tmp_path):
+    # [[0.5, 0.5]] vanishes at the Nyquist column: lambda = 0, delta = +inf
+    shape = (4, 6)
+    lam = gram_spectrum(ConvolutionKernel(np.array([[0.5, 0.5]])), shape)
+    om = diff_gram_spectrum(shape)
+    spec = delta_spectrum(lam, om, ALPHA)
+    assert np.isinf(spec.deltas).any()
+    report = predict("I", spec, eta=0.3)
+    path = str(tmp_path / "rates.csv")
+    rate_report_to_csv(report, spec, path)
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["index", "delta", "rate"]
+    body = rows[1:1 + spec.deltas.size]
+    assert [int(r[0]) for r in body] == list(range(spec.deltas.size))
+    assert [float(r[1]) for r in body] == list(spec.deltas)
+    assert [float(r[2]) for r in body] == list(report.rates)
+    assert [(r[0], float(r[1]), r[2]) for r in rows[1 + spec.deltas.size:]] \
+        == [("# radius", report.spectral_radius, ""),
+            ("# eta_star", report.optimal_eta, ""),
+            ("# rho_star", report.optimal_rho, ""),
+            ("# gamma", report.gamma, "")]
+
+    path = str(tmp_path / "spectra.csv")
+    write_spectra_csv(lam, om, path)
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["freq_row", "freq_col", "lambda", "omega"]
+    got = np.array([[float(c) for c in r] for r in rows[1:]])
+    i, j = np.indices(shape)
+    assert np.array_equal(got, np.stack(
+        [i.ravel(), j.ravel(), lam.ravel(), om.ravel()], axis=1))
 
 
 def kernel_4x1():
