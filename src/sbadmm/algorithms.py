@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, circulant
-from scipy.linalg.blas import zaxpy, zdotc, zgeru
+import scipy  # scipy.linalg loads with the first masked ProblemOps
 
 from .grids import ConvolutionKernel, ImageGrid, write_csv
 from .inner import (RZ_UNDERFLOW, InnerSolveConfig, PcgBreakdownError,
@@ -67,8 +66,8 @@ class OuterConfig:
     x0_mode: str = "zero"
 
     def __post_init__(self):
-        if not (self.rho > 0 and self.eta > 0):
-            raise ValueError("rho and eta must be positive")
+        if not (0 < self.rho < math.inf and 0 < self.eta < math.inf):
+            raise ValueError("rho and eta must be positive and finite")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
         if self.algorithm not in ALGORITHMS:
@@ -130,6 +129,11 @@ class ProblemOps:
             raise ValueError("cannot difference a 1x1 image")
         self.mask_mode = problem.mask_mode
         self.potential = problem.potential
+        if self.mask_mode == "masked":
+            # load scipy.linalg for the masked x-updates now, before a run
+            # allocates its arrays: imported among them it fragments the
+            # heap, and a 512x512 step then made twice the page faults
+            scipy.linalg
         h, w = self.shape
         self.transfer = blur_transfer(problem.kernel, self.shape)
         # hat(A x) = transfer hat(x), hat(A' r) = adjoint_transfer hat(r)
@@ -229,6 +233,7 @@ class ProblemOps:
         """out + alpha hat(U c), from the wrap vector v of c, by two
         rank-one BLAS updates that overwrite a C-contiguous out."""
         h = self.shape[0]
+        zgeru = scipy.linalg.blas.zgeru
         out_t = zgeru(alpha, self._a_hat, v[:h], a=out.T, overwrite_a=True)
         return zgeru(alpha, v[h:], self._b, a=out_t, overwrite_a=True).T
 
@@ -258,11 +263,11 @@ class ProblemOps:
                           np.r_[np.zeros(h), self._col_scale]))
             k_hv = (gv - np.roll(gv, 1, axis=1))[:, -np.arange(w) % w]
             s = np.eye(h + w) / eta - np.block(
-                [[circulant(gh[:, 0] - gh[:, -1]), k_hv],
-                 [k_hv.T, circulant(gv[0] - gv[-1])]])
-            self._capacitance = cho_factor(s)
+                [[scipy.linalg.circulant(gh[:, 0] - gh[:, -1]), k_hv],
+                 [k_hv.T, scipy.linalg.circulant(gv[0] - gv[-1])]])
+            self._capacitance = scipy.linalg.cho_factor(s)
         v = self._wrap_adjoint_hat(f * inverse)
-        c = cho_solve(self._capacitance, np.concatenate(
+        c = scipy.linalg.cho_solve(self._capacitance, np.concatenate(
             (np.fft.ifft(v[:h], norm="ortho").real,
              np.fft.irfft(v[h:] / self._col_scale, n=w))))
         out = self._add_wrap_hat(
@@ -303,6 +308,7 @@ class ProblemOps:
         mode U = 0, so H = M and the answer is the exact division."""
         if self.mask_mode == "periodic":
             return self.solve_hat(b, rho, eta), 0.0
+        zaxpy, zdotc = scipy.linalg.blas.zaxpy, scipy.linalg.blas.zdotc
         inverse = self.hessian_spectra(rho, eta)[1]
         r0 = self.hessian_hat(x0, rho, eta)
         np.subtract(b, r0, out=r0)

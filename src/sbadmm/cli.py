@@ -297,6 +297,8 @@ def oracle(grid_text, case, rho, eta, alpha):
         h, w = (int(p) for p in grid_text.lower().split("x"))
     except ValueError:
         raise ConfigError("--grid must look like 4x4")
+    if h < 1 or w < 1:
+        raise ConfigError("--grid sides must be positive, got %s" % grid_text)
     if case == "II":
         rho_, eta_ = case_parameters(case, alpha, 2.0 if rho is None else rho,
                                      eta)

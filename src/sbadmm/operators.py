@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+import scipy  # scipy.sparse loads at the first sparse matrix
 
 from .grids import ConvolutionKernel, write_csv
 
@@ -181,7 +181,8 @@ def split_operator_rank_check(lam, omega) -> RankCheck:
                      min_combined_eigenvalue=mn)
 
 
-def sparse_blur_matrix(kernel: ConvolutionKernel, shape) -> sp.csr_matrix:
+def sparse_blur_matrix(kernel: ConvolutionKernel,
+                       shape) -> scipy.sparse.csr_matrix:
     """Materialize the blur A as a sparse (h*w) x (h*w) matrix."""
     _check_fits(kernel, shape)
     h, w = shape
@@ -193,12 +194,12 @@ def sparse_blur_matrix(kernel: ConvolutionKernel, shape) -> sp.csr_matrix:
         rows.append((ii * w + jj).ravel())
         cols.append((((ii - oi) % h) * w + (jj - oj) % w).ravel())
         vals.append(np.full(n, t))
-    return sp.csr_matrix(
+    return scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n))
 
 
-def sparse_diff_matrix(shape, mask_mode) -> sp.csr_matrix:
+def sparse_diff_matrix(shape, mask_mode) -> scipy.sparse.csr_matrix:
     """Materialize C as a sparse (2*h*w) x (h*w) matrix (stacked h, v).
 
     Masked-out rows are kept as zero rows so row indexing matches the
@@ -217,7 +218,7 @@ def sparse_diff_matrix(shape, mask_mode) -> sp.csr_matrix:
         cols += [(ii * w + jj).ravel()[keep],
                  ((((ii + di) % h) * w + (jj + dj) % w)).ravel()[keep]]
         vals += [np.full(r.size, -1.0), np.full(r.size, 1.0)]
-    return sp.csr_matrix(
+    return scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(2 * n, n))
 

@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from sbadmm import algorithms, inner, operators
@@ -41,6 +42,9 @@ def test_config_validation():
         OuterConfig(rho=0.0)
     with pytest.raises(ValueError):
         OuterConfig(eta=-1.0)
+    for inf in ({"rho": np.inf}, {"eta": np.inf}):
+        with pytest.raises(ValueError, match="positive and finite"):
+            OuterConfig(**inf)
     with pytest.raises(ValueError):
         OuterConfig(algorithm="admm3")
     with pytest.raises(ValueError):
@@ -311,8 +315,8 @@ def test_exact_solve_matches_sparse_solve(rng):
 
 def test_capacitance_is_factored_once_per_parameters(rng, monkeypatch):
     calls = []
-    real = algorithms.cho_factor
-    monkeypatch.setattr(algorithms, "cho_factor",
+    real = scipy.linalg.cho_factor
+    monkeypatch.setattr(scipy.linalg, "cho_factor",
                         lambda *a, **kw: calls.append(1) or real(*a, **kw))
     ops = ProblemOps(random_problem(rng, mask_mode="masked"))
     state = canonical_init(ops, 1.0, 0.5)
@@ -487,8 +491,8 @@ def test_wrap_gram_matches_the_capacitance_matrix(rng, monkeypatch):
     # vectors of real wraps c = (c_row, c_col); several (rho, eta) per
     # problem, as G's cached diagonals must follow them
     factored = []
-    real = algorithms.cho_factor
-    monkeypatch.setattr(algorithms, "cho_factor",
+    real = scipy.linalg.cho_factor
+    monkeypatch.setattr(scipy.linalg, "cho_factor",
                         lambda s: factored.append(s) or real(s))
     for shape in ODD_AND_DEGENERATE_SHAPES:
         h, w = shape

@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import sbadmm
 from sbadmm.cli import (ConfigError, build_experiment_config, load_config,
                         main)
 
@@ -160,6 +163,8 @@ def test_recommend_verdict_follows_the_radii(tmp_path, runner):
     # no verdict from NaN radii: an infinite penalty is a bad argument
     for args in (["recommend", "--eta", "inf"],
                  ["predict", "--case", "II", "--rho", "inf",
+                  "--output-dir", str(tmp_path / "o")],
+                 ["restore", "--iters", "3", "--eta", "inf",
                   "--output-dir", str(tmp_path / "o")]):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
@@ -243,3 +248,41 @@ def test_oracle_rejects_inconsistent_case(runner):
 def test_oracle_bad_grid_spec(runner):
     result = runner.invoke(main, ["oracle", "--grid", "4by4", "--case", "I"])
     assert result.exit_code == 2
+    for grid in ("0x4", "-2x4"):
+        result = runner.invoke(main, ["oracle", "--grid", grid, "--case", "I"])
+        assert result.exit_code == 2, result.output
+        assert "--grid sides must be positive, got %s" % grid in result.output
+
+
+LAZY_SCIPY = """
+import sys
+from sbadmm.cli import main
+from sbadmm.operators import sparse_diff_matrix
+
+out = sys.argv[1]
+with open(out + "/p.cfg", "w") as f:
+    f.write("mask_mode = periodic\\nheight = 16\\nwidth = 16\\n")
+heavy = {"scipy.linalg", "scipy.sparse"}
+for args in (["recommend", "--eta", "1.25"],
+             ["predict", "--case", "I", "--eta", "1.25"],
+             ["spectra"],
+             ["restore", "--config", out + "/p.cfg", "--iters", "3"]):
+    main(args + ["--output-dir", out + "/o"], standalone_mode=False)
+    assert not heavy & set(sys.modules), (args, heavy & set(sys.modules))
+main(["restore", "--iters", "3", "--output-dir", out + "/m"],
+     standalone_mode=False)
+assert "scipy.linalg" in sys.modules
+sparse_diff_matrix((4, 4), "masked")
+assert "scipy.sparse" in sys.modules
+"""
+
+
+def test_periodic_runs_and_rate_commands_load_no_scipy_linalg_or_sparse(
+        tmp_path):
+    # scipy.linalg, with its own OpenBLAS, and scipy.sparse load on the
+    # first call that needs them: a masked problem, a sparse matrix
+    src = os.path.dirname(os.path.dirname(sbadmm.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", LAZY_SCIPY, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
