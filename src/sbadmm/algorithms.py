@@ -83,7 +83,9 @@ class SolverState:
     u and d are kept as u_hat = hat(u) and d_hat = hat(d); x_hat, ax_hat
     and cx are hat(x), hat(A x) and C x as the step computed them, so the
     cost of the iterate needs neither of the last two again and the next
-    PCG step warm-starts from x_hat without an rfft2.
+    PCG step warm-starts from x_hat without an rfft2.  No two fields share
+    memory: a step writes over the arrays of the state it is given and
+    returns that state, so a caller who still needs a state steps a copy.
     """
 
     x: np.ndarray
@@ -101,11 +103,12 @@ class SolverState:
 class ProblemOps:
     """The operators of one problem, on plain arrays.
 
-    Built once from a ProblemSpec: the real-FFT blur transfer, the full
-    spectra lambda and omega, the validity mask of C, and the rank check of
-    the split.  A/At/C/Ct are the true (possibly masked) operators; cost is
-    the objective of the true problem.  Raises ValueError when the kernel
-    does not fit the grid or the grid is a single pixel.
+    Built once from a ProblemSpec: the real-FFT blur transfer and the
+    validity mask of C; the spectra lambda and omega, half and full, and
+    the rank check of the split are built on first use.  A/At/C/Ct are
+    the true (possibly masked) operators; cost is the objective of the true
+    problem.  Raises ValueError when the kernel does not fit the grid or
+    the grid is a single pixel.
 
     The x-update Hessian H = rho A'A + eta C'C splits as H = M - eta W:
     M = rho A'A + eta C'C of the periodic stencils is circulant, and
@@ -138,10 +141,7 @@ class ProblemOps:
         self.transfer = blur_transfer(problem.kernel, self.shape)
         # hat(A x) = transfer hat(x), hat(A' r) = adjoint_transfer hat(r)
         self.adjoint_transfer = np.conj(self.transfer)
-        self.lam = transfer_gram_spectrum(self.transfer, w)
-        self.om = diff_gram_spectrum(self.shape)
         self.mask = diff_mask(self.shape, problem.mask_mode)
-        self.rank = split_operator_rank_check(self.lam, self.om)
         self._spectra_key = None
         # a half-spectrum column other than 0 and w/2 stands for itself and
         # its mirror image, so it weighs twice in Parseval's sum
@@ -168,17 +168,44 @@ class ProblemOps:
         self._gram_in = np.concatenate((self._col_weights, self._row_weights))
         self._gram_out = np.concatenate((self._b, self._a_hat))
 
+    @cached_property
+    def lam_half(self):
+        """lambda, the spectrum of A'A, at the frequency columns 0..w/2."""
+        return np.abs(self.transfer) ** 2
+
+    @cached_property
+    def om_half(self):
+        """omega, the spectrum of the periodic C'C, at the columns 0..w/2."""
+        return half_spectrum(diff_gram_spectrum(self.shape))
+
+    @cached_property
+    def rank(self):
+        """The rank check of the split.  lambda and omega are
+        mirror-symmetric, so their half spectra hold every value, the
+        minimum among them."""
+        return split_operator_rank_check(self.lam_half, self.om_half)
+
+    @cached_property
+    def lam(self):
+        """The full spectrum of A'A."""
+        return transfer_gram_spectrum(self.transfer, self.shape[1])
+
+    @cached_property
+    def om(self):
+        """The full spectrum of the periodic C'C."""
+        return diff_gram_spectrum(self.shape)
+
     def A(self, x):
         return blur(self.transfer, x)
 
     def At(self, r):
         return blur(self.adjoint_transfer, r)
 
-    def C(self, x):
-        return difference(x, self.mask_mode)
+    def C(self, x, out=None):
+        return difference(x, self.mask_mode, out)
 
-    def Ct(self, g):
-        return difference_transpose(g, self.mask_mode)
+    def Ct(self, g, out=None):
+        return difference_transpose(g, self.mask_mode, out)
 
     def hat(self, x):
         """Unitarily scaled half spectrum: sum(x * y) = Re vdot(hat(x),
@@ -192,10 +219,11 @@ class ProblemOps:
         """unhat's scratch half spectrum, never returned."""
         return np.empty(self.transfer.shape, complex)
 
-    def unhat(self, f):
-        """The real array whose hat is f; f is not written."""
+    def unhat(self, f, out=None):
+        """The real array whose hat is f, into out if it is given; f is not
+        written."""
         return irfft2(np.multiply(f, self._unscale, out=self._scratch),
-                      self.shape)
+                      self.shape, out)
 
     @cached_property
     def y_hat(self):
@@ -213,7 +241,7 @@ class ProblemOps:
         per (rho, eta); raises SingularHessianError where M vanishes.  1 / M
         is kept as numpy multiplies by a real array faster than it divides."""
         if self._spectra_key != (rho, eta):
-            m = half_spectrum(hessian_spectrum(self.lam, self.om, rho, eta))
+            m = hessian_spectrum(self.lam_half, self.om_half, rho, eta)
             self._spectra = (m, 1.0 / m)
             self._spectra_key = (rho, eta)
             self._capacitance = self._gram_diagonal = None
@@ -363,7 +391,8 @@ def _consistent_state(ops: ProblemOps, x, rho: float,
                       eta: float) -> SolverState:
     """The state at x whose splits and duals agree with it: u = A x,
     v = C x, u + rho*d = y, and alpha*v + eta*e = 0 for the quadratic
-    potential (e = 0 otherwise)."""
+    potential (e = 0 otherwise).  Each field is an array of its own, as
+    the steps write over them."""
     x_hat = ops.hat(x)
     u_hat = ops.transfer * x_hat
     v = ops.C(x)
@@ -372,7 +401,7 @@ def _consistent_state(ops: ProblemOps, x, rho: float,
     else:
         e = np.zeros_like(v)
     return SolverState(x=x, u_hat=u_hat, v=v, d_hat=(ops.y_hat - u_hat) / rho,
-                       e=e, x_hat=x_hat, ax_hat=u_hat, cx=v)
+                       e=e, x_hat=x_hat, ax_hat=u_hat.copy(), cx=v.copy())
 
 
 def canonical_init(ops: ProblemOps, rho: float, eta: float,
@@ -392,72 +421,112 @@ def _solve_x(ops, rho, eta, rhs, x_hat, inner: InnerSolveConfig):
     return ops.pcg_hat(rhs, x_hat, rho, eta, inner.pcg_iterations)
 
 
-def _split_update(ops, cx, e, eta):
-    """v = prox(cx - e) and the dual e - cx + v = -shrinkage(cx - e).  In
-    masked mode v is zero and e keeps its value on the wrap-around slices."""
-    v = cx - e
-    s = shrinkage(ops.potential, v, eta)
+# A step writes its result over the arrays of the state it is given and
+# returns that state; only x_hat is a new array, as the PCG solve reads the
+# old one as its warm start.  The right-hand side is built in the ax_hat
+# buffer and v + e in the cx buffer, as neither is read before the step
+# writes them again.  If a step raises, its state is left part-written.
+
+def _add_split_term(ops, state, g, scale, rhs):
+    """rhs += scale hat(C'g), with C'g written over state.x, which the
+    step writes afresh."""
+    f = ops.hat(ops.Ct(g, out=state.x))
+    f *= scale
+    rhs += f
+
+
+def _eliminated_rhs(ops, state, rho):
+    """hat(A'y) + (rho - 1) hat(A'u), written over state.ax_hat."""
+    rhs = np.multiply(rho - 1.0, ops.adjoint_transfer, out=state.ax_hat)
+    rhs *= state.u_hat
+    return np.add(ops.aty_hat, rhs, out=rhs)
+
+
+def _new_x(ops, state, f, residual):
+    """Store the x-update hat(x) = f, and write x, hat(A x) and C x over
+    the state."""
+    ops.unhat(f, out=state.x)
+    np.multiply(f, ops.transfer, out=state.ax_hat)
+    ops.C(state.x, out=state.cx)
+    state.x_hat = f
+    state.k += 1
+    state.inner_residual = residual
+
+
+def _eliminated_u_d(ops, state, rho):
+    """u = (rho A x + u) / (rho + 1) and d = (y - u) / rho, over u and d."""
+    u_hat = np.multiply(rho, state.ax_hat, out=state.d_hat)
+    np.add(u_hat, state.u_hat, out=state.u_hat)
+    state.u_hat /= rho + 1.0
+    np.subtract(ops.y_hat, state.u_hat, out=state.d_hat)
+    state.d_hat /= rho
+
+
+_WRAPS = ((0, slice(None), -1), (1, -1, slice(None)))
+
+
+def _split_update(ops, state, eta):
+    """v = prox(cx - e) and the dual e - cx + v = -shrinkage(cx - e),
+    written over v and e.  In masked mode v is zero and e keeps its value
+    on the wrap-around slices, saved before e is written."""
+    v, e = state.v, state.e
+    kept = [] if ops.mask_mode == "periodic" else [e[ix].copy()
+                                                   for ix in _WRAPS]
+    np.subtract(state.cx, e, out=v)
+    s = shrinkage(ops.potential, v, eta, out=e)
     v -= s
     np.negative(s, out=s)
-    if ops.mask_mode != "periodic":
-        for ix in ((0, slice(None), -1), (1, -1, slice(None))):
-            v[ix] = 0.0
-            s[ix] = e[ix]
-    return v, s
+    for ix, old in zip(_WRAPS, kept):
+        v[ix] = 0.0
+        e[ix] = old
 
 
 def sb_step(state: SolverState, ops: ProblemOps, eta: float,
             inner: InnerSolveConfig) -> SolverState:
     """One split Bregman sweep: least-squares x, prox v, dual e."""
-    rhs = ops.aty_hat + eta * ops.hat(ops.Ct(state.v + state.e))
+    rhs = state.ax_hat
+    rhs[...] = ops.aty_hat
+    _add_split_term(ops, state, np.add(state.v, state.e, out=state.cx), eta,
+                    rhs)
     f, res = _solve_x(ops, 1.0, eta, rhs, state.x_hat, inner)
-    x, u_hat = ops.unhat(f), f * ops.transfer
-    del rhs  # free the spectrum the next step does not warm-start from
-    cx = ops.C(x)
-    v, e = _split_update(ops, cx, state.e, eta)
-    return SolverState(x=x, u_hat=u_hat, v=v, d_hat=ops.y_hat - u_hat, e=e,
-                       x_hat=f, ax_hat=u_hat, cx=cx, k=state.k + 1,
-                       inner_residual=res)
+    _new_x(ops, state, f, res)
+    state.u_hat[...] = state.ax_hat
+    np.subtract(ops.y_hat, state.u_hat, out=state.d_hat)
+    _split_update(ops, state, eta)
+    return state
 
 
 def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
                inner: InnerSolveConfig) -> SolverState:
     """One two-split ADMM sweep (x, u, v, then both dual updates)."""
-    rhs = state.u_hat + state.d_hat
+    rhs = np.add(state.u_hat, state.d_hat, out=state.ax_hat)
     rhs *= ops.adjoint_transfer
     rhs *= rho
-    f = ops.hat(ops.Ct(state.v + state.e))
-    f *= eta
-    rhs += f
+    _add_split_term(ops, state, np.add(state.v, state.e, out=state.cx), eta,
+                    rhs)
     f, res = _solve_x(ops, rho, eta, rhs, state.x_hat, inner)
-    x, ax_hat = ops.unhat(f), f * ops.transfer
-    del rhs
-    u_hat = ax_hat - state.d_hat
+    _new_x(ops, state, f, res)
+    u_hat = np.subtract(state.ax_hat, state.d_hat, out=state.u_hat)
     u_hat *= rho
     u_hat += ops.y_hat
     u_hat /= rho + 1.0
-    d_hat = state.d_hat - ax_hat
-    d_hat += u_hat
-    cx = ops.C(x)
-    v, e = _split_update(ops, cx, state.e, eta)
-    return SolverState(x=x, u_hat=u_hat, v=v, d_hat=d_hat, e=e, x_hat=f,
-                       ax_hat=ax_hat, cx=cx, k=state.k + 1, inner_residual=res)
+    state.d_hat -= state.ax_hat
+    state.d_hat += u_hat
+    _split_update(ops, state, eta)
+    return state
 
 
 def admm2_simplified_step(state: SolverState, ops: ProblemOps, rho: float,
                           eta: float, inner: InnerSolveConfig) -> SolverState:
     """Two-split ADMM with d eliminated; requires the canonical d init."""
-    rhs = ops.aty_hat + (rho - 1.0) * ops.adjoint_transfer * state.u_hat \
-        + eta * ops.hat(ops.Ct(state.v + state.e))
+    rhs = _eliminated_rhs(ops, state, rho)
+    _add_split_term(ops, state, np.add(state.v, state.e, out=state.cx), eta,
+                    rhs)
     f, res = _solve_x(ops, rho, eta, rhs, state.x_hat, inner)
-    x, ax_hat = ops.unhat(f), f * ops.transfer
-    del rhs
-    u_hat = (rho * ax_hat + state.u_hat) / (rho + 1.0)
-    cx = ops.C(x)
-    v, e = _split_update(ops, cx, state.e, eta)
-    return SolverState(x=x, u_hat=u_hat, v=v, d_hat=(ops.y_hat - u_hat) / rho,
-                       e=e, x_hat=f, ax_hat=ax_hat, cx=cx, k=state.k + 1,
-                       inner_residual=res)
+    _new_x(ops, state, f, res)
+    _eliminated_u_d(ops, state, rho)
+    _split_update(ops, state, eta)
+    return state
 
 
 def quadratic_closed_form_step(state: SolverState, ops: ProblemOps, rho: float,
@@ -472,17 +541,15 @@ def quadratic_closed_form_step(state: SolverState, ops: ProblemOps, rho: float,
     if ops.mask_mode != "periodic":
         raise ValueError("closed-form recursion requires periodic operators")
     alpha = ops.potential.alpha
-    rhs = ops.aty_hat + (rho - 1.0) * ops.adjoint_transfer * state.u_hat \
-        + (eta - alpha) * ops.hat(ops.Ct(state.v))
-    f = ops.solve_hat(rhs, rho, eta)
-    x, ax_hat = ops.unhat(f), f * ops.transfer
-    del rhs
-    u_hat = (rho * ax_hat + state.u_hat) / (rho + 1.0)
-    cx = ops.C(x)
-    v = (eta / (eta + alpha)) * cx + (alpha / (eta + alpha)) * state.v
-    return SolverState(x=x, u_hat=u_hat, v=v, d_hat=(ops.y_hat - u_hat) / rho,
-                       e=-(alpha / eta) * v, x_hat=f, ax_hat=ax_hat, cx=cx,
-                       k=state.k + 1)
+    rhs = _eliminated_rhs(ops, state, rho)
+    _add_split_term(ops, state, state.v, eta - alpha, rhs)
+    _new_x(ops, state, ops.solve_hat(rhs, rho, eta), 0.0)
+    _eliminated_u_d(ops, state, rho)
+    v = np.multiply(eta / (eta + alpha), state.cx, out=state.e)
+    state.v *= alpha / (eta + alpha)
+    np.add(v, state.v, out=state.v)
+    np.multiply(-(alpha / eta), state.v, out=state.e)
+    return state
 
 
 @dataclass

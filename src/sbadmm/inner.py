@@ -48,8 +48,9 @@ class InnerSolveConfig:
 
 
 def hessian_spectrum(lam, omega, rho, eta):
-    """M = rho lambda + eta omega, the full spectrum of the circulant part of
-    the Hessian; raises SingularHessianError where it vanishes."""
+    """M = rho lambda + eta omega, the spectrum of the circulant part of the
+    Hessian on the frequencies of the spectra given, full or half; raises
+    SingularHessianError where it vanishes."""
     if lam.shape != omega.shape:
         raise ValueError("spectra live on different grids")
     if not (rho > 0 and eta > 0):

@@ -75,12 +75,12 @@ def rfft2(x):
     return np.fft.fft(f, axis=0, out=f)
 
 
-def irfft2(f, shape):
-    """numpy's irfft2 of f to the real shape, bit for bit.  Overwrites f:
-    its column pass is done in place, so pass only a spectrum the caller
-    owns."""
+def irfft2(f, shape, out=None):
+    """numpy's irfft2 of f to the real shape, bit for bit, into out if it is
+    given.  Overwrites f: its column pass is done in place, so pass only a
+    spectrum the caller owns."""
     np.fft.ifft(f, axis=0, out=f)
-    return np.fft.irfft(f, n=shape[1], axis=1)
+    return np.fft.irfft(f, n=shape[1], axis=1, out=out)
 
 
 def blur_transfer(kernel, shape):
@@ -112,13 +112,14 @@ def diff_mask(shape, mask_mode):
     return mask
 
 
-def difference(x, mask_mode):
-    """Apply C: horizontal and vertical forward differences.
+def difference(x, mask_mode, out=None):
+    """Apply C: horizontal and vertical forward differences, into out if it
+    is given.
 
     Each plane is written by slices, the horizontal one through transposed
     views; masked mode zeroes the differences that would wrap.
     """
-    g = np.empty((2,) + x.shape)
+    g = np.empty((2,) + x.shape) if out is None else out
     for plane, xs in ((g[0].T, x.T), (g[1], x)):
         np.subtract(xs[1:], xs[:-1], out=plane[:-1])
         if mask_mode == "periodic":
@@ -128,9 +129,11 @@ def difference(x, mask_mode):
     return g
 
 
-def difference_transpose(g, mask_mode):
-    """Apply C'; in masked mode entries of g off the mask are ignored."""
-    out = np.empty(g.shape[1:])
+def difference_transpose(g, mask_mode, out=None):
+    """Apply C', into out if it is given; in masked mode entries of g off
+    the mask are ignored."""
+    if out is None:
+        out = np.empty(g.shape[1:])
     vertical = np.empty(g.shape[1:])
     for res, gs in ((out.T, g[0].T), (vertical, g[1])):
         if mask_mode == "periodic":

@@ -92,20 +92,22 @@ def _fair_prox(a, t, z, eta):
     return np.sign(z) * v
 
 
-def shrinkage(potential: Potential, z: np.ndarray, eta: float) -> np.ndarray:
-    """z - prox(z), the part of z the prox removes, as a new array."""
+def shrinkage(potential: Potential, z: np.ndarray, eta: float,
+              out=None) -> np.ndarray:
+    """z - prox(z), the part of z the prox removes, written into out if it
+    is given and into a new array if not."""
     z = _positive_eta(z, eta)
     a = potential.alpha
     t = potential.threshold
     if potential.kind == "quadratic":
-        return (a / (eta + a)) * z
+        return np.multiply(a / (eta + a), z, out=out)
     if potential.kind == "l1":
-        return np.clip(z, -a / eta, a / eta)
+        return np.clip(z, -a / eta, a / eta, out=out)
     if potential.kind == "huber":
         # a z / (eta + a) inside |z| <= t (a + eta) / eta, +-a t / eta beyond
-        s = (a / (eta + a)) * z
+        s = np.multiply(a / (eta + a), z, out=out)
         return np.clip(s, -a * t / eta, a * t / eta, out=s)
-    return z - _fair_prox(a, t, z, eta)
+    return np.subtract(z, _fair_prox(a, t, z, eta), out=out)
 
 
 def prox_array(potential: Potential, z: np.ndarray, eta: float) -> np.ndarray:

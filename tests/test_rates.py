@@ -1,3 +1,4 @@
+import copy
 import csv
 
 import numpy as np
@@ -280,7 +281,7 @@ def test_dense_oracle_matches_closed_form_iterate(rng):
                           potential=Potential.quadratic(alpha))
     ops = ProblemOps(problem)
     st = canonical_init(ops, rho, eta, x0_mode="data")
-    nxt = quadratic_closed_form_step(st, ops, rho, eta)
+    nxt = quadratic_closed_form_step(copy.deepcopy(st), ops, rho, eta)
 
     oracle = dense_transition_oracle(kernel, shape, rho, eta, alpha, y=y)
     stacked = np.concatenate([ops.unhat(st.u_hat).ravel(), st.v.ravel()])
