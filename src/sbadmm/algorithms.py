@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy  # scipy.linalg loads with the first masked ProblemOps
 
 from .grids import ConvolutionKernel, ImageGrid, write_csv
 from .inner import (RZ_UNDERFLOW, InnerSolveConfig, PcgBreakdownError,
@@ -116,10 +115,11 @@ class ProblemOps:
     first and last row and column; W = U U', U holding the h + w row and
     column wraps; so H <= M is singular exactly where M vanishes.  The
     x-update is solved on the half spectrum hat(x), the rfft2 scaled so that
-    it is unitary: there M is a product, and U c and U'z are rank-one updates
-    and matrix-vector products, so no 2-D transform runs inside a solve.  The
-    half spectra of M and 1 / M, and what the masked solves derive from
-    them, are cached for the last (rho, eta).
+    it is unitary: there M is a product, hat(U c) the product of an (h, 2)
+    and a (2, w/2 + 1) matrix and U'z two matrix-vector products, so no 2-D
+    transform runs inside a solve.  The half spectra of M and 1 / M, and
+    what the masked solves derive from them, are cached for the last
+    (rho, eta).
     The object holds arrays only, no callables bound to itself, so it is
     freed as soon as it is dropped.
     """
@@ -132,11 +132,6 @@ class ProblemOps:
             raise ValueError("cannot difference a 1x1 image")
         self.mask_mode = problem.mask_mode
         self.potential = problem.potential
-        if self.mask_mode == "masked":
-            # load scipy.linalg for the masked x-updates now, before a run
-            # allocates its arrays: imported among them it fragments the
-            # heap, and a 512x512 step then made twice the page faults
-            scipy.linalg
         h, w = self.shape
         self.transfer = blur_transfer(problem.kernel, self.shape)
         # hat(A x) = transfer hat(x), hat(A' r) = adjoint_transfer hat(r)
@@ -164,9 +159,16 @@ class ProblemOps:
         self._row_weights = 0.5 * weight * np.conj(a) / (w * self._col_scale)
         self._col_weights = np.conj(self._b)
         self._mirror = -np.arange(h) % h
-        self._self_conjugate = [0, -1] if w % 2 == 0 else [0]
+        # the entries of a wrap vector at the columns 0 and w/2
+        self._self_conjugate = [h, h + w // 2] if w % 2 == 0 else [h]
         self._gram_in = np.concatenate((self._col_weights, self._row_weights))
         self._gram_out = np.concatenate((self._b, self._a_hat))
+        # the factors (v_row, _b)' and (_a_hat; v_col) of hat(U c); the
+        # wrap vector's halves are written in by _add_wrap_hat
+        self._wrap_left = np.empty((2, h), complex)
+        self._wrap_left[1] = self._b
+        self._wrap_right = np.empty((2, w // 2 + 1), complex)
+        self._wrap_right[0] = self._a_hat
 
     @cached_property
     def lam_half(self):
@@ -216,7 +218,8 @@ class ProblemOps:
 
     @cached_property
     def _scratch(self):
-        """unhat's scratch half spectrum, never returned."""
+        """The scratch half spectrum of unhat and _add_wrap_hat, never
+        returned."""
         return np.empty(self.transfer.shape, complex)
 
     def unhat(self, f, out=None):
@@ -251,56 +254,84 @@ class ProblemOps:
         """The wrap vector of U' unhat(f).  A column of f off 0 and w/2
         also stands for its mirror image, whose share of the row wraps is
         the conjugate of the mirrored row frequency; the fold adds it."""
-        rows = f @ self._row_weights
-        rows += np.conj(rows[self._mirror])
-        cols = self._col_weights @ f
-        cols.imag[self._self_conjugate] = 0.0
-        return np.concatenate((rows, cols))
-
-    def _add_wrap_hat(self, v, out, alpha=1.0):
-        """out + alpha hat(U c), from the wrap vector v of c, by two
-        rank-one BLAS updates that overwrite a C-contiguous out."""
         h = self.shape[0]
-        zgeru = scipy.linalg.blas.zgeru
-        out_t = zgeru(alpha, self._a_hat, v[:h], a=out.T, overwrite_a=True)
-        return zgeru(alpha, v[h:], self._b, a=out_t, overwrite_a=True).T
+        v = np.empty(self._gram_in.size, complex)
+        rows = np.matmul(f, self._row_weights, out=v[:h])
+        rows += np.conj(rows[self._mirror])
+        np.matmul(self._col_weights, f, out=v[h:])
+        v.imag[self._self_conjugate] = 0.0
+        return v
+
+    def _add_wrap_hat(self, v, out):
+        """out += hat(U c), from the wrap vector v of c: the outer products
+        outer(v_row, _a_hat) + outer(_b, v_col) as one matrix product into
+        the scratch half spectrum, then one add."""
+        h = self.shape[0]
+        self._wrap_left[0] = v[:h]
+        self._wrap_right[1] = v[h:]
+        out += np.matmul(self._wrap_left.T, self._wrap_right,
+                         out=self._scratch)
+        return out
 
     def hessian_hat(self, f, rho, eta):
         """hat(H unhat(f)): M f, minus eta U U' unhat(f) in masked mode by
-        two matrix-vector products and two rank-one updates."""
+        two matrix-vector products and one matrix product."""
         out = f * self.hessian_spectra(rho, eta)[0]
         if self.mask_mode == "periodic":
             return out
-        return self._add_wrap_hat(self._wrap_adjoint_hat(f), out, -eta)
+        v = self._wrap_adjoint_hat(f)
+        v *= -eta
+        return self._add_wrap_hat(v, out)
+
+    def _factor_capacitance(self, inverse, eta):
+        """S = I/eta - U' M^-1 U in the real wrap coordinates (c_row,
+        c_col), as [[A, -K], [-K', D]].  M^-1 commutes with shifts, so the
+        blocks are read off M^-1 of the first row wrap (gh) and of the first
+        column wrap (gv); A and D are circulant.  Returns the FFT of A's
+        first column, A^-1 K, K and the inverse of the Schur complement
+        D - K' A^-1 K, which is positive definite when S is."""
+        h, w = self.shape
+        gh, gv = (self.unhat(self._add_wrap_hat(
+            v, np.zeros(inverse.shape, complex)) * inverse)
+            for v in (np.r_[np.full(h, h ** -0.5), np.zeros(w // 2 + 1)],
+                      np.r_[np.zeros(h), self._col_scale]))
+        a_col = gh[:, -1] - gh[:, 0]
+        a_col[0] += 1.0 / eta
+        # A is symmetric, so the FFT of its first column is real
+        a_eigenvalues = np.fft.fft(a_col).real
+        k = (gv - np.roll(gv, 1, axis=1))[:, -np.arange(w) % w]
+        a_inv_k = np.fft.ifft(np.fft.fft(k, axis=0)
+                              / a_eigenvalues[:, None], axis=0).real
+        d_col = gv[0] - gv[-1]
+        schur = np.eye(w) / eta - d_col[np.subtract.outer(np.arange(w),
+                                                          np.arange(w)) % w]
+        schur -= k.T @ a_inv_k
+        return a_eigenvalues, a_inv_k, k, np.linalg.inv(schur)
 
     def solve_hat(self, f, rho, eta):
         """hat of the exact solution of H x = unhat(f): a division by M,
         plus in masked mode the Woodbury correction
         M^-1 U S^-1 U' M^-1 b, i.e. (f + hat(U c)) / M.  S = I/eta -
-        U' M^-1 U is positive definite when H is; as M^-1 commutes with
-        shifts, S is read off M^-1 of the first row wrap (gh) and of the
-        first column wrap (gv)."""
+        U' M^-1 U is positive definite when H is; S c = (b_row, b_col) is
+        solved by blocks, c_col from the Schur complement and c_row by a
+        division in the row-wrap spectrum."""
         inverse = self.hessian_spectra(rho, eta)[1]
         if self.mask_mode == "periodic":
             return f * inverse
         h, w = self.shape
         if self._capacitance is None:
-            gh, gv = (self.unhat(self._add_wrap_hat(
-                v, np.zeros(inverse.shape, complex)) * inverse)
-                for v in (np.r_[np.full(h, h ** -0.5), np.zeros(w // 2 + 1)],
-                          np.r_[np.zeros(h), self._col_scale]))
-            k_hv = (gv - np.roll(gv, 1, axis=1))[:, -np.arange(w) % w]
-            s = np.eye(h + w) / eta - np.block(
-                [[scipy.linalg.circulant(gh[:, 0] - gh[:, -1]), k_hv],
-                 [k_hv.T, scipy.linalg.circulant(gv[0] - gv[-1])]])
-            self._capacitance = scipy.linalg.cho_factor(s)
+            self._capacitance = self._factor_capacitance(inverse, eta)
+        a_eigenvalues, a_inv_k, k, schur_inverse = self._capacitance
         v = self._wrap_adjoint_hat(f * inverse)
-        c = scipy.linalg.cho_solve(self._capacitance, np.concatenate(
-            (np.fft.ifft(v[:h], norm="ortho").real,
-             np.fft.irfft(v[h:] / self._col_scale, n=w))))
+        # A c_row - K c_col = b_row and -K' c_row + D c_col = b_col; v[:h]
+        # is the unitary FFT of b_row, so t = A^-1 b_row is one division
+        t = np.fft.ifft(v[:h] / a_eigenvalues, norm="ortho").real
+        c_col = schur_inverse @ (np.fft.irfft(v[h:] / self._col_scale, n=w)
+                                 + k.T @ t)
+        c_row = t + a_inv_k @ c_col
         out = self._add_wrap_hat(
-            np.concatenate((np.fft.fft(c[:h], norm="ortho"),
-                            np.fft.rfft(c[h:]) * self._col_scale)), f.copy())
+            np.concatenate((np.fft.fft(c_row, norm="ortho"),
+                            np.fft.rfft(c_col) * self._col_scale)), f.copy())
         out *= inverse
         return out
 
@@ -308,21 +339,25 @@ class ProblemOps:
         """G v, G = U' M^-1 U at the last (rho, eta), for the wrap vector
         v = (R, C): that of R d1 + b M^-1 (rw C) and a M^-1' (cw R) + C d2,
         folded as in _wrap_adjoint_hat, d1 = M^-1 (rw a) and d2 = (b cw)
-        M^-1 real; 1 / M acts through real views."""
+        M^-1 real; 1 / M acts through real views.  d1 and d2 are kept
+        complex, as numpy multiplies two complex arrays faster than a
+        complex and a real one."""
         h = self.shape[0]
         inverse = self._spectra[1]
         if self._gram_diagonal is None:
             self._gram_diagonal = np.concatenate((
                 inverse @ (self._row_weights * self._a_hat).real,
-                (self._b * self._col_weights).real @ inverse))
+                (self._b * self._col_weights).real @ inverse)).astype(complex)
         t = (v * self._gram_in).view(float).reshape(-1, 2)
-        g = np.concatenate((inverse @ t[h:], inverse.T @ t[:h]))
-        g = g.view(complex).ravel()
+        g = np.empty(v.size, complex)
+        pairs = g.view(float).reshape(-1, 2)
+        np.matmul(inverse, t[h:], out=pairs[:h])
+        np.matmul(inverse.T, t[:h], out=pairs[h:])
         g *= self._gram_out
         g += v * self._gram_diagonal
         rows = g[:h]
         rows += rows[self._mirror].conj()
-        g[h:].imag[self._self_conjugate] = 0.0
+        g.imag[self._self_conjugate] = 0.0
         return g
 
     def pcg_hat(self, b, x0, rho, eta, steps):
@@ -331,42 +366,58 @@ class ProblemOps:
         M^-1 H = I - eta M^-1 U U', the loop keeps the coordinates of
         p = pi z0 + M^-1 U c, r = gamma r0 + U e, x - x0 = xi z0 + M^-1 U chi
         and q = U'p (z0 = r0 / M; H p = pi r0 + U (c - eta q)), so a step
-        applies G once, to a wrap vector (BLAS level 1 on those).  The
-        iterates are those of ``pcg_solve``, with its checks.  In periodic
-        mode U = 0, so H = M and the answer is the exact division."""
+        applies G once, to a wrap vector.  Those vectors are the rows of
+        one array, and each step updates (e, chi) and then (c, q) by one
+        product of a small coefficient matrix with its rows; Re vdot of two
+        wrap vectors is the dot product of their float views.  The iterates
+        are those of ``pcg_solve``, with its checks.  In periodic mode
+        U = 0, so H = M and the answer is the exact division."""
         if self.mask_mode == "periodic":
             return self.solve_hat(b, rho, eta), 0.0
-        zaxpy, zdotc = scipy.linalg.blas.zaxpy, scipy.linalg.blas.zdotc
         inverse = self.hessian_spectra(rho, eta)[1]
         r0 = self.hessian_hat(x0, rho, eta)
         np.subtract(b, r0, out=r0)
         z0 = r0 * inverse
         rho0 = np.vdot(r0, z0).real
-        w0 = self._wrap_adjoint_hat(z0)  # U'z0
         pi, gamma, xi, rz = 1.0, 1.0, 0.0, rho0
-        c, e, chi, q = *np.zeros((3,) + w0.shape, complex), w0
+        # rows w0 = U'z0, c, q, e, chi and g = G e; q starts at w0
+        wraps = np.zeros((6, self._gram_in.size), complex)
+        wraps[0] = wraps[2] = self._wrap_adjoint_hat(z0)
+        rows = wraps.view(float)
+        # the updates e -= a (c - eta q), chi += a c and then c = e + beta c,
+        # q = u + beta q, u = g + gamma w0, as products with rows[1:5] and
+        # rows; the entries set to 0 here are set in each step
+        update_e_chi = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        update_c_q = np.array([[0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+                               [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
         for step in range(steps):
             if rz < 0.0:
                 raise PcgBreakdownError("r'z = %g < 0 at step %d" % (rz, step))
             if rz < RZ_UNDERFLOW:
                 break  # r = 0 to working precision
-            hp = zaxpy(q, c.copy(), a=-eta)
-            php = pi * (pi * rho0 + zdotc(c, w0).real) + zdotc(q, hp).real
+            # p'Hp with q'(c - eta q), the wraps of H p being c - eta q
+            (cw, _, _), (_, qc, qq) = rows[1:3].dot(rows[:3].T).tolist()
+            php = pi * (pi * rho0 + cw) + (qc - eta * qq)
             if not (php > 0.0 and math.isfinite(php)):
                 raise PcgBreakdownError("p'Hp = %g at step %d" % (php, step))
             a = rz / php
             xi, gamma = xi + a * pi, gamma - a * pi
-            chi, e = zaxpy(c, chi, a=a), zaxpy(hp, e, a=-a)
+            update_e_chi[0, :2] = -a, a * eta
+            update_e_chi[1, 0] = a
+            rows[3:5] = update_e_chi.dot(rows[1:5])
             if step + 1 == steps:
                 break
-            u = zaxpy(w0, self._wrap_gram(e), a=gamma)  # U'z = G e + gamma w0
-            rz_new = gamma * (gamma * rho0 + zdotc(w0, e).real) \
-                + zdotc(u, e).real
+            wraps[5] = self._wrap_gram(wraps[3])
+            # U'z = u = g + gamma w0, so u'e = g'e + gamma w0'e
+            we, ge = rows[0:6:5].dot(rows[3]).tolist()
+            rz_new = gamma * (gamma * rho0 + we) + (ge + gamma * we)
             beta = rz_new / rz
-            pi, c, rz = gamma + beta * pi, zaxpy(e, c * beta), rz_new
-            q = zaxpy(q, u, a=beta)
-        r = self._add_wrap_hat(e, np.multiply(r0, gamma, out=z0))
-        x = self._add_wrap_hat(chi, np.multiply(r0, xi, out=r0))
+            pi, rz = gamma + beta * pi, rz_new
+            update_c_q[0, 1] = update_c_q[1, 2] = beta
+            update_c_q[1, 0] = gamma
+            rows[1:3] = update_c_q.dot(rows)
+        r = self._add_wrap_hat(wraps[3], np.multiply(r0, gamma, out=z0))
+        x = self._add_wrap_hat(wraps[4], np.multiply(r0, xi, out=r0))
         x *= inverse
         x += x0
         if not np.isfinite(x.view(float)).all():

@@ -114,35 +114,51 @@ def diff_mask(shape, mask_mode):
 
 def difference(x, mask_mode, out=None):
     """Apply C: horizontal and vertical forward differences, into out if it
-    is given.
+    is given; masked mode zeroes the differences that would wrap.
 
-    Each plane is written by slices, the horizontal one through transposed
-    views; masked mode zeroes the differences that would wrap.
+    The vertical plane is written by row slices.  The horizontal one is
+    one subtraction along the flattened image, which is right except at
+    the row ends, then the last column is written over.  out must be
+    C-contiguous.
     """
     g = np.empty((2,) + x.shape) if out is None else out
-    for plane, xs in ((g[0].T, x.T), (g[1], x)):
-        np.subtract(xs[1:], xs[:-1], out=plane[:-1])
-        if mask_mode == "periodic":
-            np.subtract(xs[0], xs[-1], out=plane[-1])
-        else:
-            plane[-1] = 0.0
+    flat, horizontal = x.ravel(), g[0]
+    np.subtract(flat[1:], flat[:-1], out=horizontal.ravel()[:-1])
+    np.subtract(x[1:], x[:-1], out=g[1, :-1])
+    if mask_mode == "periodic":
+        np.subtract(x[:, 0], x[:, -1], out=horizontal[:, -1])
+        np.subtract(x[0], x[-1], out=g[1, -1])
+    else:
+        horizontal[:, -1] = 0.0
+        g[1, -1] = 0.0
     return g
 
 
 def difference_transpose(g, mask_mode, out=None):
-    """Apply C', into out if it is given; in masked mode entries of g off
-    the mask are ignored."""
+    """Apply C', into out if it is given, which must be C-contiguous; in
+    masked mode entries of g off the mask are ignored.
+
+    The horizontal term is one subtraction along the flattened plane, then
+    its first and, in masked mode, last column are written over; the
+    vertical one is written by row slices and added.  Columns are negated
+    by a multiply: numpy's np.negative misreads some strided views.
+    """
     if out is None:
         out = np.empty(g.shape[1:])
+    gh, gv = g
     vertical = np.empty(g.shape[1:])
-    for res, gs in ((out.T, g[0].T), (vertical, g[1])):
-        if mask_mode == "periodic":
-            np.subtract(gs[:-1], gs[1:], out=res[1:])
-            np.subtract(gs[-1], gs[0], out=res[0])
-        else:
-            res[0] = 0.0
-            res[1:] = gs[:-1]
-            res[:-1] -= gs[:-1]
+    flat = gh.ravel()
+    np.subtract(flat[:-1], flat[1:], out=out.ravel()[1:])
+    if mask_mode == "periodic":
+        np.subtract(gh[:, -1], gh[:, 0], out=out[:, 0])
+        np.subtract(gv[:-1], gv[1:], out=vertical[1:])
+        np.subtract(gv[-1], gv[0], out=vertical[0])
+    else:
+        np.multiply(gh[:, 0], -1.0, out=out[:, 0])
+        out[:, -1] = gh[:, -2] if gh.shape[1] > 1 else 0.0
+        vertical[0] = 0.0
+        vertical[1:] = gv[:-1]
+        vertical[:-1] -= gv[:-1]
     out += vertical
     return out
 

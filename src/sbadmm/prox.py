@@ -56,18 +56,24 @@ class Potential:
 
 
 def potential_value_array(potential: Potential, v: np.ndarray) -> float:
-    """Phi(v) summed over all entries of a raw array."""
+    """Phi(v) summed over all entries of a raw array.  l1 and Huber take a
+    stacked (2, h, w) difference field one plane at a time, so their
+    temporaries are one image."""
     a = potential.alpha
     t = potential.threshold
     v = np.asarray(v, dtype=float)
     if potential.kind == "quadratic":
         return 0.5 * a * float(np.vdot(v, v))
+    planes = v if v.ndim == 3 else (v,)
     if potential.kind == "l1":
-        return a * float(np.sum(np.abs(v)))
+        return a * sum(float(np.sum(np.abs(p))) for p in planes)
     if potential.kind == "huber":
         # c = clip(v, +-t): c v - c^2/2 is v^2/2 inside, t|v| - t^2/2 outside
-        c = np.clip(v, -t, t)
-        return a * (float(np.vdot(c, v)) - 0.5 * float(np.vdot(c, c)))
+        c, total = np.empty_like(planes[0]), 0.0
+        for p in planes:
+            np.clip(p, -t, t, out=c)
+            total += float(np.vdot(c, p)) - 0.5 * float(np.vdot(c, c))
+        return a * total
     # fair
     av = np.abs(v)
     return a * t * t * float(np.sum(av / t - np.log1p(av / t)))

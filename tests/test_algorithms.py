@@ -6,7 +6,6 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from sbadmm import algorithms, inner, operators
@@ -320,9 +319,11 @@ def test_exact_solve_matches_sparse_solve(rng):
 
 
 def test_capacitance_is_factored_once_per_parameters(rng, monkeypatch):
+    # the factorization of the capacitance is the inverse of its Schur
+    # complement
     calls = []
-    real = scipy.linalg.cho_factor
-    monkeypatch.setattr(scipy.linalg, "cho_factor",
+    real = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv",
                         lambda *a, **kw: calls.append(1) or real(*a, **kw))
     ops = ProblemOps(random_problem(rng, mask_mode="masked"))
     state = canonical_init(ops, 1.0, 0.5)
@@ -491,22 +492,36 @@ def test_split_pcg_matches_generic_pcg(rng):
                            - generic.residual_norms[-1]) <= tol
 
 
-def test_wrap_gram_matches_the_capacitance_matrix(rng, monkeypatch):
-    # the matrix-free G = U' M^-1 U of PCG against the dense G in the
-    # capacitance S = I/eta - G of the exact masked solve, on the wrap
-    # vectors of real wraps c = (c_row, c_col); several (rho, eta) per
-    # problem, as G's cached diagonals must follow them
-    factored = []
-    real = scipy.linalg.cho_factor
-    monkeypatch.setattr(scipy.linalg, "cho_factor",
-                        lambda s: factored.append(s) or real(s))
+def dense_wrap_gram(ops, rho, eta):
+    # G = U' M^-1 U column by column, on real images: U c adds c_row to
+    # the first column and subtracts it from the last, and c_col likewise
+    # on the rows; U'z = (z[:, 0] - z[:, -1], z[0] - z[-1])
+    h, w = ops.shape
+    columns = []
+    for c in np.eye(h + w):
+        z = np.zeros(ops.shape)
+        z[:, 0] += c[:h]
+        z[:, -1] -= c[:h]
+        z[0] += c[h:]
+        z[-1] -= c[h:]
+        z = inner.circulant_solve_array(ops.lam, ops.om, rho, eta, z)
+        columns.append(np.concatenate((z[:, 0] - z[:, -1], z[0] - z[-1])))
+    return np.array(columns).T
+
+
+def test_wrap_gram_matches_the_capacitance_matrix(rng):
+    # the matrix-free G = U' M^-1 U of PCG against G = I/eta - S, S the
+    # capacitance of the exact masked solve, built densely from its
+    # definition, on the wrap vectors of real wraps c = (c_row, c_col);
+    # several (rho, eta) per problem, as G's cached diagonals must follow
+    # them
     for shape in ODD_AND_DEGENERATE_SHAPES:
         h, w = shape
         ops = make_ops(fitting_kernel(rng, shape), shape, "masked")
         for _ in range(3):
             rho, eta = rng.uniform(0.1, 3.0, size=2)
-            ops.solve_hat(np.zeros(ops.transfer.shape, complex), rho, eta)
-            dense = np.eye(h + w) / eta - factored[-1]
+            ops.hessian_spectra(rho, eta)
+            dense = dense_wrap_gram(ops, rho, eta)
             c = rng.standard_normal(h + w)
             v = ops._wrap_gram(np.concatenate(
                 (np.fft.fft(c[:h], norm="ortho"),
@@ -746,3 +761,28 @@ def test_a_step_allocates_a_few_half_spectra(rng, kind):
             tracemalloc.stop()
         assert peak <= 4 * half, (algorithm, mode, inner_cfg.mode,
                                   peak / half)
+
+
+@pytest.mark.parametrize("kind", ["l1", "huber"])
+def test_the_cost_allocates_one_half_spectrum_and_one_image(rng, kind):
+    # after a warm-up call has cached hat(y), the tracemalloc peak of one
+    # cost: the data residual, a half spectrum, and |C x| or its clip for
+    # one difference plane at a time, an image (0.98 half spectra here).
+    # Measured 1.99-2.00 half spectra; 2.98 when the potential took both
+    # planes at once
+    shape = (96, 128)
+    half = shape[0] * (shape[1] // 2 + 1) * np.dtype(complex).itemsize
+    for mode in ("periodic", "masked"):
+        ops = ProblemOps(random_problem(rng, shape=shape, mask_mode=mode,
+                                        kind=kind, threshold=0.5))
+        state = canonical_init(ops, 2.0, 0.5, "data")
+        ops.cost(state.x, state.ax_hat, state.cx)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ops.cost(state.x, state.ax_hat, state.cx)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * half, (mode, peak / half)

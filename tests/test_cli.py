@@ -266,12 +266,12 @@ heavy = {"scipy.linalg", "scipy.sparse"}
 for args in (["recommend", "--eta", "1.25"],
              ["predict", "--case", "I", "--eta", "1.25"],
              ["spectra"],
-             ["restore", "--config", out + "/p.cfg", "--iters", "3"]):
+             ["restore", "--config", out + "/p.cfg", "--iters", "3"],
+             ["restore", "--iters", "3"],
+             ["restore", "--inner", "exact", "--iters", "3"]):
     main(args + ["--output-dir", out + "/o"], standalone_mode=False)
     assert not heavy & set(sys.modules), (args, heavy & set(sys.modules))
-main(["restore", "--iters", "3", "--output-dir", out + "/m"],
-     standalone_mode=False)
-assert "scipy.linalg" in sys.modules
+assert "scipy.linalg" not in sys.modules
 sparse_diff_matrix((4, 4), "masked")
 assert "scipy.sparse" in sys.modules
 """
@@ -279,8 +279,9 @@ assert "scipy.sparse" in sys.modules
 
 def test_periodic_runs_and_rate_commands_load_no_scipy_linalg_or_sparse(
         tmp_path):
-    # scipy.linalg, with its own OpenBLAS, and scipy.sparse load on the
-    # first call that needs them: a masked problem, a sparse matrix
+    # no command here, and no restore run, periodic or masked, PCG or
+    # exact, loads scipy.linalg, with its own OpenBLAS, or scipy.sparse;
+    # scipy.sparse loads at the first sparse matrix
     src = os.path.dirname(os.path.dirname(sbadmm.__file__))
     result = subprocess.run(
         [sys.executable, "-c", LAZY_SCIPY, str(tmp_path)],

@@ -5,7 +5,8 @@ import pytest
 
 from sbadmm.algorithms import ProblemOps
 from sbadmm.grids import ConvolutionKernel
-from sbadmm.operators import (blur_transfer, diff_gram_spectrum, embed_kernel,
+from sbadmm.operators import (blur_transfer, diff_gram_spectrum,
+                              difference, difference_transpose, embed_kernel,
                               gram_spectrum, irfft2, rfft2,
                               sparse_blur_matrix, sparse_diff_matrix,
                               split_operator_rank_check)
@@ -169,6 +170,31 @@ def test_sparse_matrices_match_operators(rng):
             r = rng.standard_normal((2,) + shape)
             r = np.where(ops.mask, r, 0.0)
             assert np.allclose(C.T @ r.ravel(), ops.Ct(r).ravel(), atol=1e-12)
+
+
+def test_difference_and_its_transpose_match_the_sparse_matrix(rng):
+    # every grid up to 9x9, so every row-end and wrap case of the flat
+    # subtractions: C exactly, C' up to the order of its sums.  A width of
+    # 8 makes a column view a 64-byte stride, which numpy 2.4.6's
+    # np.negative misreads when both its input and output are such views;
+    # every entry of g is random, so entries off the mask must be ignored
+    for h in range(1, 10):
+        for w in range(1, 10):
+            for mode in ("periodic", "masked"):
+                C = sparse_diff_matrix((h, w), mode)
+                x = rng.standard_normal((h, w))
+                g = rng.standard_normal((2, h, w))
+                want = (C @ x.ravel()).reshape(2, h, w)
+                want_t = (C.T @ g.ravel()).reshape(h, w)
+                out = np.full((2, h, w), np.nan)
+                out_t = np.full((h, w), np.nan)
+                assert difference(x, mode, out) is out
+                assert difference_transpose(g, mode, out_t) is out_t
+                for got in (difference(x, mode), out):
+                    assert np.array_equal(got, want), (h, w, mode)
+                for got in (difference_transpose(g, mode), out_t):
+                    assert np.allclose(got, want_t, rtol=0.0, atol=1e-14), \
+                        (h, w, mode)
 
 
 def test_gram_matches_composition(rng):
