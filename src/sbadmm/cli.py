@@ -16,11 +16,10 @@ import sys
 import click
 import numpy as np
 
-from .algorithms import ALGORITHMS, OuterConfig, SolverDivergenceError, run
+from .algorithms import ALGORITHMS, OuterConfig, run
 from .experiments import (DEFAULT_ALPHA, ExperimentConfig, benchmark_protocol,
                           gaussian_kernel, make_problem, reference_solution)
 from .grids import ConvolutionKernel, write_pgm
-from .inner import PcgBreakdownError, SingularHessianError
 from .operators import diff_gram_spectrum, gram_spectrum, write_spectra_csv
 from .rates import (case_parameters, compare_sb_vs_admm, delta_spectrum,
                     dense_transition_oracle, optimal_eta_sb, optimal_rho_al,
@@ -123,15 +122,16 @@ def _fail(code, message):
 
 
 def _exit_codes(command):
-    """Exit 2 on a configuration error and 3 on a solver abort."""
+    """Exit 2 on a configuration error and 3 on a solver abort: the
+    divergence guard, a CG breakdown or a failed reference residual check,
+    each a RuntimeError."""
     @functools.wraps(command)
     def wrapped(*args, **kwargs):
         try:
             return command(*args, **kwargs)
         except (ConfigError, ValueError) as exc:
             _fail(EXIT_CONFIG, str(exc))
-        except (SolverDivergenceError, SingularHessianError,
-                PcgBreakdownError, RuntimeError) as exc:
+        except RuntimeError as exc:
             _fail(EXIT_SOLVER, str(exc))
 
     return wrapped

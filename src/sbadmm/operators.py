@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy  # scipy.sparse loads at the first sparse matrix
 
 from .grids import ConvolutionKernel, write_csv
 
@@ -200,9 +199,12 @@ def split_operator_rank_check(lam, omega) -> RankCheck:
                      min_combined_eigenvalue=mn)
 
 
-def sparse_blur_matrix(kernel: ConvolutionKernel,
-                       shape) -> scipy.sparse.csr_matrix:
-    """Materialize the blur A as a sparse (h*w) x (h*w) matrix."""
+def sparse_blur_matrix(kernel: ConvolutionKernel, shape):
+    """Materialize the blur A as a sparse (h*w) x (h*w) matrix, built from
+    indices: a reference for the tests and perfbench's certificate.  Needs
+    the ``test`` extra's scipy."""
+    import scipy.sparse
+
     _check_fits(kernel, shape)
     h, w = shape
     n = h * w
@@ -218,12 +220,15 @@ def sparse_blur_matrix(kernel: ConvolutionKernel,
         shape=(n, n))
 
 
-def sparse_diff_matrix(shape, mask_mode) -> scipy.sparse.csr_matrix:
+def sparse_diff_matrix(shape, mask_mode):
     """Materialize C as a sparse (2*h*w) x (h*w) matrix (stacked h, v).
 
     Masked-out rows are kept as zero rows so row indexing matches the
-    flattened (2, h, w) difference layout.
+    flattened (2, h, w) difference layout.  Built from indices, like
+    ``sparse_blur_matrix``, as a reference; needs the ``test`` extra.
     """
+    import scipy.sparse
+
     h, w = shape
     n = h * w
     mask = diff_mask(shape, mask_mode)

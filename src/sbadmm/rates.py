@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import ConvolutionKernel, write_csv
-from .operators import (diff_gram_spectrum, gram_spectrum, sparse_blur_matrix,
-                        sparse_diff_matrix)
+from .operators import (blur, blur_transfer, diff_gram_spectrum, difference,
+                        gram_spectrum)
 
 CASES = ("I", "II", "III")
 # Relative tolerance of a case's parameter constraint.  Relative only, so
@@ -266,14 +266,18 @@ def dense_transition_oracle(kernel: ConvolutionKernel, shape, rho: float,
 
     Restricted to periodic operators on grids of at most 16x16 pixels;
     intended purely as a ground-truth check of the per-frequency formulas.
+    The columns of A and C are ``blur`` and ``difference`` of the n unit
+    images.
     """
     h, w = shape
     n = h * w
     if n > 256:
         raise ValueError("dense oracle is restricted to grids <= 16x16")
     _check_positive(rho=rho, eta=eta, alpha=alpha)
-    A = sparse_blur_matrix(kernel, shape).toarray()
-    C = sparse_diff_matrix(shape, "periodic").toarray()
+    transfer = blur_transfer(kernel, shape)
+    units = np.eye(n).reshape((n,) + shape)
+    A = np.stack([blur(transfer, e).ravel() for e in units], axis=1)
+    C = np.stack([difference(e, "periodic").ravel() for e in units], axis=1)
     hess = rho * (A.T @ A) + eta * (C.T @ C)
     if np.linalg.matrix_rank(hess) < n:
         raise ValueError("singular dense Hessian rho*A'A + eta*C'C")

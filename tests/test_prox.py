@@ -195,7 +195,10 @@ def test_prox_on_gradient_field_respects_mask(rng):
                      InnerSolveConfig(mode="pcg", pcg_iterations=3))
     assert np.all(out.v[~ops.mask] == 0.0)
     assert np.any(out.v[ops.mask] != 0.0)
-    assert potential_value_array(Potential.l1(1.0), out.v) == np.abs(out.v).sum()
+    # the value sums one plane at a time, np.sum the whole field: the same
+    # terms in another order, so the two agree to a few ulps, not exactly
+    assert potential_value_array(Potential.l1(1.0), out.v) == pytest.approx(
+        np.abs(out.v).sum(), rel=4 * np.finfo(float).eps, abs=0.0)
 
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
