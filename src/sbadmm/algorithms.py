@@ -20,10 +20,10 @@ import numpy as np
 from .grids import ConvolutionKernel, ImageGrid, write_csv
 from .inner import (RZ_UNDERFLOW, InnerSolveConfig, PcgBreakdownError,
                     hessian_spectrum)
-from .operators import (blur, blur_transfer, diff_gram_spectrum, diff_mask,
-                        difference, difference_transpose, half_spectrum,
-                        irfft2, rfft2, split_operator_rank_check,
-                        transfer_gram_spectrum)
+from .operators import (WRAPS, blur, blur_transfer, diff_gram_spectrum,
+                        diff_mask, difference, difference_transpose,
+                        half_spectrum, irfft2, rfft2,
+                        split_operator_rank_check, transfer_gram_spectrum)
 from .prox import Potential, potential_value_array, shrinkage
 
 DIVERGENCE_FACTOR = 1e6
@@ -73,6 +73,9 @@ class OuterConfig:
             raise ValueError("unknown algorithm %r" % (self.algorithm,))
         if self.x0_mode not in ("zero", "data"):
             raise ValueError("x0_mode must be 'zero' or 'data'")
+        if self.algorithm == "sb" and self.rho != 1.0:
+            raise ValueError("split Bregman fixes rho = 1 (got rho = %g)"
+                             % self.rho)
 
 
 @dataclass
@@ -513,21 +516,18 @@ def _eliminated_u_d(ops, state, rho):
     state.d_hat /= rho
 
 
-_WRAPS = ((0, slice(None), -1), (1, -1, slice(None)))
-
-
 def _split_update(ops, state, eta):
     """v = prox(cx - e) and the dual e - cx + v = -shrinkage(cx - e),
     written over v and e.  In masked mode v is zero and e keeps its value
     on the wrap-around slices, saved before e is written."""
     v, e = state.v, state.e
     kept = [] if ops.mask_mode == "periodic" else [e[ix].copy()
-                                                   for ix in _WRAPS]
+                                                   for ix in WRAPS]
     np.subtract(state.cx, e, out=v)
     s = shrinkage(ops.potential, v, eta, out=e)
     v -= s
     np.negative(s, out=s)
-    for ix, old in zip(_WRAPS, kept):
+    for ix, old in zip(WRAPS, kept):
         v[ix] = 0.0
         e[ix] = old
 

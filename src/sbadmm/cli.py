@@ -21,7 +21,7 @@ from .experiments import (DEFAULT_ALPHA, ExperimentConfig, benchmark_protocol,
                           gaussian_kernel, make_problem, reference_solution)
 from .grids import ConvolutionKernel, write_pgm
 from .operators import diff_gram_spectrum, gram_spectrum, write_spectra_csv
-from .rates import (case_parameters, compare_sb_vs_admm, delta_spectrum,
+from .rates import (CASES, case_parameters, compare_sb_vs_admm, delta_spectrum,
                     dense_transition_oracle, optimal_eta_sb, optimal_rho_al,
                     predict, rate_report_to_csv)
 
@@ -208,7 +208,7 @@ def restore(config_path, alpha, output_dir, rho, eta, iters, inner_mode,
 
 @main.command("predict")
 @_common_options
-@click.option("--case", type=click.Choice(["I", "II", "III"]), required=True)
+@click.option("--case", type=click.Choice(CASES), required=True)
 @click.option("--rho", type=float, default=None)
 @click.option("--eta", type=float, default=None)
 @_exit_codes
@@ -286,7 +286,7 @@ def spectra(config_path, alpha, output_dir):
 
 @main.command()
 @click.option("--grid", "grid_text", default="4x4", help="HxW, at most 16x16")
-@click.option("--case", type=click.Choice(["I", "II", "III"]), required=True)
+@click.option("--case", type=click.Choice(CASES), required=True)
 @click.option("--rho", type=float, default=None)
 @click.option("--eta", type=float, default=None)
 @click.option("--alpha", type=float, default=DEFAULT_ALPHA)
@@ -299,12 +299,10 @@ def oracle(grid_text, case, rho, eta, alpha):
         raise ConfigError("--grid must look like 4x4")
     if h < 1 or w < 1:
         raise ConfigError("--grid sides must be positive, got %s" % grid_text)
-    if case == "II":
-        rho_, eta_ = case_parameters(case, alpha, 2.0 if rho is None else rho,
-                                     eta)
-    else:
-        rho_, eta_ = case_parameters(case, alpha, rho,
-                                     2.0 * alpha if eta is None else eta)
+    # the free parameter of the case defaults to 2 (rho) or 2 alpha (eta)
+    rho_, eta_ = case_parameters(
+        case, alpha, 2.0 if case == "II" and rho is None else rho,
+        2.0 * alpha if case != "II" and eta is None else eta)
     kernel = _oracle_kernel(h, w)
     result = dense_transition_oracle(kernel, (h, w), rho_, eta_, alpha)
     radii = result.cases[case]

@@ -176,8 +176,9 @@ def long_run_reference(problem: ProblemSpec) -> ImageGrid:
     return run(problem, config).final_image
 
 
-def benchmark_protocol(config: ExperimentConfig, write_artifacts: bool = True):
-    """Run the benchmark parameter grid and return {(rho, eta): MetricTrace}.
+def benchmark_protocol(config: ExperimentConfig):
+    """Run the benchmark parameter grid, write its traces, images and
+    summary to config.output_dir, and return {(rho, eta): MetricTrace}.
 
     Per-run failures are recorded (value None) and the sweep continues.
     """
@@ -194,19 +195,18 @@ def benchmark_protocol(config: ExperimentConfig, write_artifacts: bool = True):
         except RuntimeError as exc:
             traces[(rho, eta)] = None
             failures[(rho, eta)] = str(exc)
-    if write_artifacts:
-        outdir = config.output_dir
-        os.makedirs(outdir, exist_ok=True)
-        write_pgm(truth, os.path.join(outdir, "truth.pgm"))
-        write_pgm(problem.y, os.path.join(outdir, "data.pgm"))
-        write_pgm(reference, os.path.join(outdir, "reference.pgm"))
-        for (rho, eta), trace in traces.items():
-            stem = "rho%g_eta%g" % (rho, eta)
-            if trace is None:
-                continue
-            trace.to_csv(os.path.join(outdir, "trace_%s.csv" % stem))
-            write_pgm(trace.final_image, os.path.join(outdir, "final_%s.pgm" % stem))
-        _write_summary(os.path.join(outdir, "summary.csv"), traces, failures)
+    outdir = config.output_dir
+    os.makedirs(outdir, exist_ok=True)
+    write_pgm(truth, os.path.join(outdir, "truth.pgm"))
+    write_pgm(problem.y, os.path.join(outdir, "data.pgm"))
+    write_pgm(reference, os.path.join(outdir, "reference.pgm"))
+    for (rho, eta), trace in traces.items():
+        stem = "rho%g_eta%g" % (rho, eta)
+        if trace is None:
+            continue
+        trace.to_csv(os.path.join(outdir, "trace_%s.csv" % stem))
+        write_pgm(trace.final_image, os.path.join(outdir, "final_%s.pgm" % stem))
+    _write_summary(os.path.join(outdir, "summary.csv"), traces, failures)
     return traces, reference
 
 

@@ -29,6 +29,9 @@ import numpy as np
 from .grids import ConvolutionKernel, write_csv
 
 EIGENVALUE_TOLERANCE = 1e-12
+# The wrap-around entries of a (2, h, w) difference field, off masked C: the
+# last column of the horizontal plane and the last row of the vertical one.
+WRAPS = ((0, slice(None), -1), (1, -1, slice(None)))
 
 
 @dataclass(frozen=True)
@@ -106,8 +109,8 @@ def diff_mask(shape, mask_mode):
     h, w = shape
     mask = np.ones((2, h, w), dtype=bool)
     if mask_mode == "masked":
-        mask[0, :, w - 1:] = False
-        mask[1, h - 1:, :] = False
+        for ix in WRAPS:
+            mask[ix] = False
     return mask
 
 
@@ -128,8 +131,8 @@ def difference(x, mask_mode, out=None):
         np.subtract(x[:, 0], x[:, -1], out=horizontal[:, -1])
         np.subtract(x[0], x[-1], out=g[1, -1])
     else:
-        horizontal[:, -1] = 0.0
-        g[1, -1] = 0.0
+        for ix in WRAPS:
+            g[ix] = 0.0
     return g
 
 

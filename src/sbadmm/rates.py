@@ -14,8 +14,8 @@ spectra (extended to +inf where lambda_i = 0).  The pivot gamma is the
 median of {d_min, d_max, 1/alpha} in the extended-real order, giving the
 optimal penalties eta* = sqrt(alpha/gamma) and rho* = sqrt(alpha*gamma).
 
-A dense brute-force oracle on tiny grids materializes the transition
-matrices and cross-checks the analytic radii by eigendecomposition.
+The cases are three lines through one (rho, eta) recursion.  A dense oracle
+on tiny grids cross-checks their radii by eigendecomposition.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .grids import ConvolutionKernel, write_csv
 from .operators import (blur, blur_transfer, diff_gram_spectrum, difference,
-                        gram_spectrum)
+                        transfer_gram_spectrum)
 
 CASES = ("I", "II", "III")
 # Relative tolerance of a case's parameter constraint.  Relative only, so
@@ -186,19 +186,23 @@ def case_parameters(case: str, alpha: float, rho: float = None,
     raise ValueError("case must be one of %s" % (CASES,))
 
 
+def _case_rates(case, spectrum: DeltaSpectrum, rho, eta):
+    """Per-frequency rates of one case at its (rho, eta)."""
+    if case == "I":
+        return rate_s1(spectrum.deltas, eta, spectrum.alpha)
+    if case == "II":
+        return rate_s2(spectrum.deltas, rho, spectrum.alpha)
+    return np.full(spectrum.deltas.shape, rate_s3(eta, spectrum.alpha))
+
+
 def predict(case: str, spectrum: DeltaSpectrum, rho: float = None,
             eta: float = None) -> RateReport:
     """Predicted per-frequency rates and spectral radius for one case."""
     alpha = spectrum.alpha
     rho, eta = case_parameters(case, alpha, rho, eta)
-    if case == "I":
-        rates = rate_s1(spectrum.deltas, eta, alpha)
-    elif case == "II":
-        rates = rate_s2(spectrum.deltas, rho, alpha)
-    else:
-        rates = np.full(spectrum.deltas.shape, rate_s3(eta, alpha))
+    rates = _case_rates(case, spectrum, rho, eta)
     eta_star, gamma = optimal_eta_sb(spectrum)
-    return RateReport(rates=np.asarray(rates, dtype=float),
+    return RateReport(rates=rates,
                       spectral_radius=float(np.max(rates)), eta=float(eta),
                       rho=float(rho), alpha=float(alpha),
                       optimal_eta=eta_star, optimal_rho=optimal_rho_al(spectrum),
@@ -216,10 +220,13 @@ class Comparison:
 def compare_sb_vs_admm(eta: float, alpha: float,
                        spectrum: DeltaSpectrum) -> Comparison:
     """Compare the split Bregman rate at eta with the matched two-split
-    recursion (rho = eta/alpha) at the same eta."""
+    recursion (rho = eta/alpha) at the same eta and the spectrum's alpha."""
     _check_positive(eta=eta, alpha=alpha)
-    radius_sb = float(np.max(rate_s1(spectrum.deltas, eta, alpha)))
-    radius_admm = rate_s3(eta, alpha)
+    if alpha != spectrum.alpha:
+        raise ValueError("alpha = %g differs from the spectrum's alpha = %g"
+                         % (alpha, spectrum.alpha))
+    radius_sb = float(np.max(_case_rates("I", spectrum, 1.0, eta)))
+    radius_admm = float(np.max(_case_rates("III", spectrum, eta / alpha, eta)))
     if _matches(radius_sb, radius_admm):
         faster = "tie"
     else:
@@ -253,16 +260,18 @@ class TransitionOracle:
     """Dense transition machinery of the quadratic recursion on a tiny grid."""
 
     G: np.ndarray
-    offset: np.ndarray
     cases: dict
 
 
 def dense_transition_oracle(kernel: ConvolutionKernel, shape, rho: float,
-                            eta: float, alpha: float,
-                            y: np.ndarray = None) -> TransitionOracle:
-    """Materialize the split transition matrix G and its offset as explicit
-    dense matrices, and the spectral radii of the applicable per-case x
-    transition matrices, dense and analytic.
+                            eta: float, alpha: float) -> TransitionOracle:
+    """The dense transition matrix G of the zero-data split recursion, and
+    the spectral radii, dense and analytic, of the cases that hold.
+
+    With P = (rho-1) H^-1 A' and Q = (eta-alpha) H^-1 C', the x-transition
+    of each case is T = cu P A + cv Q C + kappa I (Case I has P = 0, Case
+    II Q = 0, Case III cu = cv), kappa = 1/(rho+1) where Case II holds and
+    alpha/(eta+alpha) otherwise; at (1, alpha) all hold and both are 1/2.
 
     Restricted to periodic operators on grids of at most 16x16 pixels;
     intended purely as a ground-truth check of the per-frequency formulas.
@@ -282,8 +291,6 @@ def dense_transition_oracle(kernel: ConvolutionKernel, shape, rho: float,
     if np.linalg.matrix_rank(hess) < n:
         raise ValueError("singular dense Hessian rho*A'A + eta*C'C")
     inv = np.linalg.inv(hess)
-    yv = np.zeros(n) if y is None else np.asarray(y, dtype=float).ravel()
-    s = inv @ (A.T @ yv)
     P = (rho - 1.0) * (inv @ A.T)
     Q = (eta - alpha) * (inv @ C.T)
     m = C.shape[0]
@@ -293,26 +300,16 @@ def dense_transition_oracle(kernel: ConvolutionKernel, shape, rho: float,
         [cu * (A @ P) + np.eye(n) / (rho + 1.0), cu * (A @ Q)],
         [cv * (C @ P), cv * (C @ Q) + (alpha / (eta + alpha)) * np.eye(m)],
     ])
-    offset = np.concatenate([cu * (A @ s), cv * (C @ s)])
 
-    lam = gram_spectrum(kernel, shape)
-    om = diff_gram_spectrum(shape)
-    deltas = delta_spectrum(lam, om, alpha)
-
-    cases = {}
-    if _matches(rho, 1.0):
-        H1 = cv * (Q @ C) + (alpha / (eta + alpha)) * np.eye(n)
-        cases["I"] = CaseRadii(_radius(H1),
-                               float(np.max(rate_s1(deltas.deltas, eta, alpha))))
-    if _matches(eta, alpha):
-        H2 = cu * (P @ A) + np.eye(n) / (rho + 1.0)
-        cases["II"] = CaseRadii(_radius(H2),
-                                float(np.max(rate_s2(deltas.deltas, rho, alpha))))
-    if _matches(rho, eta / alpha):
-        H3 = cv * (P @ A + Q @ C) + (alpha / (eta + alpha)) * np.eye(n)
-        cases["III"] = CaseRadii(_radius(H3), rate_s3(eta, alpha))
-    return TransitionOracle(G=G, offset=offset, cases=cases)
-
-
-def _radius(mat):
-    return float(np.max(np.abs(np.linalg.eigvals(mat))))
+    holds = [case for case, ok in zip(CASES, (
+        _matches(rho, 1.0), _matches(eta, alpha), _matches(rho, eta / alpha)))
+        if ok]
+    if not holds:
+        return TransitionOracle(G=G, cases={})
+    kappa = 1.0 / (rho + 1.0) if "II" in holds else alpha / (eta + alpha)
+    T = cu * (P @ A) + cv * (Q @ C) + kappa * np.eye(n)
+    radius = float(np.max(np.abs(np.linalg.eigvals(T))))
+    spectrum = delta_spectrum(transfer_gram_spectrum(transfer, w),
+                              diff_gram_spectrum(shape), alpha)
+    return TransitionOracle(G=G, cases={case: CaseRadii(radius, float(
+        np.max(_case_rates(case, spectrum, rho, eta)))) for case in holds})

@@ -190,9 +190,10 @@ def test_criterion_6_parameter_recommendation():
 
 
 @pytest.fixture(scope="module")
-def benchmark_hits():
-    config = ExperimentConfig(max_iterations=250)
-    traces, _ = benchmark_protocol(config, write_artifacts=False)
+def benchmark_hits(tmp_path_factory):
+    config = ExperimentConfig(max_iterations=250,
+                              output_dir=str(tmp_path_factory.mktemp("pcg3")))
+    traces, _ = benchmark_protocol(config)
     hits = {k: (t.iterations_to(1e-6) if t is not None else None)
             for k, t in traces.items()}
     return config, traces, hits
@@ -224,15 +225,15 @@ def test_criterion_7c_underestimated_eta_ordering(benchmark_hits):
            "%s vs %s iterations" % (admm, sb))
 
 
-def test_exact_and_pcg3_iteration_counts(benchmark_hits):
+def test_exact_and_pcg3_iteration_counts(benchmark_hits, tmp_path):
     # Inexact x-updates (Eckstein & Bertsekas 1992, Thm 8): on the default
     # masked benchmark, three PCG steps per x-update cost one extra iteration
     # at (1/20, alpha/20) over exact solves, and none elsewhere.
     config, _, hits = benchmark_hits
     grid = default_parameter_grid(config.alpha)
     exact, _ = benchmark_protocol(ExperimentConfig(max_iterations=250,
-                                                   inner=EXACT),
-                                  write_artifacts=False)
+                                                   inner=EXACT,
+                                                   output_dir=str(tmp_path)))
     got_exact = [exact[k].iterations_to(1e-6) for k in grid]
     got_pcg = [hits[k] for k in grid]
     report("exact vs PCG-3 iterations to 1e-6 on the default benchmark",

@@ -52,6 +52,9 @@ def test_config_validation():
         OuterConfig(max_iterations=-1)
     with pytest.raises(ValueError):
         OuterConfig(x0_mode="random")
+    with pytest.raises(ValueError, match="split Bregman fixes rho = 1"):
+        OuterConfig(rho=2.0, algorithm="sb")
+    assert OuterConfig(algorithm="sb").rho == 1.0
 
 
 def test_problem_validation(rng):
@@ -412,7 +415,7 @@ def test_trace_cost_is_cost_of_each_iterate(rng, algorithm, mask_mode):
     problem = random_problem(rng, shape=(8, 9), mask_mode=mask_mode)
     inner = EXACT if mask_mode == "periodic" else InnerSolveConfig(
         mode="pcg", pcg_iterations=3)
-    rho, eta = 2.0, 0.5
+    rho, eta = 1.0 if algorithm == "sb" else 2.0, 0.5
     config = OuterConfig(rho=rho, eta=eta, max_iterations=6, inner=inner,
                          algorithm=algorithm, x0_mode="data")
     trace = run(problem, config)
@@ -555,8 +558,8 @@ def test_periodic_pcg_traces_equal_exact_traces(rng):
     columns = ("iterations", "cost", "rel_cost_err", "rmsd", "inner_residual")
     for algorithm in ("sb", "admm2", "admm2_simplified"):
         traces = [run(problem, OuterConfig(
-            rho=2.0, eta=0.5, max_iterations=6, inner=inner_cfg,
-            algorithm=algorithm), reference=ref)
+            rho=1.0 if algorithm == "sb" else 2.0, eta=0.5, max_iterations=6,
+            inner=inner_cfg, algorithm=algorithm), reference=ref)
             for inner_cfg in (EXACT, InnerSolveConfig(mode="pcg",
                                                       pcg_iterations=1),
                               InnerSolveConfig(mode="pcg", pcg_iterations=3))]

@@ -111,6 +111,18 @@ def test_restore_bad_eta_exits_2(tmp_path, runner):
     assert result.exit_code == 2
 
 
+def test_restore_split_bregman_with_rho_exits_2(tmp_path, runner):
+    # split Bregman is the rho = 1 recursion; another rho is not ignored
+    config = write_config(tmp_path / "c.cfg", SMALL)
+    result = runner.invoke(main, ["restore", "--config", config,
+                                  "--algorithm", "sb", "--rho", "20",
+                                  "--eta", "1.25",
+                                  "--output-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert "split Bregman fixes rho = 1" in result.output
+    assert not (tmp_path / "o").exists()
+
+
 def test_restore_divergence_exits_3(tmp_path, runner):
     # penalties this small blow the cost up at the first iteration
     result = runner.invoke(main, ["restore", "--rho", "1e-9", "--eta", "1e-9",

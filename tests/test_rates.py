@@ -1,4 +1,3 @@
-import copy
 import csv
 
 import numpy as np
@@ -203,6 +202,13 @@ def test_compare_sb_vs_admm():
     sb = compare_sb_vs_admm(20.0 * ALPHA, ALPHA, finite)
     assert sb.faster == "sb" and sb.radius_sb < sb.radius_admm
 
+    # the deltas are those of the spectrum's own alpha
+    shape = (4, 6)
+    lam = gram_spectrum(ConvolutionKernel(np.array([[0.5, 0.5]])), shape)
+    with pytest.raises(ValueError, match="spectrum's alpha"):
+        compare_sb_vs_admm(1.25, 0.5, delta_spectrum(
+            lam, diff_gram_spectrum(shape), 0.1))
+
 
 def test_rate_and_spectra_csv_round_trip(tmp_path):
     # [[0.5, 0.5]] vanishes at the Nyquist column: lambda = 0, delta = +inf
@@ -266,8 +272,27 @@ def test_dense_oracle_case_ii(rng):
     assert abs(radii.radius_dense - radii.radius_analytic) <= 1e-9
 
 
+def test_dense_oracle_reports_the_cases_that_hold(rng):
+    kernel = random_kernel(rng)
+    alpha = 0.3
+    # all three cases hold at (1, alpha), where P = Q = 0 and T = I/2
+    oracle = dense_transition_oracle(kernel, (4, 4), 1.0, alpha, alpha)
+    assert list(oracle.cases) == ["I", "II", "III"]
+    for radii in oracle.cases.values():
+        assert radii.radius_dense == 0.5 and radii.radius_analytic == 0.5
+    for rho, eta, case in ((2.0, alpha, "II"), (1.0, 3.0 * alpha, "I")):
+        oracle = dense_transition_oracle(kernel, (4, 4), rho, eta, alpha)
+        assert list(oracle.cases) == [case]
+        radii = oracle.cases[case]
+        assert abs(radii.radius_dense - radii.radius_analytic) <= 1e-9
+    assert dense_transition_oracle(kernel, (4, 4), 2.0, 3.0 * alpha,
+                                   alpha).cases == {}
+
+
 def test_dense_oracle_matches_closed_form_iterate(rng):
-    # one closed-form sweep equals G (u;v) + offset on the stacked state
+    # G is the linear part of one closed-form sweep on the stacked (u; v):
+    # it maps the difference of two starts to the difference of their
+    # steps, in which the part that depends on y cancels
     from sbadmm.algorithms import (ProblemOps, ProblemSpec, canonical_init,
                                    quadratic_closed_form_step)
     from sbadmm.grids import ImageGrid
@@ -280,15 +305,20 @@ def test_dense_oracle_matches_closed_form_iterate(rng):
     problem = ProblemSpec(y=ImageGrid(y), kernel=kernel, mask_mode="periodic",
                           potential=Potential.quadratic(alpha))
     ops = ProblemOps(problem)
-    st = canonical_init(ops, rho, eta, x0_mode="data")
-    nxt = quadratic_closed_form_step(copy.deepcopy(st), ops, rho, eta)
 
-    oracle = dense_transition_oracle(kernel, shape, rho, eta, alpha, y=y)
-    stacked = np.concatenate([ops.unhat(st.u_hat).ravel(), st.v.ravel()])
-    out = oracle.G @ stacked + oracle.offset
-    n = y.size
-    assert np.max(np.abs(out[:n] - ops.unhat(nxt.u_hat).ravel())) <= 1e-12
-    assert np.max(np.abs(out[n:] - nxt.v.ravel())) <= 1e-12
+    def stacked(st):
+        return np.concatenate([ops.unhat(st.u_hat).ravel(), st.v.ravel()])
+
+    starts = [canonical_init(ops, rho, eta, x0_mode=mode)
+              for mode in ("data", "zero")]
+    before = [stacked(st) for st in starts]
+    after = [stacked(quadratic_closed_form_step(st, ops, rho, eta))
+             for st in starts]
+
+    oracle = dense_transition_oracle(kernel, shape, rho, eta, alpha)
+    diff = before[0] - before[1]
+    assert np.max(np.abs(diff)) > 0.1
+    assert np.max(np.abs(oracle.G @ diff - (after[0] - after[1]))) <= 1e-12
 
 
 def test_dense_oracle_rejects_large_grids(rng):
