@@ -105,8 +105,8 @@ class SolverState:
 class ProblemOps:
     """The operators of one problem, on plain arrays.
 
-    Built once from a ProblemSpec: the real-FFT blur transfer and the
-    validity mask of C; the spectra lambda and omega, half and full, and
+    Built once from a ProblemSpec: the real-FFT blur transfer; the
+    validity mask of C, the spectra lambda and omega, half and full, and
     the rank check of the split are built on first use.  A/At/C/Ct are
     the true (possibly masked) operators; cost is the objective of the true
     problem.  Raises ValueError when the kernel does not fit the grid or
@@ -139,7 +139,6 @@ class ProblemOps:
         self.transfer = blur_transfer(problem.kernel, self.shape)
         # hat(A x) = transfer hat(x), hat(A' r) = adjoint_transfer hat(r)
         self.adjoint_transfer = np.conj(self.transfer)
-        self.mask = diff_mask(self.shape, problem.mask_mode)
         self._spectra_key = None
         # a half-spectrum column other than 0 and w/2 stands for itself and
         # its mirror image, so it weighs twice in Parseval's sum
@@ -172,6 +171,11 @@ class ProblemOps:
         self._wrap_left[1] = self._b
         self._wrap_right = np.empty((2, w // 2 + 1), complex)
         self._wrap_right[0] = self._a_hat
+
+    @cached_property
+    def mask(self):
+        """The validity mask of C, a (2, h, w) bool array."""
+        return diff_mask(self.shape, self.mask_mode)
 
     @cached_property
     def lam_half(self):
@@ -613,7 +617,6 @@ class MetricTrace:
     rel_cost_err: list = field(default_factory=list)
     rmsd: list = field(default_factory=list)
     inner_residual: list = field(default_factory=list)
-    absolute_cost_error: bool = False
     final_image: ImageGrid = None
     full_rank: bool = True
 
@@ -669,8 +672,6 @@ def run(problem: ProblemSpec, config: OuterConfig,
 
     ref = reference.values if reference is not None else None
     ref_cost = ops.cost(ref) if ref is not None else None
-    if ref_cost is not None and ref_cost == 0.0:
-        trace.absolute_cost_error = True
 
     def record(state):
         c = ops.cost(state.x, state.ax_hat, state.cx)
@@ -679,7 +680,7 @@ def run(problem: ProblemSpec, config: OuterConfig,
         if ref is None:
             rel, rmsd = float("nan"), float("nan")
         else:
-            rel = c - ref_cost if trace.absolute_cost_error else (c - ref_cost) / ref_cost
+            rel = (c - ref_cost) / (ref_cost or 1.0)  # absolute at cost 0
             err = state.x - ref
             rmsd = math.sqrt(np.vdot(err, err) / err.size)
         trace.append(state.k, c, rel, rmsd, state.inner_residual)

@@ -16,14 +16,15 @@ import sys
 import click
 import numpy as np
 
-from .algorithms import ALGORITHMS, OuterConfig, run
-from .experiments import (DEFAULT_ALPHA, ExperimentConfig, benchmark_protocol,
-                          gaussian_kernel, make_problem, reference_solution)
+from .algorithms import ALGORITHMS, OuterConfig, ProblemOps, run
+from .experiments import (DEFAULT_ALPHA, SUMMARY_TOLERANCE, ExperimentConfig,
+                          benchmark_protocol, gaussian_kernel, make_problem,
+                          reference_solution)
 from .grids import ConvolutionKernel, write_pgm
-from .operators import diff_gram_spectrum, gram_spectrum, write_spectra_csv
+from .operators import write_spectra_csv
 from .rates import (CASES, case_parameters, compare_sb_vs_admm, delta_spectrum,
-                    dense_transition_oracle, optimal_eta_sb, optimal_rho_al,
-                    predict, rate_report_to_csv)
+                    dense_transition_oracle, optimal_penalties, predict,
+                    rate_report_to_csv)
 
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
@@ -138,19 +139,16 @@ def _exit_codes(command):
 
 
 def _config_and_spectra(config_path, alpha, output_dir, rate_analysis=True):
-    """The command's config, and the delta, blur Gram and difference Gram
-    spectra of its grid.  The rate analysis holds for the quadratic
-    potential only."""
+    """The command's config, the delta spectrum and the operators of the
+    problem that ``restore`` solves for it.  The rate analysis holds for
+    the quadratic potential only."""
     config = build_experiment_config(config_path, alpha=alpha,
                                      output_dir=output_dir)
     if rate_analysis and config.potential_kind != "quadratic":
         raise ConfigError("rate analysis applies to the quadratic "
                           "potential only (got %r)" % config.potential_kind)
-    kernel = gaussian_kernel(config.psf_size, config.psf_sigma)
-    shape = (config.height, config.width)
-    lam = gram_spectrum(kernel, shape)
-    om = diff_gram_spectrum(shape)
-    return config, delta_spectrum(lam, om, config.alpha), lam, om
+    ops = ProblemOps(make_problem(config)[0])
+    return config, delta_spectrum(ops.lam, ops.om, config.alpha), ops
 
 
 @click.group()
@@ -214,14 +212,14 @@ def restore(config_path, alpha, output_dir, rho, eta, iters, inner_mode,
 @_exit_codes
 def predict_cmd(config_path, alpha, output_dir, case, rho, eta):
     """Predicted per-frequency rates and spectral radius for one case."""
-    config, spectrum, _, _ = _config_and_spectra(config_path, alpha,
-                                                 output_dir)
+    config, spectrum, _ = _config_and_spectra(config_path, alpha, output_dir)
     report = predict(case, spectrum, rho=rho, eta=eta)
+    gamma, eta_star, rho_star = optimal_penalties(spectrum)
     click.echo("case %s: rho=%g eta=%g alpha=%g" %
-               (case, report.rho, report.eta, report.alpha))
-    click.echo("gamma: %.9g" % report.gamma)
-    click.echo("eta_star: %.9g" % report.optimal_eta)
-    click.echo("rho_star: %.9g" % report.optimal_rho)
+               (case, report.rho, report.eta, spectrum.alpha))
+    click.echo("gamma: %.9g" % gamma)
+    click.echo("eta_star: %.9g" % eta_star)
+    click.echo("rho_star: %.9g" % rho_star)
     click.echo("predicted spectral radius: %.9g" % report.spectral_radius)
     outdir = config.output_dir
     os.makedirs(outdir, exist_ok=True)
@@ -235,15 +233,13 @@ def predict_cmd(config_path, alpha, output_dir, case, rho, eta):
 @_exit_codes
 def recommend(config_path, alpha, output_dir, eta):
     """Print the optimal penalty parameters eta* and rho*."""
-    config, spectrum, _, _ = _config_and_spectra(config_path, alpha,
-                                                 output_dir)
-    eta_star, gamma = optimal_eta_sb(spectrum)
-    rho_star = optimal_rho_al(spectrum)
+    _, spectrum, _ = _config_and_spectra(config_path, alpha, output_dir)
+    gamma, eta_star, rho_star = optimal_penalties(spectrum)
     click.echo("gamma: %.17g" % gamma)
     click.echo("eta_star: %.17g" % eta_star)
     click.echo("rho_star: %.17g" % rho_star)
     if eta is not None:
-        cmp = compare_sb_vs_admm(eta, config.alpha, spectrum)
+        cmp = compare_sb_vs_admm(eta, spectrum)
         click.echo("at eta=%g: faster=%s rho_recommended=%.9g "
                    "radius_sb=%.9g radius_admm=%.9g"
                    % (eta, cmp.faster, cmp.rho_recommended,
@@ -260,14 +256,17 @@ def benchmark(config_path, alpha, output_dir, iters):
                                      output_dir=output_dir,
                                      max_iters=iters)
     traces, _ = benchmark_protocol(config)
+    # printed as 1e-6, where %g would print 1e-06
+    tolerance = np.format_float_scientific(SUMMARY_TOLERANCE, trim="-",
+                                           exp_digits=1)
     for (rho, eta), trace in sorted(traces.items()):
         if trace is None:
             click.echo("rho=%g eta=%g: FAILED" % (rho, eta))
         else:
-            hit = trace.iterations_to(1e-6)
+            hit = trace.iterations_to(SUMMARY_TOLERANCE)
             click.echo("rho=%g eta=%g: final rel_cost_err %.3g, "
-                       "iters to 1e-6: %s"
-                       % (rho, eta, trace.rel_cost_err[-1],
+                       "iters to %s: %s"
+                       % (rho, eta, trace.rel_cost_err[-1], tolerance,
                           "n/a" if hit is None else hit))
 
 
@@ -276,11 +275,11 @@ def benchmark(config_path, alpha, output_dir, iters):
 @_exit_codes
 def spectra(config_path, alpha, output_dir):
     """Write the blur and difference Gram spectra as CSV."""
-    config, _, lam, om = _config_and_spectra(config_path, alpha, output_dir,
-                                             rate_analysis=False)
+    config, _, ops = _config_and_spectra(config_path, alpha, output_dir,
+                                         rate_analysis=False)
     outdir = config.output_dir
     os.makedirs(outdir, exist_ok=True)
-    write_spectra_csv(lam, om, os.path.join(outdir, "spectra.csv"))
+    write_spectra_csv(ops.lam, ops.om, os.path.join(outdir, "spectra.csv"))
     click.echo("wrote %s" % os.path.join(outdir, "spectra.csv"))
 
 

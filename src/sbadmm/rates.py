@@ -115,28 +115,16 @@ def gamma_pivot(spectrum: DeltaSpectrum) -> float:
                             1.0 / spectrum.alpha]))
 
 
-def _nondegenerate_gamma(spectrum: DeltaSpectrum) -> float:
-    """gamma_pivot, rejecting gamma = 0 and gamma = inf."""
+def optimal_penalties(spectrum: DeltaSpectrum):
+    """(gamma, eta*, rho*): the pivot and the optimal penalties, eta* =
+    sqrt(alpha/gamma) of split Bregman and rho* = sqrt(alpha*gamma) of
+    Case II.  gamma = 1/alpha, the typical huge-dynamic-range situation,
+    gives eta* = alpha and rho* = 1; gamma = 0 and inf are rejected."""
     gamma = gamma_pivot(spectrum)
     if gamma == 0.0 or np.isinf(gamma):
         raise ValueError("degenerate delta spectrum: gamma = %g" % gamma)
-    return gamma
-
-
-def optimal_eta_sb(spectrum: DeltaSpectrum):
-    """Optimal split Bregman penalty eta* = sqrt(alpha/gamma).
-
-    Returns (eta_star, gamma).  gamma = 1/alpha (the typical huge-dynamic-
-    range situation) yields eta* = alpha.
-    """
-    gamma = _nondegenerate_gamma(spectrum)
-    return float(np.sqrt(spectrum.alpha / gamma)), gamma
-
-
-def optimal_rho_al(spectrum: DeltaSpectrum) -> float:
-    """Optimal data-split penalty rho* = sqrt(alpha*gamma) for Case II."""
-    gamma = _nondegenerate_gamma(spectrum)
-    return float(np.sqrt(spectrum.alpha * gamma))
+    alpha = spectrum.alpha
+    return gamma, float(np.sqrt(alpha / gamma)), float(np.sqrt(alpha * gamma))
 
 
 @dataclass(frozen=True)
@@ -145,10 +133,6 @@ class RateReport:
     spectral_radius: float
     eta: float
     rho: float
-    alpha: float
-    optimal_eta: float
-    optimal_rho: float
-    gamma: float
 
 
 def _matches(value, target):
@@ -186,27 +170,19 @@ def case_parameters(case: str, alpha: float, rho: float = None,
     raise ValueError("case must be one of %s" % (CASES,))
 
 
-def _case_rates(case, spectrum: DeltaSpectrum, rho, eta):
-    """Per-frequency rates of one case at its (rho, eta)."""
-    if case == "I":
-        return rate_s1(spectrum.deltas, eta, spectrum.alpha)
-    if case == "II":
-        return rate_s2(spectrum.deltas, rho, spectrum.alpha)
-    return np.full(spectrum.deltas.shape, rate_s3(eta, spectrum.alpha))
-
-
 def predict(case: str, spectrum: DeltaSpectrum, rho: float = None,
             eta: float = None) -> RateReport:
     """Predicted per-frequency rates and spectral radius for one case."""
     alpha = spectrum.alpha
     rho, eta = case_parameters(case, alpha, rho, eta)
-    rates = _case_rates(case, spectrum, rho, eta)
-    eta_star, gamma = optimal_eta_sb(spectrum)
-    return RateReport(rates=rates,
-                      spectral_radius=float(np.max(rates)), eta=float(eta),
-                      rho=float(rho), alpha=float(alpha),
-                      optimal_eta=eta_star, optimal_rho=optimal_rho_al(spectrum),
-                      gamma=gamma)
+    if case == "I":
+        rates = rate_s1(spectrum.deltas, eta, alpha)
+    elif case == "II":
+        rates = rate_s2(spectrum.deltas, rho, alpha)
+    else:
+        rates = np.full(spectrum.deltas.shape, rate_s3(eta, alpha))
+    return RateReport(rates=rates, spectral_radius=float(np.max(rates)),
+                      eta=float(eta), rho=float(rho))
 
 
 @dataclass(frozen=True)
@@ -217,32 +193,28 @@ class Comparison:
     radius_admm: float
 
 
-def compare_sb_vs_admm(eta: float, alpha: float,
-                       spectrum: DeltaSpectrum) -> Comparison:
+def compare_sb_vs_admm(eta: float, spectrum: DeltaSpectrum) -> Comparison:
     """Compare the split Bregman rate at eta with the matched two-split
     recursion (rho = eta/alpha) at the same eta and the spectrum's alpha."""
-    _check_positive(eta=eta, alpha=alpha)
-    if alpha != spectrum.alpha:
-        raise ValueError("alpha = %g differs from the spectrum's alpha = %g"
-                         % (alpha, spectrum.alpha))
-    radius_sb = float(np.max(_case_rates("I", spectrum, 1.0, eta)))
-    radius_admm = float(np.max(_case_rates("III", spectrum, eta / alpha, eta)))
+    radius_sb = predict("I", spectrum, eta=eta).spectral_radius
+    admm = predict("III", spectrum, eta=eta)
+    radius_admm = admm.spectral_radius
     if _matches(radius_sb, radius_admm):
         faster = "tie"
     else:
         faster = "sb" if radius_sb < radius_admm else "admm_matched"
-    return Comparison(faster=faster,
-                      rho_recommended=eta / alpha, radius_sb=radius_sb,
-                      radius_admm=radius_admm)
+    return Comparison(faster=faster, rho_recommended=admm.rho,
+                      radius_sb=radius_sb, radius_admm=radius_admm)
 
 
 def rate_report_to_csv(report: RateReport, spectrum: DeltaSpectrum, path):
+    gamma, eta_star, rho_star = optimal_penalties(spectrum)
     write_csv(path, ["index", "delta", "rate"], itertools.chain(
         zip(itertools.count(), spectrum.deltas, report.rates),
         [("# radius", report.spectral_radius, ""),
-         ("# eta_star", report.optimal_eta, ""),
-         ("# rho_star", report.optimal_rho, ""),
-         ("# gamma", report.gamma, "")]))
+         ("# eta_star", eta_star, ""),
+         ("# rho_star", rho_star, ""),
+         ("# gamma", gamma, "")]))
 
 
 # ---------------------------------------------------------------------------
@@ -311,5 +283,6 @@ def dense_transition_oracle(kernel: ConvolutionKernel, shape, rho: float,
     radius = float(np.max(np.abs(np.linalg.eigvals(T))))
     spectrum = delta_spectrum(transfer_gram_spectrum(transfer, w),
                               diff_gram_spectrum(shape), alpha)
-    return TransitionOracle(G=G, cases={case: CaseRadii(radius, float(
-        np.max(_case_rates(case, spectrum, rho, eta)))) for case in holds})
+    return TransitionOracle(G=G, cases={case: CaseRadii(
+        radius, predict(case, spectrum, rho, eta).spectral_radius)
+        for case in holds})

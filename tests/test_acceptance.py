@@ -25,8 +25,8 @@ from sbadmm.operators import (diff_gram_spectrum, gram_spectrum,
                               split_operator_rank_check)
 from sbadmm.prox import Potential, prox_array
 from sbadmm.rates import (DeltaSpectrum, delta_spectrum,
-                          dense_transition_oracle, optimal_eta_sb,
-                          optimal_rho_al, rate_s1, rate_s2, rate_s3)
+                          dense_transition_oracle, optimal_penalties, rate_s1,
+                          rate_s2, rate_s3)
 from conftest import make_ops, random_kernel, random_problem
 
 EXACT = InnerSolveConfig(mode="circulant_exact")
@@ -164,16 +164,14 @@ def test_criterion_6_parameter_recommendation():
     lam = gram_spectrum(kernel, (64, 64))
     om = diff_gram_spectrum((64, 64))
     spec = delta_spectrum(lam, om, DEFAULT_ALPHA)
-    eta_star, gamma = optimal_eta_sb(spec)
-    rho_star = optimal_rho_al(spec)
+    gamma, eta_star, rho_star = optimal_penalties(spec)
     ok_default = (eta_star == DEFAULT_ALPHA) and (rho_star == 1.0)
 
     # synthetic band-limited spectrum
     alpha = 1.0 / 16.0
     deltas = np.linspace(1.0 / 256.0, 1.0 / 64.0, 2000)
     band = DeltaSpectrum(deltas, alpha)
-    eta_b, _ = optimal_eta_sb(band)
-    rho_b = optimal_rho_al(band)
+    _, eta_b, rho_b = optimal_penalties(band)
     g_eta = minimize_scalar(lambda e: np.max(rate_s1(deltas, e, alpha)),
                             bounds=(1e-3, 50.0), method="bounded",
                             options={"xatol": 1e-10}).x

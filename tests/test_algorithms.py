@@ -381,6 +381,19 @@ def test_run_without_reference_gives_nan_metrics(rng):
     assert np.isfinite(trace.cost).all()
 
 
+def test_zero_reference_cost_gives_absolute_cost_error(rng):
+    # zero data: the zero reference costs 0, so rel_cost_err is c - 0
+    # rather than the NaN of 0 / 0
+    problem = random_problem(rng)
+    zero = ProblemSpec(y=ImageGrid(np.zeros((8, 8))), kernel=problem.kernel,
+                       mask_mode="masked", potential=problem.potential)
+    trace = run(zero, OuterConfig(rho=1.0, eta=0.25, max_iterations=3,
+                                  inner=EXACT),
+                reference=ImageGrid(np.zeros((8, 8))))
+    assert trace.rel_cost_err == trace.cost == [0.0] * 4
+    assert trace.rmsd == [0.0] * 4
+
+
 def test_trace_csv_round_trip(tmp_path, rng):
     problem = random_problem(rng)
     ref = ImageGrid(solve_reference(problem))

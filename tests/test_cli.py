@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -7,8 +8,11 @@ import pytest
 from click.testing import CliRunner
 
 import sbadmm
+from sbadmm.algorithms import ProblemOps
 from sbadmm.cli import (ConfigError, build_experiment_config, load_config,
                         main)
+from sbadmm.experiments import make_problem
+from sbadmm.grids import ImageGrid, write_pgm
 
 
 @pytest.fixture
@@ -248,6 +252,52 @@ def test_spectra_csv_dc_row(tmp_path, runner):
     head = rows[1].split(",")
     # differences annihilate constants: omega = 0 at the DC frequency
     assert head[0] == "0" and head[1] == "0" and float(head[3]) == 0.0
+
+
+def test_rate_commands_analyse_the_image_grid(tmp_path, runner):
+    # an image file sets the grid; height and width (64x64 by default)
+    # are ignored, by restore and by the rate commands alike
+    rng = np.random.default_rng(0)
+    image = str(tmp_path / "img.pgm")
+    write_pgm(ImageGrid(rng.uniform(0.0, 100.0, (40, 24))), image)
+    config = write_config(tmp_path / "c.cfg", "image = %s\n" % image)
+    ops = ProblemOps(make_problem(build_experiment_config(config))[0])
+    assert ops.shape == (40, 24)
+    out = str(tmp_path / "out")
+    result = runner.invoke(main, ["spectra", "--config", config,
+                                  "--output-dir", out])
+    assert result.exit_code == 0, result.output
+    with open(os.path.join(out, "spectra.csv"), newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    assert len(rows) == 960
+    assert [float(r[2]) for r in rows] == list(ops.lam.ravel())
+    assert [float(r[3]) for r in rows] == list(ops.om.ravel())
+    result = runner.invoke(main, ["predict", "--case", "I", "--eta", "1.25",
+                                  "--config", config, "--output-dir", out])
+    assert result.exit_code == 0, result.output
+    with open(os.path.join(out, "rates.csv"), newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    assert [r[0] for r in rows[:960]] == [str(i) for i in range(960)]
+    assert [r[0] for r in rows[960:]] == ["# radius", "# eta_star",
+                                          "# rho_star", "# gamma"]
+
+
+def test_rate_commands_exit_2_where_restore_does(tmp_path, runner):
+    # the rate commands build the problem restore builds, so they fail
+    # where it fails (a Huber config fails predict and recommend earlier,
+    # being no quadratic)
+    missing = write_config(tmp_path / "m.cfg", "image = %s\n"
+                           % (tmp_path / "missing.pgm"))
+    huber = write_config(tmp_path / "h.cfg", "potential = huber\n")
+    o = ["--output-dir", str(tmp_path / "o")]
+    for config, commands, message in (
+            (missing, ("restore", "spectra", "recommend"),
+             "image file not found"),
+            (huber, ("restore", "spectra"), "needs a positive threshold")):
+        for command in commands:
+            result = runner.invoke(main, [command, "--config", config] + o)
+            assert result.exit_code == 2, result.output
+            assert message in result.output
 
 
 def test_oracle_case_iii_4x1(runner):

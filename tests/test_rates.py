@@ -8,9 +8,9 @@ from sbadmm.grids import ConvolutionKernel
 from sbadmm.operators import (diff_gram_spectrum, gram_spectrum,
                               write_spectra_csv)
 from sbadmm.rates import (DeltaSpectrum, compare_sb_vs_admm, delta_spectrum,
-                          dense_transition_oracle, gamma_pivot, optimal_eta_sb,
-                          optimal_rho_al, predict, rate_report_to_csv, rate_s1,
-                          rate_s2, rate_s3)
+                          dense_transition_oracle, gamma_pivot,
+                          optimal_penalties, predict, rate_report_to_csv,
+                          rate_s1, rate_s2, rate_s3)
 from conftest import random_kernel
 
 ALPHA = 2.0 ** -4
@@ -110,14 +110,12 @@ def test_gamma_and_optima_typical_spectrum():
     # huge dynamic range: delta_min near 0, delta_max infinite
     d = DeltaSpectrum(np.array([0.0, 1.0, np.inf]), ALPHA)
     assert gamma_pivot(d) == 16.0
-    eta_star, gamma = optimal_eta_sb(d)
-    assert eta_star == ALPHA and gamma == 16.0
-    assert optimal_rho_al(d) == 1.0
+    assert optimal_penalties(d) == (16.0, ALPHA, 1.0)
 
 
 def test_gamma_degenerate_median():
     d = DeltaSpectrum(np.array([16.0, 16.0]), ALPHA)
-    eta_star, gamma = optimal_eta_sb(d)
+    gamma, eta_star, _ = optimal_penalties(d)
     assert gamma == 16.0 and eta_star == ALPHA
 
 
@@ -125,8 +123,7 @@ def test_optima_band_limited_spectrum_vs_grid_search():
     alpha = 1.0 / 16.0
     deltas = np.linspace(1.0 / 256.0, 1.0 / 64.0, 2000)
     spec = DeltaSpectrum(deltas, alpha)
-    eta_star, gamma = optimal_eta_sb(spec)
-    rho_star = optimal_rho_al(spec)
+    gamma, eta_star, rho_star = optimal_penalties(spec)
     assert np.isclose(gamma, 1.0 / 64.0)
     assert np.isclose(eta_star, 2.0)
     assert np.isclose(rho_star, 1.0 / 32.0)
@@ -143,7 +140,21 @@ def test_optima_band_limited_spectrum_vs_grid_search():
 
 def test_optimal_eta_rejects_degenerate_spectrum():
     with pytest.raises(ValueError):
-        optimal_eta_sb(DeltaSpectrum(np.array([np.inf, np.inf]), 1.0))
+        optimal_penalties(DeltaSpectrum(np.array([np.inf, np.inf]), 1.0))
+
+
+def test_rates_of_a_degenerate_spectrum():
+    # gamma = inf has no optimal penalties, but each case still has rates:
+    # every s1 is its delta = +inf limit eta/(eta+alpha), which is s3
+    spec = DeltaSpectrum(np.array([np.inf, np.inf]), ALPHA)
+    with pytest.raises(ValueError, match="degenerate"):
+        optimal_penalties(spec)
+    eta = 0.3
+    report = predict("I", spec, eta=eta)
+    assert np.all(report.rates == eta / (eta + ALPHA))
+    cmp = compare_sb_vs_admm(eta, spec)
+    assert cmp.faster == "tie"
+    assert cmp.radius_sb == cmp.radius_admm == eta / (eta + ALPHA)
 
 
 def test_predict_case_constraints():
@@ -180,34 +191,28 @@ def test_predict_case_reports():
 
     r2 = predict("II", spec, rho=2.0)
     assert np.isclose(r2.spectral_radius, np.max(rate_s2(spec.deltas, 2.0, ALPHA)))
-    assert r2.optimal_eta == ALPHA and r2.optimal_rho == 1.0
+    assert r2.rho == 2.0 and r2.eta == ALPHA
+    assert optimal_penalties(spec)[1:] == (ALPHA, 1.0)
 
 
 def test_compare_sb_vs_admm():
     spec = DeltaSpectrum(np.array([0.0, 1.0, np.inf]), ALPHA)
-    under = compare_sb_vs_admm(ALPHA / 20.0, ALPHA, spec)
+    under = compare_sb_vs_admm(ALPHA / 20.0, spec)
     assert under.faster == "admm_matched"
     assert np.isclose(under.rho_recommended, 1.0 / 20.0)
     assert under.radius_sb > under.radius_admm
 
-    over = compare_sb_vs_admm(20.0 * ALPHA, ALPHA, spec)
+    over = compare_sb_vs_admm(20.0 * ALPHA, spec)
     assert over.faster == "tie"
     assert np.isclose(over.radius_sb, over.radius_admm)
 
-    eq = compare_sb_vs_admm(ALPHA, ALPHA, spec)
+    eq = compare_sb_vs_admm(ALPHA, spec)
     assert eq.faster == "tie" and eq.radius_admm == 0.5
 
     # without delta = +inf, eta > alpha keeps every s1 below s3
     finite = DeltaSpectrum(np.array([0.0, 1.0]), ALPHA)
-    sb = compare_sb_vs_admm(20.0 * ALPHA, ALPHA, finite)
+    sb = compare_sb_vs_admm(20.0 * ALPHA, finite)
     assert sb.faster == "sb" and sb.radius_sb < sb.radius_admm
-
-    # the deltas are those of the spectrum's own alpha
-    shape = (4, 6)
-    lam = gram_spectrum(ConvolutionKernel(np.array([[0.5, 0.5]])), shape)
-    with pytest.raises(ValueError, match="spectrum's alpha"):
-        compare_sb_vs_admm(1.25, 0.5, delta_spectrum(
-            lam, diff_gram_spectrum(shape), 0.1))
 
 
 def test_rate_and_spectra_csv_round_trip(tmp_path):
@@ -218,6 +223,7 @@ def test_rate_and_spectra_csv_round_trip(tmp_path):
     spec = delta_spectrum(lam, om, ALPHA)
     assert np.isinf(spec.deltas).any()
     report = predict("I", spec, eta=0.3)
+    gamma, eta_star, rho_star = optimal_penalties(spec)
     path = str(tmp_path / "rates.csv")
     rate_report_to_csv(report, spec, path)
     with open(path, newline="") as f:
@@ -229,9 +235,9 @@ def test_rate_and_spectra_csv_round_trip(tmp_path):
     assert [float(r[2]) for r in body] == list(report.rates)
     assert [(r[0], float(r[1]), r[2]) for r in rows[1 + spec.deltas.size:]] \
         == [("# radius", report.spectral_radius, ""),
-            ("# eta_star", report.optimal_eta, ""),
-            ("# rho_star", report.optimal_rho, ""),
-            ("# gamma", report.gamma, "")]
+            ("# eta_star", eta_star, ""),
+            ("# rho_star", rho_star, ""),
+            ("# gamma", gamma, "")]
 
     path = str(tmp_path / "spectra.csv")
     write_spectra_csv(lam, om, path)
