@@ -20,9 +20,9 @@ import numpy as np
 from .grids import ConvolutionKernel, ImageGrid, write_csv
 from .inner import (RZ_UNDERFLOW, InnerSolveConfig, PcgBreakdownError,
                     hessian_spectrum)
-from .operators import (WRAPS, blur, blur_transfer, diff_gram_spectrum,
-                        diff_mask, difference, difference_transpose,
-                        half_spectrum, irfft2, rfft2,
+from .operators import (WRAPS, blur, blur_transfer, diff_gram_half_spectrum,
+                        diff_gram_spectrum, diff_mask, difference,
+                        difference_transpose, irfft2, rfft2, row_blocks,
                         split_operator_rank_check, transfer_gram_spectrum)
 from .prox import Potential, potential_value_array, shrinkage
 
@@ -82,12 +82,13 @@ class OuterConfig:
 class SolverState:
     """Iterate tuple (x, u, v, d, e) as raw arrays, plus the counter.
 
-    u and d are kept as u_hat = hat(u) and d_hat = hat(d); x_hat, ax_hat
-    and cx are hat(x), hat(A x) and C x as the step computed them, so the
-    cost of the iterate needs neither of the last two again and the next
-    PCG step warm-starts from x_hat without an rfft2.  No two fields share
-    memory: a step writes over the arrays of the state it is given and
-    returns that state, so a caller who still needs a state steps a copy.
+    u and d are kept as u_hat = hat(u) and d_hat = hat(d); x_hat and
+    ax_hat are hat(x) and hat(A x), and phi the float Phi(C x), as the step
+    computed them, so the cost of the iterate needs neither A x nor C x
+    again and the next PCG step warm-starts from x_hat without an rfft2.
+    No two fields share memory: a step writes over the arrays of the state
+    it is given, every one of them, and returns that state, so a caller
+    who still needs a state steps a copy.
     """
 
     x: np.ndarray
@@ -97,7 +98,7 @@ class SolverState:
     e: np.ndarray
     x_hat: np.ndarray
     ax_hat: np.ndarray
-    cx: np.ndarray
+    phi: float
     k: int = 0
     inner_residual: float = 0.0
 
@@ -106,8 +107,11 @@ class ProblemOps:
     """The operators of one problem, on plain arrays.
 
     Built once from a ProblemSpec: the real-FFT blur transfer; the
-    validity mask of C, the spectra lambda and omega, half and full, and
-    the rank check of the split are built on first use.  A/At/C/Ct are
+    validity mask of C, the full spectra lambda and omega, and the rank
+    check of the split are built on first use.  A solver run keeps, at
+    grid size, only the transfer, hat(y), and M and 1 / M below; work that
+    needs scratch takes a row block of a half spectrum at a time through
+    two cached block buffers.  A/At/C/Ct are
     the true (possibly masked) operators; cost is the objective of the true
     problem.  Raises ValueError when the kernel does not fit the grid or
     the grid is a single pixel.
@@ -122,7 +126,8 @@ class ProblemOps:
     and a (2, w/2 + 1) matrix and U'z two matrix-vector products, so no 2-D
     transform runs inside a solve.  The half spectra of M and 1 / M, and
     what the masked solves derive from them, are cached for the last
-    (rho, eta).
+    (rho, eta); the half spectra of lambda and omega they are built from
+    are not kept.
     The object holds arrays only, no callables bound to itself, so it is
     freed as soon as it is dropped.
     """
@@ -136,9 +141,8 @@ class ProblemOps:
         self.mask_mode = problem.mask_mode
         self.potential = problem.potential
         h, w = self.shape
+        # hat(A x) = transfer hat(x), hat(A' r) = conj(transfer) hat(r)
         self.transfer = blur_transfer(problem.kernel, self.shape)
-        # hat(A x) = transfer hat(x), hat(A' r) = adjoint_transfer hat(r)
-        self.adjoint_transfer = np.conj(self.transfer)
         self._spectra_key = None
         # a half-spectrum column other than 0 and w/2 stands for itself and
         # its mirror image, so it weighs twice in Parseval's sum
@@ -177,22 +181,29 @@ class ProblemOps:
         """The validity mask of C, a (2, h, w) bool array."""
         return diff_mask(self.shape, self.mask_mode)
 
-    @cached_property
-    def lam_half(self):
-        """lambda, the spectrum of A'A, at the frequency columns 0..w/2."""
-        return np.abs(self.transfer) ** 2
-
-    @cached_property
-    def om_half(self):
-        """omega, the spectrum of the periodic C'C, at the columns 0..w/2."""
-        return half_spectrum(diff_gram_spectrum(self.shape))
+    def _half_spectra(self):
+        """New arrays of lambda and omega, the spectra of A'A and of the
+        periodic C'C, at the frequency columns 0..w/2."""
+        return np.abs(self.transfer) ** 2, diff_gram_half_spectrum(self.shape)
 
     @cached_property
     def rank(self):
         """The rank check of the split.  lambda and omega are
         mirror-symmetric, so their half spectra hold every value, the
         minimum among them."""
-        return split_operator_rank_check(self.lam_half, self.om_half)
+        return split_operator_rank_check(*self._half_spectra())
+
+    @cached_property
+    def _blocks(self):
+        """(rows, block, work) for each row block of a half spectrum: the
+        row slice and two scratch arrays of that many rows, shared by every
+        blocked sweep."""
+        h, w = self.shape
+        cols = w // 2 + 1
+        slices = row_blocks(h, cols * np.dtype(complex).itemsize)
+        block, work = np.empty((2, slices[0].stop, cols), complex)
+        return [(rows, block[:rows.stop - rows.start],
+                 work[:rows.stop - rows.start]) for rows in slices]
 
     @cached_property
     def lam(self):
@@ -208,7 +219,7 @@ class ProblemOps:
         return blur(self.transfer, x)
 
     def At(self, r):
-        return blur(self.adjoint_transfer, r)
+        return blur(np.conj(self.transfer), r)
 
     def C(self, x, out=None):
         return difference(x, self.mask_mode, out)
@@ -216,69 +227,77 @@ class ProblemOps:
     def Ct(self, g, out=None):
         return difference_transpose(g, self.mask_mode, out)
 
-    def hat(self, x):
-        """Unitarily scaled half spectrum: sum(x * y) = Re vdot(hat(x),
-        hat(y)) and ||x|| = ||hat(x)||."""
-        f = rfft2(x)
+    def hat(self, x, out=None):
+        """Unitarily scaled half spectrum, into out if it is given:
+        sum(x * y) = Re vdot(hat(x), hat(y)) and ||x|| = ||hat(x)||."""
+        f = rfft2(x, out)
         f *= self._scale
         return f
 
-    @cached_property
-    def _scratch(self):
-        """The scratch half spectrum of unhat and _add_wrap_hat, never
-        returned."""
-        return np.empty(self.transfer.shape, complex)
-
-    def unhat(self, f, out=None):
-        """The real array whose hat is f, into out if it is given; f is not
-        written."""
-        return irfft2(np.multiply(f, self._unscale, out=self._scratch),
-                      self.shape, out)
+    def unhat(self, f, out=None, work=None):
+        """The real array whose hat is f, into out if it is given.  f is not
+        written; the scaled spectrum the inverse transform consumes goes
+        into work, a half spectrum the caller gives up, or a new one."""
+        return irfft2(np.multiply(f, self._unscale, out=work), self.shape,
+                      out)
 
     @cached_property
     def y_hat(self):
-        """hat(y).  It and aty_hat are computed on first use, so a
-        ProblemOps built only for its real-array operators skips them."""
+        """hat(y), computed on first use, so a ProblemOps built only for
+        its real-array operators skips it."""
         return self.hat(self.y)
-
-    @cached_property
-    def aty_hat(self):
-        """hat(A' y)."""
-        return self.adjoint_transfer * self.y_hat
 
     def hessian_spectra(self, rho, eta):
         """(M, 1 / M) on the half spectrum, M = rho lambda + eta omega, once
         per (rho, eta); raises SingularHessianError where M vanishes.  1 / M
         is kept as numpy multiplies by a real array faster than it divides."""
         if self._spectra_key != (rho, eta):
-            m = hessian_spectrum(self.lam_half, self.om_half, rho, eta)
+            # the old pair is freed before the new one is built
+            self._spectra = self._spectra_key = None
+            m = hessian_spectrum(*self._half_spectra(), rho, eta)
             self._spectra = (m, 1.0 / m)
             self._spectra_key = (rho, eta)
             self._capacitance = self._gram_diagonal = None
         return self._spectra
 
-    def _wrap_adjoint_hat(self, f):
-        """The wrap vector of U' unhat(f).  A column of f off 0 and w/2
-        also stands for its mirror image, whose share of the row wraps is
-        the conjugate of the mirrored row frequency; the fold adds it."""
-        h = self.shape[0]
-        v = np.empty(self._gram_in.size, complex)
-        rows = np.matmul(f, self._row_weights, out=v[:h])
+    def _fold(self, v):
+        """Finish the wrap vector v of U' unhat(f) whose row part holds
+        f @ _row_weights.  A column of f off 0 and w/2 also stands for its
+        mirror image, whose share of the row wraps is the conjugate of the
+        mirrored row frequency; the fold adds it."""
+        rows = v[:self.shape[0]]
         rows += np.conj(rows[self._mirror])
-        np.matmul(self._col_weights, f, out=v[h:])
         v.imag[self._self_conjugate] = 0.0
         return v
 
-    def _add_wrap_hat(self, v, out):
-        """out += hat(U c), from the wrap vector v of c: the outer products
-        outer(v_row, _a_hat) + outer(_b, v_col) as one matrix product into
-        the scratch half spectrum, then one add."""
+    def _wrap_adjoint_hat(self, f):
+        """The wrap vector of U' unhat(f)."""
         h = self.shape[0]
-        self._wrap_left[0] = v[:h]
-        self._wrap_right[1] = v[h:]
-        out += np.matmul(self._wrap_left.T, self._wrap_right,
-                         out=self._scratch)
+        v = np.empty(self._gram_in.size, complex)
+        np.matmul(f, self._row_weights, out=v[:h])
+        np.matmul(self._col_weights, f, out=v[h:])
+        return self._fold(v)
+
+    def _wrap_hat_rows(self, v, rows, out):
+        """hat(U c) at the given rows, into out, from the wrap vector v of
+        c: outer(v_row, _a_hat) + outer(_b, v_col) as one matrix product."""
+        self._wrap_left[0, rows] = v[rows]
+        self._wrap_right[1] = v[self.shape[0]:]
+        return np.matmul(self._wrap_left.T[rows], self._wrap_right, out=out)
+
+    def _add_wrap_hat(self, v, out):
+        """out += hat(U c), from the wrap vector v of c, one row block at a
+        time."""
+        for rows, _, work in self._blocks:
+            out[rows] += self._wrap_hat_rows(v, rows, work)
         return out
+
+    def _hessian_wraps(self, f, eta):
+        """The wrap vector c of -eta U' unhat(f), so that H unhat(f) =
+        M unhat(f) + U c."""
+        v = self._wrap_adjoint_hat(f)
+        v *= -eta
+        return v
 
     def hessian_hat(self, f, rho, eta):
         """hat(H unhat(f)): M f, minus eta U U' unhat(f) in masked mode by
@@ -286,9 +305,7 @@ class ProblemOps:
         out = f * self.hessian_spectra(rho, eta)[0]
         if self.mask_mode == "periodic":
             return out
-        v = self._wrap_adjoint_hat(f)
-        v *= -eta
-        return self._add_wrap_hat(v, out)
+        return self._add_wrap_hat(self._hessian_wraps(f, eta), out)
 
     def _factor_capacitance(self, inverse, eta):
         """S = I/eta - U' M^-1 U in the real wrap coordinates (c_row,
@@ -315,32 +332,33 @@ class ProblemOps:
         schur -= k.T @ a_inv_k
         return a_eigenvalues, a_inv_k, k, np.linalg.inv(schur)
 
-    def solve_hat(self, f, rho, eta):
-        """hat of the exact solution of H x = unhat(f): a division by M,
-        plus in masked mode the Woodbury correction
+    def solve_hat(self, f, rho, eta, out=None):
+        """hat of the exact solution of H x = unhat(f), into out if it is
+        given: a division by M, plus in masked mode the Woodbury correction
         M^-1 U S^-1 U' M^-1 b, i.e. (f + hat(U c)) / M.  S = I/eta -
         U' M^-1 U is positive definite when H is; S c = (b_row, b_col) is
         solved by blocks, c_col from the Schur complement and c_row by a
-        division in the row-wrap spectrum."""
+        division in the row-wrap spectrum.  In masked mode f + hat(U c) is
+        written over f, so pass only a spectrum the caller gives up."""
         inverse = self.hessian_spectra(rho, eta)[1]
+        x = np.multiply(f, inverse, out=out)
         if self.mask_mode == "periodic":
-            return f * inverse
+            return x
         h, w = self.shape
         if self._capacitance is None:
             self._capacitance = self._factor_capacitance(inverse, eta)
         a_eigenvalues, a_inv_k, k, schur_inverse = self._capacitance
-        v = self._wrap_adjoint_hat(f * inverse)
+        v = self._wrap_adjoint_hat(x)
         # A c_row - K c_col = b_row and -K' c_row + D c_col = b_col; v[:h]
         # is the unitary FFT of b_row, so t = A^-1 b_row is one division
         t = np.fft.ifft(v[:h] / a_eigenvalues, norm="ortho").real
         c_col = schur_inverse @ (np.fft.irfft(v[h:] / self._col_scale, n=w)
                                  + k.T @ t)
         c_row = t + a_inv_k @ c_col
-        out = self._add_wrap_hat(
+        self._add_wrap_hat(
             np.concatenate((np.fft.fft(c_row, norm="ortho"),
-                            np.fft.rfft(c_col) * self._col_scale)), f.copy())
-        out *= inverse
-        return out
+                            np.fft.rfft(c_col) * self._col_scale)), f)
+        return np.multiply(f, inverse, out=x)
 
     def _wrap_gram(self, v):
         """G v, G = U' M^-1 U at the last (rho, eta), for the wrap vector
@@ -367,29 +385,42 @@ class ProblemOps:
         g.imag[self._self_conjugate] = 0.0
         return g
 
-    def pcg_hat(self, b, x0, rho, eta, steps):
-        """hat(x) after `steps` PCG steps on H x = unhat(b) from hat(x0),
-        preconditioned by 1 / M, and its residual relative to |b|.  As
-        M^-1 H = I - eta M^-1 U U', the loop keeps the coordinates of
-        p = pi z0 + M^-1 U c, r = gamma r0 + U e, x - x0 = xi z0 + M^-1 U chi
-        and q = U'p (z0 = r0 / M; H p = pi r0 + U (c - eta q)), so a step
-        applies G once, to a wrap vector.  Those vectors are the rows of
-        one array, and each step updates (e, chi) and then (c, q) by one
-        product of a small coefficient matrix with its rows; Re vdot of two
-        wrap vectors is the dot product of their float views.  The iterates
-        are those of ``pcg_solve``, with its checks.  In periodic mode
-        U = 0, so H = M and the answer is the exact division."""
+    def pcg_hat(self, b, x, rho, eta, steps):
+        """hat(x) after `steps` PCG steps on H x = unhat(b) from the warm
+        start hat(x0) = x, preconditioned by 1 / M, written over x and
+        returned with its residual relative to |b|.  b is written over:
+        it holds r0 = b - H x0.  As M^-1 H = I - eta M^-1 U U', the loop
+        keeps the coordinates of p = pi z0 + M^-1 U c, r = gamma r0 + U e,
+        x - x0 = xi z0 + M^-1 U chi and q = U'p (z0 = r0 / M; H p = pi r0 +
+        U (c - eta q)), so a step applies G once, to a wrap vector.  Those
+        vectors are the rows of one array, and each step updates (e, chi)
+        and then (c, q) by one product of a small coefficient matrix with
+        its rows; Re vdot of two wrap vectors is the dot product of their
+        float views.  r0 is formed, and z0, r and x are used, one row block
+        at a time.  The iterates are those of ``pcg_solve``, with its
+        checks.  In periodic mode U = 0, so H = M and the answer is the
+        exact division."""
         if self.mask_mode == "periodic":
-            return self.solve_hat(b, rho, eta), 0.0
-        inverse = self.hessian_spectra(rho, eta)[1]
-        r0 = self.hessian_hat(x0, rho, eta)
-        np.subtract(b, r0, out=r0)
-        z0 = r0 * inverse
-        rho0 = np.vdot(r0, z0).real
-        pi, gamma, xi, rz = 1.0, 1.0, 0.0, rho0
+            return self.solve_hat(b, rho, eta, out=x), 0.0
+        m, inverse = self.hessian_spectra(rho, eta)
+        b_norm = math.sqrt(np.vdot(b, b).real)
+        h = self.shape[0]
         # rows w0 = U'z0, c, q, e, chi and g = G e; q starts at w0
         wraps = np.zeros((6, self._gram_in.size), complex)
-        wraps[0] = wraps[2] = self._wrap_adjoint_hat(z0)
+        w0 = wraps[0]
+        hx_wraps = self._hessian_wraps(x, eta)
+        rho0 = 0.0
+        for part, block, work in self._blocks:
+            # r0 = b - (M x0 + U c) over b, then z0 = r0 / M in the block
+            hx = np.multiply(x[part], m[part], out=block)
+            hx += self._wrap_hat_rows(hx_wraps, part, work)
+            r0 = np.subtract(b[part], hx, out=b[part])
+            z0 = np.multiply(r0, inverse[part], out=block)
+            rho0 += np.vdot(r0, z0).real
+            np.matmul(z0, self._row_weights, out=w0[part])
+            w0[h:] += np.matmul(self._col_weights[part], z0)
+        wraps[2] = self._fold(w0)
+        pi, gamma, xi, rz = 1.0, 1.0, 0.0, rho0
         rows = wraps.view(float)
         # the updates e -= a (c - eta q), chi += a c and then c = e + beta c,
         # q = u + beta q, u = g + gamma w0, as products with rows[1:5] and
@@ -423,26 +454,50 @@ class ProblemOps:
             update_c_q[0, 1] = update_c_q[1, 2] = beta
             update_c_q[1, 0] = gamma
             rows[1:3] = update_c_q.dot(rows)
-        r = self._add_wrap_hat(wraps[3], np.multiply(r0, gamma, out=z0))
-        x = self._add_wrap_hat(wraps[4], np.multiply(r0, xi, out=r0))
-        x *= inverse
-        x += x0
-        if not np.isfinite(x.view(float)).all():
-            raise PcgBreakdownError("non-finite iterate after %d steps" % steps)
-        b_norm = math.sqrt(np.vdot(b, b).real)
-        return x, math.sqrt(np.vdot(r, r).real) / b_norm if b_norm else 0.0
+        # r = gamma r0 + U e for its norm, x += M^-1 (xi r0 + U chi)
+        r_norm2 = 0.0
+        for part, block, work in self._blocks:
+            r0 = b[part]
+            r = np.multiply(r0, gamma, out=block)
+            r += self._wrap_hat_rows(wraps[3], part, work)
+            r_norm2 += np.vdot(r, r).real
+            dx = np.multiply(r0, xi, out=block)
+            dx += self._wrap_hat_rows(wraps[4], part, work)
+            dx *= inverse[part]
+            x_part = x[part]
+            x_part += dx
+            if not np.isfinite(x_part.view(float)).all():
+                raise PcgBreakdownError(
+                    "non-finite iterate after %d steps" % steps)
+        return x, math.sqrt(r_norm2) / b_norm if b_norm else 0.0
 
     def solve(self, b, rho, eta):
         """Exact solution of (rho A'A + eta C'C) x = b."""
-        return self.unhat(self.solve_hat(self.hat(b), rho, eta))
+        f = self.solve_hat(self.hat(b), rho, eta)
+        return self.unhat(f, work=f)
 
-    def cost(self, x, ax_hat=None, cx=None):
-        """Objective at x, reusing hat(A x) and C x when they are given.
-        The data term is 1/2 |hat(y) - hat(A x)|^2, by Parseval."""
-        res = self.y_hat - (self.transfer * self.hat(x) if ax_hat is None
-                            else ax_hat)
-        return 0.5 * np.vdot(res, res).real + potential_value_array(
-            self.potential, self.C(x) if cx is None else cx)
+    def cost(self, x, ax_hat=None, phi=None):
+        """Objective at x, reusing hat(A x) and phi = Phi(C x) when they
+        are given.  The data term is 1/2 |hat(y) - hat(A x)|^2, by
+        Parseval, summed one row block at a time."""
+        if ax_hat is None:
+            ax_hat = self.hat(x)
+            ax_hat *= self.transfer
+        data = 0.0
+        for rows, block, _ in self._blocks:
+            res = np.subtract(self.y_hat[rows], ax_hat[rows], out=block)
+            data += np.vdot(res, res).real
+        return 0.5 * data + (potential_value_array(self.potential, self.C(x))
+                             if phi is None else phi)
+
+
+def _divide(z, c):
+    """z /= c for a complex array z and a real scalar c, as a multiply of
+    z's float view by 1 / c.  numpy divides by c + 0j with Smith's formula,
+    which for a zero imaginary part is that same multiply, at about three
+    times the cost."""
+    f = z.view(float)
+    np.multiply(f, 1.0 / c, out=f)
 
 
 def _consistent_state(ops: ProblemOps, x, rho: float,
@@ -458,8 +513,11 @@ def _consistent_state(ops: ProblemOps, x, rho: float,
         e = -(ops.potential.alpha / eta) * v
     else:
         e = np.zeros_like(v)
-    return SolverState(x=x, u_hat=u_hat, v=v, d_hat=(ops.y_hat - u_hat) / rho,
-                       e=e, x_hat=x_hat, ax_hat=u_hat.copy(), cx=v.copy())
+    d_hat = ops.y_hat - u_hat
+    _divide(d_hat, rho)
+    return SolverState(x=x, u_hat=u_hat, v=v, d_hat=d_hat, e=e, x_hat=x_hat,
+                       ax_hat=u_hat.copy(),
+                       phi=potential_value_array(ops.potential, v))
 
 
 def canonical_init(ops: ProblemOps, rho: float, eta: float,
@@ -473,40 +531,47 @@ def canonical_init(ops: ProblemOps, rho: float, eta: float,
 
 def _solve_x(ops, rho, eta, rhs, x_hat, inner: InnerSolveConfig):
     """Solve (rho A'A + eta C'C) x = unhat(rhs), exactly or by PCG from the
-    warm start unhat(x_hat); returns hat(x) and the relative residual."""
+    warm start unhat(x_hat); writes hat(x) over x_hat and returns it with
+    the relative residual.  rhs is written over."""
     if inner.mode == "circulant_exact":
-        return ops.solve_hat(rhs, rho, eta), 0.0
+        return ops.solve_hat(rhs, rho, eta, out=x_hat), 0.0
     return ops.pcg_hat(rhs, x_hat, rho, eta, inner.pcg_iterations)
 
 
 # A step writes its result over the arrays of the state it is given and
-# returns that state; only x_hat is a new array, as the PCG solve reads the
-# old one as its warm start.  The right-hand side is built in the ax_hat
-# buffer and v + e in the cx buffer, as neither is read before the step
-# writes them again.  If a step raises, its state is left part-written.
+# returns that state.  The right-hand side is built in the ax_hat buffer,
+# v + e in v and C'(v + e) in x, as none of them is read before the step
+# writes it again; the solve writes hat(x) over x_hat and may write over
+# the right-hand side, and unhat consumes it.  Other scratch is a row block
+# of a half spectrum (ProblemOps._blocks).  If a step raises, its state is
+# left part-written.
 
-def _add_split_term(ops, state, g, scale, rhs):
-    """rhs += scale hat(C'g), with C'g written over state.x, which the
-    step writes afresh."""
-    f = ops.hat(ops.Ct(g, out=state.x))
-    f *= scale
-    rhs += f
-
-
-def _eliminated_rhs(ops, state, rho):
-    """hat(A'y) + (rho - 1) hat(A'u), written over state.ax_hat."""
-    rhs = np.multiply(rho - 1.0, ops.adjoint_transfer, out=state.ax_hat)
-    rhs *= state.u_hat
-    return np.add(ops.aty_hat, rhs, out=rhs)
+def _split_rhs(ops, state, g, scale):
+    """scale hat(C'g) into state.ax_hat, the right-hand side, with C'g
+    written over state.x, which the step writes afresh."""
+    rhs = ops.hat(ops.Ct(g, out=state.x), out=state.ax_hat)
+    rhs *= scale
+    return rhs
 
 
-def _new_x(ops, state, f, residual):
-    """Store the x-update hat(x) = f, and write x, hat(A x) and C x over
-    the state."""
-    ops.unhat(f, out=state.x)
-    np.multiply(f, ops.transfer, out=state.ax_hat)
-    ops.C(state.x, out=state.cx)
-    state.x_hat = f
+def _add_eliminated_rhs(ops, state, rho, rhs):
+    """rhs += hat(A'y) + (rho - 1) hat(A'u), one row block at a time."""
+    for rows, block, work in ops._blocks:
+        adjoint = np.conj(ops.transfer[rows], out=work)
+        data = np.multiply(rho - 1.0, adjoint, out=block)
+        data *= state.u_hat[rows]
+        aty = np.multiply(adjoint, ops.y_hat[rows], out=work)
+        rhs[rows] += np.add(aty, data, out=data)
+
+
+def _new_x(ops, state, residual, cx):
+    """x_hat holds the x-update hat(x): write x and hat(A x) over the
+    state, C x into cx, a field of the state the step writes afresh, and
+    phi = Phi(C x)."""
+    ops.unhat(state.x_hat, out=state.x, work=state.ax_hat)
+    np.multiply(state.x_hat, ops.transfer, out=state.ax_hat)
+    state.phi = potential_value_array(ops.potential,
+                                      ops.C(state.x, out=cx))
     state.k += 1
     state.inner_residual = residual
 
@@ -515,19 +580,20 @@ def _eliminated_u_d(ops, state, rho):
     """u = (rho A x + u) / (rho + 1) and d = (y - u) / rho, over u and d."""
     u_hat = np.multiply(rho, state.ax_hat, out=state.d_hat)
     np.add(u_hat, state.u_hat, out=state.u_hat)
-    state.u_hat /= rho + 1.0
+    _divide(state.u_hat, rho + 1.0)
     np.subtract(ops.y_hat, state.u_hat, out=state.d_hat)
-    state.d_hat /= rho
+    _divide(state.d_hat, rho)
 
 
 def _split_update(ops, state, eta):
-    """v = prox(cx - e) and the dual e - cx + v = -shrinkage(cx - e),
-    written over v and e.  In masked mode v is zero and e keeps its value
-    on the wrap-around slices, saved before e is written."""
+    """With C x in v: v = prox(C x - e) and the dual e - C x + v =
+    -shrinkage(C x - e), written over v and e.  In masked mode v is zero
+    and e keeps its value on the wrap-around slices, saved before e is
+    written."""
     v, e = state.v, state.e
     kept = [] if ops.mask_mode == "periodic" else [e[ix].copy()
                                                    for ix in WRAPS]
-    np.subtract(state.cx, e, out=v)
+    v -= e
     s = shrinkage(ops.potential, v, eta, out=e)
     v -= s
     np.negative(s, out=s)
@@ -539,12 +605,12 @@ def _split_update(ops, state, eta):
 def sb_step(state: SolverState, ops: ProblemOps, eta: float,
             inner: InnerSolveConfig) -> SolverState:
     """One split Bregman sweep: least-squares x, prox v, dual e."""
-    rhs = state.ax_hat
-    rhs[...] = ops.aty_hat
-    _add_split_term(ops, state, np.add(state.v, state.e, out=state.cx), eta,
-                    rhs)
-    f, res = _solve_x(ops, 1.0, eta, rhs, state.x_hat, inner)
-    _new_x(ops, state, f, res)
+    rhs = _split_rhs(ops, state, np.add(state.v, state.e, out=state.v), eta)
+    for rows, block, work in ops._blocks:
+        adjoint = np.conj(ops.transfer[rows], out=work)
+        rhs[rows] += np.multiply(adjoint, ops.y_hat[rows], out=block)
+    _, res = _solve_x(ops, 1.0, eta, rhs, state.x_hat, inner)
+    _new_x(ops, state, res, state.v)
     state.u_hat[...] = state.ax_hat
     np.subtract(ops.y_hat, state.u_hat, out=state.d_hat)
     _split_update(ops, state, eta)
@@ -554,17 +620,18 @@ def sb_step(state: SolverState, ops: ProblemOps, eta: float,
 def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
                inner: InnerSolveConfig) -> SolverState:
     """One two-split ADMM sweep (x, u, v, then both dual updates)."""
-    rhs = np.add(state.u_hat, state.d_hat, out=state.ax_hat)
-    rhs *= ops.adjoint_transfer
-    rhs *= rho
-    _add_split_term(ops, state, np.add(state.v, state.e, out=state.cx), eta,
-                    rhs)
-    f, res = _solve_x(ops, rho, eta, rhs, state.x_hat, inner)
-    _new_x(ops, state, f, res)
+    rhs = _split_rhs(ops, state, np.add(state.v, state.e, out=state.v), eta)
+    for rows, block, work in ops._blocks:
+        data = np.add(state.u_hat[rows], state.d_hat[rows], out=block)
+        data *= np.conj(ops.transfer[rows], out=work)
+        data *= rho
+        rhs[rows] += data
+    _, res = _solve_x(ops, rho, eta, rhs, state.x_hat, inner)
+    _new_x(ops, state, res, state.v)
     u_hat = np.subtract(state.ax_hat, state.d_hat, out=state.u_hat)
     u_hat *= rho
     u_hat += ops.y_hat
-    u_hat /= rho + 1.0
+    _divide(u_hat, rho + 1.0)
     state.d_hat -= state.ax_hat
     state.d_hat += u_hat
     _split_update(ops, state, eta)
@@ -574,11 +641,10 @@ def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
 def admm2_simplified_step(state: SolverState, ops: ProblemOps, rho: float,
                           eta: float, inner: InnerSolveConfig) -> SolverState:
     """Two-split ADMM with d eliminated; requires the canonical d init."""
-    rhs = _eliminated_rhs(ops, state, rho)
-    _add_split_term(ops, state, np.add(state.v, state.e, out=state.cx), eta,
-                    rhs)
-    f, res = _solve_x(ops, rho, eta, rhs, state.x_hat, inner)
-    _new_x(ops, state, f, res)
+    rhs = _split_rhs(ops, state, np.add(state.v, state.e, out=state.v), eta)
+    _add_eliminated_rhs(ops, state, rho, rhs)
+    _, res = _solve_x(ops, rho, eta, rhs, state.x_hat, inner)
+    _new_x(ops, state, res, state.v)
     _eliminated_u_d(ops, state, rho)
     _split_update(ops, state, eta)
     return state
@@ -589,18 +655,20 @@ def quadratic_closed_form_step(state: SolverState, ops: ProblemOps, rho: float,
     """Fully eliminated recursion for the quadratic potential.
 
     Valid only with periodic operators (exact spectra) and the canonical
-    d and e initializations.
+    d and e initializations.  C x goes into e, which the recursion then
+    rebuilds from v.
     """
     if ops.potential.kind != "quadratic":
         raise ValueError("closed-form recursion requires a quadratic potential")
     if ops.mask_mode != "periodic":
         raise ValueError("closed-form recursion requires periodic operators")
     alpha = ops.potential.alpha
-    rhs = _eliminated_rhs(ops, state, rho)
-    _add_split_term(ops, state, state.v, eta - alpha, rhs)
-    _new_x(ops, state, ops.solve_hat(rhs, rho, eta), 0.0)
+    rhs = _split_rhs(ops, state, state.v, eta - alpha)
+    _add_eliminated_rhs(ops, state, rho, rhs)
+    ops.solve_hat(rhs, rho, eta, out=state.x_hat)
+    _new_x(ops, state, 0.0, state.e)
     _eliminated_u_d(ops, state, rho)
-    v = np.multiply(eta / (eta + alpha), state.cx, out=state.e)
+    v = np.multiply(eta / (eta + alpha), state.e, out=state.e)
     state.v *= alpha / (eta + alpha)
     np.add(v, state.v, out=state.v)
     np.multiply(-(alpha / eta), state.v, out=state.e)
@@ -667,22 +735,30 @@ def run(problem: ProblemSpec, config: OuterConfig,
         raise ValueError("reference grid %s does not match the problem grid %s"
                          % (reference.shape, ops.shape))
     step = _make_step(config)
-    state = canonical_init(ops, config.rho, config.eta, config.x0_mode)
-    trace = MetricTrace(full_rank=ops.rank.full_rank)
-
+    # the reference's cost and the rank check build whole-grid temporaries,
+    # so they come before the state exists
     ref = reference.values if reference is not None else None
     ref_cost = ops.cost(ref) if ref is not None else None
+    trace = MetricTrace(full_rank=ops.rank.full_rank)
+    state = canonical_init(ops, config.rho, config.eta, config.x0_mode)
+    h, w = ops.shape
+    err_rows = row_blocks(h, w * np.dtype(float).itemsize)
 
     def record(state):
-        c = ops.cost(state.x, state.ax_hat, state.cx)
+        c = ops.cost(state.x, state.ax_hat, state.phi)
         if not math.isfinite(c):
             raise SolverDivergenceError("non-finite cost at iteration %d" % state.k)
         if ref is None:
             rel, rmsd = float("nan"), float("nan")
         else:
             rel = (c - ref_cost) / (ref_cost or 1.0)  # absolute at cost 0
-            err = state.x - ref
-            rmsd = math.sqrt(np.vdot(err, err) / err.size)
+            err = np.empty((err_rows[0].stop, w))
+            sq = 0.0
+            for rows in err_rows:
+                block = np.subtract(state.x[rows], ref[rows],
+                                    out=err[:rows.stop - rows.start])
+                sq += np.vdot(block, block)
+            rmsd = math.sqrt(sq / state.x.size)
         trace.append(state.k, c, rel, rmsd, state.inner_residual)
         return c
 

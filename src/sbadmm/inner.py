@@ -50,12 +50,15 @@ class InnerSolveConfig:
 def hessian_spectrum(lam, omega, rho, eta):
     """M = rho lambda + eta omega, the spectrum of the circulant part of the
     Hessian on the frequencies of the spectra given, full or half; raises
-    SingularHessianError where it vanishes."""
+    SingularHessianError where it vanishes.  lam and omega are written
+    over, the sum going into lam, so a caller passes spectra it owns."""
     if lam.shape != omega.shape:
         raise ValueError("spectra live on different grids")
     if not (rho > 0 and eta > 0):
         raise ValueError("rho and eta must be positive")
-    denom = rho * lam + eta * omega
+    lam *= rho
+    omega *= eta
+    denom = np.add(lam, omega, out=lam)
     if denom.min() <= 0.0:
         i, j = np.unravel_index(int(np.argmin(denom)), denom.shape)
         raise SingularHessianError(
@@ -67,7 +70,8 @@ def circulant_preconditioner(lam, omega, rho, eta):
     """Inverse of the circulant Hessian surrogate M = rho lambda + eta omega,
     as a map on real arrays: their real FFT divided by the half spectrum of
     M.  Raises SingularHessianError where M vanishes."""
-    denom = half_spectrum(hessian_spectrum(lam, omega, rho, eta))
+    denom = hessian_spectrum(half_spectrum(lam), half_spectrum(omega), rho,
+                             eta)
     return lambda r: irfft2(rfft2(r) / denom, r.shape)
 
 

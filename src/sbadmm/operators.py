@@ -15,6 +15,9 @@ numpy's passes with the column pass done in place, so each transform
 writes one array.  ``algorithms.ProblemOps`` builds the blur transfer once
 per problem and passes it in.
 
+Work that would need a whole array of scratch sweeps its arrays in row
+blocks (``row_blocks``) instead, so that scratch stays under BLOCK_BYTES.
+
 No spectrum takes a 2-D FFT: that of A'A is |transfer|^2, mirrored from the
 half spectrum to the full grid, and that of C'C has the closed form
 4 sin^2(pi k / h) + 4 sin^2(pi l / w).
@@ -32,6 +35,9 @@ EIGENVALUE_TOLERANCE = 1e-12
 # The wrap-around entries of a (2, h, w) difference field, off masked C: the
 # last column of the horizontal plane and the last row of the vertical one.
 WRAPS = ((0, slice(None), -1), (1, -1, slice(None)))
+# The bytes of one row block: the scratch of a blocked sweep, which stays in
+# the L2 cache beside the blocks of the arrays it reads.
+BLOCK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -67,13 +73,21 @@ def embed_kernel(kernel, shape):
 def half_spectrum(a):
     """The frequency columns 0..w//2 of a per-frequency array, the ones
     rfft2 keeps, as a contiguous copy."""
-    return np.ascontiguousarray(a[:, :a.shape[1] // 2 + 1])
+    return a[:, :a.shape[1] // 2 + 1].copy()
 
 
-def rfft2(x):
+def row_blocks(rows, row_bytes):
+    """Slices covering range(rows) in blocks of at most BLOCK_BYTES of rows
+    that are row_bytes long, one row at least."""
+    step = max(1, BLOCK_BYTES // max(row_bytes, 1))
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
+
+
+def rfft2(x, out=None):
     """numpy's rfft2 of x, bit for bit: the same passes in the same order,
-    the column pass written over the row pass's output."""
-    f = np.fft.rfft(x, axis=1)
+    the column pass written over the row pass's output, which is out if it
+    is given."""
+    f = np.fft.rfft(x, axis=1, out=out)
     return np.fft.fft(f, axis=0, out=f)
 
 
@@ -142,26 +156,42 @@ def difference_transpose(g, mask_mode, out=None):
 
     The horizontal term is one subtraction along the flattened plane, then
     its first and, in masked mode, last column are written over; the
-    vertical one is written by row slices and added.  Columns are negated
-    by a multiply: numpy's np.negative misreads some strided views.
+    vertical one is written by row slices into a block of scratch rows and
+    added block by block.  Columns are negated by a multiply: numpy's
+    np.negative misreads some strided views.
     """
     if out is None:
         out = np.empty(g.shape[1:])
     gh, gv = g
-    vertical = np.empty(g.shape[1:])
+    h, w = out.shape
     flat = gh.ravel()
     np.subtract(flat[:-1], flat[1:], out=out.ravel()[1:])
     if mask_mode == "periodic":
         np.subtract(gh[:, -1], gh[:, 0], out=out[:, 0])
-        np.subtract(gv[:-1], gv[1:], out=vertical[1:])
-        np.subtract(gv[-1], gv[0], out=vertical[0])
     else:
         np.multiply(gh[:, 0], -1.0, out=out[:, 0])
-        out[:, -1] = gh[:, -2] if gh.shape[1] > 1 else 0.0
-        vertical[0] = 0.0
-        vertical[1:] = gv[:-1]
-        vertical[:-1] -= gv[:-1]
-    out += vertical
+        out[:, -1] = gh[:, -2] if w > 1 else 0.0
+    blocks = row_blocks(h, out[0].nbytes)
+    scratch = np.empty((blocks[0].stop, w))
+    for rows in blocks:
+        # row i of the vertical term is gv[i - 1] - gv[i]; masked, row 0
+        # lacks the first and row h - 1 the second
+        start, stop = rows.start, rows.stop
+        vertical = scratch[:stop - start]
+        first = max(start, 1)
+        if mask_mode == "periodic":
+            np.subtract(gv[first - 1:stop - 1], gv[first:stop],
+                        out=vertical[first - start:])
+            if start == 0:
+                np.subtract(gv[-1], gv[0], out=vertical[0])
+        else:
+            vertical[first - start:] = gv[first - 1:stop - 1]
+            if start == 0:
+                vertical[0] = 0.0
+            last = min(stop, h - 1)
+            if last > start:
+                vertical[:last - start] -= gv[start:last]
+        out[rows] += vertical
     return out
 
 
@@ -180,6 +210,11 @@ def gram_spectrum(kernel: ConvolutionKernel, shape) -> np.ndarray:
     return transfer_gram_spectrum(blur_transfer(kernel, shape), shape[1])
 
 
+def _diff_spectrum_1d(n):
+    """4 sin^2(pi k / n), |1 - exp(-2 pi i k / n)|^2, for k = 0..n-1."""
+    return 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
+
+
 def diff_gram_spectrum(shape) -> np.ndarray:
     """Per-frequency eigenvalues of C'C for the periodic difference stencils,
     4 sin^2(pi k / h) + 4 sin^2(pi l / w): |1 - exp(-2 pi i k / h)|^2 of the
@@ -188,8 +223,14 @@ def diff_gram_spectrum(shape) -> np.ndarray:
     Used as-is for periodic C and as the circulant surrogate for masked C.
     """
     h, w = shape
-    return np.add.outer(4.0 * np.sin(np.pi * np.arange(h) / h) ** 2,
-                        4.0 * np.sin(np.pi * np.arange(w) / w) ** 2)
+    return np.add.outer(_diff_spectrum_1d(h), _diff_spectrum_1d(w))
+
+
+def diff_gram_half_spectrum(shape) -> np.ndarray:
+    """The columns 0..w//2 of diff_gram_spectrum, built without the rest."""
+    h, w = shape
+    return np.add.outer(_diff_spectrum_1d(h),
+                        _diff_spectrum_1d(w)[:w // 2 + 1])
 
 
 def split_operator_rank_check(lam, omega) -> RankCheck:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import row_blocks
+
 KINDS = ("quadratic", "l1", "huber", "fair")
 
 
@@ -57,26 +59,32 @@ class Potential:
 
 def potential_value_array(potential: Potential, v: np.ndarray) -> float:
     """Phi(v) summed over all entries of a raw array.  l1 and Huber take a
-    stacked (2, h, w) difference field one plane at a time, so their
-    temporaries are one image."""
+    stacked (2, h, w) difference field one plane at a time and each plane
+    in row blocks, so their scratch is one block.  Fair's value, like its
+    prox, builds whole-array temporaries of its own."""
     a = potential.alpha
     t = potential.threshold
     v = np.asarray(v, dtype=float)
     if potential.kind == "quadratic":
         return 0.5 * a * float(np.vdot(v, v))
-    planes = v if v.ndim == 3 else (v,)
-    if potential.kind == "l1":
-        return a * sum(float(np.sum(np.abs(p))) for p in planes)
-    if potential.kind == "huber":
-        # c = clip(v, +-t): c v - c^2/2 is v^2/2 inside, t|v| - t^2/2 outside
-        c, total = np.empty_like(planes[0]), 0.0
-        for p in planes:
-            np.clip(p, -t, t, out=c)
-            total += float(np.vdot(c, p)) - 0.5 * float(np.vdot(c, c))
-        return a * total
-    # fair
-    av = np.abs(v)
-    return a * t * t * float(np.sum(av / t - np.log1p(av / t)))
+    if potential.kind == "fair":
+        av = np.abs(v)
+        return a * t * t * float(np.sum(av / t - np.log1p(av / t)))
+    planes = v if v.ndim == 3 else (np.atleast_1d(v),)
+    blocks = row_blocks(len(planes[0]), planes[0][0].nbytes)
+    scratch = np.empty((blocks[0].stop,) + planes[0].shape[1:])
+    total = 0.0
+    for p in planes:
+        for rows in blocks:
+            block, c = p[rows], scratch[:rows.stop - rows.start]
+            if potential.kind == "l1":
+                total += float(np.sum(np.abs(block, out=c)))
+            else:
+                # c = clip(v, +-t): c v - c^2/2 is v^2/2 inside, t|v| - t^2/2
+                # outside
+                np.clip(block, -t, t, out=c)
+                total += float(np.vdot(c, block)) - 0.5 * float(np.vdot(c, c))
+    return a * total
 
 
 def _positive_eta(z, eta):

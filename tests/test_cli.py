@@ -127,6 +127,35 @@ def test_restore_split_bregman_with_rho_exits_2(tmp_path, runner):
     assert not (tmp_path / "o").exists()
 
 
+def test_restore_runs_every_variant(tmp_path, runner):
+    # three iterations of split Bregman and of the simplified ADMM, PCG and
+    # exact, on the default masked problem, and of the simplified ADMM and
+    # the closed form on a periodic exact one: each exits 0 and writes four
+    # finite costs, and the closed form's equal the simplified ADMM's
+    periodic = write_config(tmp_path / "p.cfg", SMALL)
+
+    def costs(name, *args):
+        out = str(tmp_path / name)
+        result = runner.invoke(main, ["restore", "--iters", "3",
+                                      "--output-dir", out] + list(args))
+        assert result.exit_code == 0, (name, result.output)
+        with open(os.path.join(out, "trace.csv")) as f:
+            cost = np.array([float(row["cost"]) for row in csv.DictReader(f)])
+        assert cost.shape == (4,) and np.all(np.isfinite(cost)), name
+        return cost
+
+    costs("sb", "--algorithm", "sb")
+    costs("pcg", "--algorithm", "admm2_simplified", "--rho", "2")
+    costs("exact", "--algorithm", "admm2_simplified", "--rho", "2",
+          "--inner", "exact")
+    penalties = ["--config", periodic, "--rho", "2", "--eta", "0.5"]
+    closed = costs("closed", "--algorithm", "quadratic_closed_form",
+                   *penalties)
+    simplified = costs("simplified", "--algorithm", "admm2_simplified",
+                       *penalties)
+    assert np.all(np.abs(closed - simplified) <= 1e-12 * np.abs(simplified))
+
+
 def test_restore_divergence_exits_3(tmp_path, runner):
     # penalties this small blow the cost up at the first iteration
     result = runner.invoke(main, ["restore", "--rho", "1e-9", "--eta", "1e-9",
