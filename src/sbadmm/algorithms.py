@@ -7,6 +7,16 @@ which makes the dual variables redundant:  u + rho*d = y holds after every
 two-split step, and alpha*v + eta*e = 0 in the quadratic case.  u and d
 are kept as half spectra (u0 = transfer hat(x0)), where A is a product, so
 a step makes one rfft2, of its C' term, and one irfft2, of x.
+
+With periodic C and the quadratic potential, ``run`` keeps v and e in
+coefficient form: as the half spectra nu = hat(n) and sigma = hat(s) of
+images n and s with v = C n and e = C s.  The canonical start puts v and e
+in range(C), and the quadratic shrinkage, a real scalar multiple, keeps
+them there.  C'C is then the product by omega on the half spectrum, so
+hat(C'(v + e)) = omega (nu + sigma), "C x" is hat(x), Phi(C x) =
+alpha/2 sum omega |hat(x)|^2 by Parseval and a step makes no transform.
+The split helpers read the form from the state they are given (v complex
+and 2-D); ``canonical_init`` and ``solution_state`` build real states.
 """
 
 from __future__ import annotations
@@ -20,10 +30,11 @@ import numpy as np
 from .grids import ConvolutionKernel, ImageGrid, write_csv
 from .inner import (RZ_UNDERFLOW, InnerSolveConfig, PcgBreakdownError,
                     hessian_spectrum)
-from .operators import (WRAPS, blur, blur_transfer, diff_gram_half_spectrum,
-                        diff_gram_spectrum, diff_mask, difference,
-                        difference_transpose, irfft2, rfft2, row_blocks,
-                        split_operator_rank_check, transfer_gram_spectrum)
+from .operators import (WRAPS, _diff_spectrum_1d, blur, blur_transfer,
+                        diff_gram_half_spectrum, diff_gram_spectrum,
+                        diff_mask, difference, difference_transpose, irfft2,
+                        rfft2, row_blocks, split_operator_rank_check,
+                        transfer_gram_spectrum)
 from .prox import Potential, potential_value_array, shrinkage
 
 DIVERGENCE_FACTOR = 1e6
@@ -89,6 +100,9 @@ class SolverState:
     No two fields share memory: a step writes over the arrays of the state
     it is given, every one of them, and returns that state, so a caller
     who still needs a state steps a copy.
+
+    In coefficient form (see the module docstring; ``run`` builds it) v
+    and e are the half spectra nu and sigma, and x is None.
     """
 
     x: np.ndarray
@@ -194,16 +208,47 @@ class ProblemOps:
         return split_operator_rank_check(*self._half_spectra())
 
     @cached_property
+    def _scratch(self):
+        """The memory of every blocked sweep: two row blocks of a half
+        spectrum, one array."""
+        h, w = self.shape
+        cols = w // 2 + 1
+        rows = row_blocks(h, cols * np.dtype(complex).itemsize)[0].stop
+        return np.empty((2, rows, cols), complex)
+
+    @cached_property
     def _blocks(self):
         """(rows, block, work) for each row block of a half spectrum: the
         row slice and two scratch arrays of that many rows, shared by every
         blocked sweep."""
-        h, w = self.shape
-        cols = w // 2 + 1
-        slices = row_blocks(h, cols * np.dtype(complex).itemsize)
-        block, work = np.empty((2, slices[0].stop, cols), complex)
+        block, work = self._scratch
         return [(rows, block[:rows.stop - rows.start],
-                 work[:rows.stop - rows.start]) for rows in slices]
+                 work[:rows.stop - rows.start])
+                for rows in row_blocks(self.shape[0], block[0].nbytes)]
+
+    @cached_property
+    def _image_blocks(self):
+        """(rows, block) for each row block of an image: the row slice and
+        a real scratch array of that many rows, in the memory of the two
+        half-spectrum blocks.  They hold one: BLOCK_BYTES of image rows
+        take less than two row blocks of a half spectrum, whose rows are
+        as long or longer."""
+        h, w = self.shape
+        return [(rows, _real_view(self._scratch, (rows.stop - rows.start, w)))
+                for rows in row_blocks(h, w * np.dtype(float).itemsize)]
+
+    @cached_property
+    def _omega_factors(self):
+        """The column of 4 sin^2(pi k / h) and the row of 4 sin^2(pi l / w),
+        l = 0..w/2, whose outer sum is the half spectrum of omega."""
+        h, w = self.shape
+        return _diff_spectrum_1d(h)[:, None], _diff_spectrum_1d(w)[:w // 2 + 1]
+
+    def _omega_rows(self, rows, work):
+        """omega at the given rows of the half spectrum, a real block
+        written into the first half of the complex block work."""
+        column, row = self._omega_factors
+        return np.add(column[rows], row, out=_real_view(work, work.shape))
 
     @cached_property
     def lam(self):
@@ -491,6 +536,13 @@ class ProblemOps:
                              if phi is None else phi)
 
 
+def _real_view(f, shape):
+    """A real array of the given shape in the memory of the contiguous
+    complex array f, which must hold it."""
+    flat = f.reshape(-1, copy=False).view(float)
+    return flat[:math.prod(shape)].reshape(shape)
+
+
 def _divide(z, c):
     """z /= c for a complex array z and a real scalar c, as a multiply of
     z's float view by 1 / c.  numpy divides by c + 0j with Smith's formula,
@@ -500,15 +552,31 @@ def _divide(z, c):
     np.multiply(f, 1.0 / c, out=f)
 
 
-def _consistent_state(ops: ProblemOps, x, rho: float,
-                      eta: float) -> SolverState:
+def _quadratic_phi(ops: ProblemOps, x_hat) -> float:
+    """Phi(C x) = alpha/2 |C x|^2 = alpha/2 Re vdot(hat(x), omega hat(x)),
+    by Parseval, for periodic C, one row block at a time."""
+    total = 0.0
+    for rows, block, work in ops._blocks:
+        f = x_hat[rows]
+        total += np.vdot(f, np.multiply(f, ops._omega_rows(rows, work),
+                                        out=block)).real
+    return 0.5 * ops.potential.alpha * total
+
+
+def _consistent_state(ops: ProblemOps, x, rho: float, eta: float,
+                      coefficients: bool = False) -> SolverState:
     """The state at x whose splits and duals agree with it: u = A x,
     v = C x, u + rho*d = y, and alpha*v + eta*e = 0 for the quadratic
     potential (e = 0 otherwise).  Each field is an array of its own, as
-    the steps write over them."""
+    the steps write over them.  In coefficient form v is hat(x) and x is
+    kept for the first record only."""
     x_hat = ops.hat(x)
     u_hat = ops.transfer * x_hat
-    v = ops.C(x)
+    if coefficients:
+        v, phi = x_hat.copy(), _quadratic_phi(ops, x_hat)
+    else:
+        v = ops.C(x)
+        phi = potential_value_array(ops.potential, v)
     if ops.potential.kind == "quadratic":
         e = -(ops.potential.alpha / eta) * v
     else:
@@ -516,17 +584,20 @@ def _consistent_state(ops: ProblemOps, x, rho: float,
     d_hat = ops.y_hat - u_hat
     _divide(d_hat, rho)
     return SolverState(x=x, u_hat=u_hat, v=v, d_hat=d_hat, e=e, x_hat=x_hat,
-                       ax_hat=u_hat.copy(),
-                       phi=potential_value_array(ops.potential, v))
+                       ax_hat=u_hat.copy(), phi=phi)
+
+
+def _initial_x(ops: ProblemOps, x0_mode: str):
+    """x0 of the canonical start, a new array."""
+    if x0_mode not in ("zero", "data"):
+        raise ValueError("x0_mode must be 'zero' or 'data'")
+    return np.zeros(ops.shape) if x0_mode == "zero" else ops.y.copy()
 
 
 def canonical_init(ops: ProblemOps, rho: float, eta: float,
                    x0_mode: str = "zero") -> SolverState:
     """Initial state making the dual variables redundant from step one."""
-    if x0_mode not in ("zero", "data"):
-        raise ValueError("x0_mode must be 'zero' or 'data'")
-    x = np.zeros(ops.shape) if x0_mode == "zero" else ops.y.copy()
-    return _consistent_state(ops, x, rho, eta)
+    return _consistent_state(ops, _initial_x(ops, x0_mode), rho, eta)
 
 
 def _solve_x(ops, rho, eta, rhs, x_hat, inner: InnerSolveConfig):
@@ -544,11 +615,25 @@ def _solve_x(ops, rho, eta, rhs, x_hat, inner: InnerSolveConfig):
 # writes it again; the solve writes hat(x) over x_hat and may write over
 # the right-hand side, and unhat consumes it.  Other scratch is a row block
 # of a half spectrum (ProblemOps._blocks).  If a step raises, its state is
-# left part-written.
+# left part-written.  The split helpers below take a state in coefficient
+# form (see the module docstring) when its v is a half spectrum.
+
+def _coefficient_form(state):
+    return state.v.ndim == 2
+
 
 def _split_rhs(ops, state, g, scale):
     """scale hat(C'g) into state.ax_hat, the right-hand side, with C'g
-    written over state.x, which the step writes afresh."""
+    written over state.x, which the step writes afresh.  In coefficient
+    form g is the half spectrum of an image n that stands for the field
+    C n, and hat(C'C n) = omega g is formed one row block at a time."""
+    if _coefficient_form(state):
+        rhs = state.ax_hat
+        for rows, _, work in ops._blocks:
+            omega = ops._omega_rows(rows, work)
+            omega *= scale
+            np.multiply(g[rows], omega, out=rhs[rows])
+        return rhs
     rhs = ops.hat(ops.Ct(g, out=state.x), out=state.ax_hat)
     rhs *= scale
     return rhs
@@ -567,11 +652,16 @@ def _add_eliminated_rhs(ops, state, rho, rhs):
 def _new_x(ops, state, residual, cx):
     """x_hat holds the x-update hat(x): write x and hat(A x) over the
     state, C x into cx, a field of the state the step writes afresh, and
-    phi = Phi(C x)."""
-    ops.unhat(state.x_hat, out=state.x, work=state.ax_hat)
+    phi = Phi(C x).  In coefficient form "C x" is hat(x) and x is not
+    formed."""
+    if _coefficient_form(state):
+        np.copyto(cx, state.x_hat)
+        state.phi = _quadratic_phi(ops, state.x_hat)
+    else:
+        ops.unhat(state.x_hat, out=state.x, work=state.ax_hat)
+        state.phi = potential_value_array(ops.potential,
+                                          ops.C(state.x, out=cx))
     np.multiply(state.x_hat, ops.transfer, out=state.ax_hat)
-    state.phi = potential_value_array(ops.potential,
-                                      ops.C(state.x, out=cx))
     state.k += 1
     state.inner_residual = residual
 
@@ -589,8 +679,11 @@ def _split_update(ops, state, eta):
     """With C x in v: v = prox(C x - e) and the dual e - C x + v =
     -shrinkage(C x - e), written over v and e.  In masked mode v is zero
     and e keeps its value on the wrap-around slices, saved before e is
-    written."""
+    written.  In coefficient form the quadratic shrinkage, a real scalar
+    multiple, acts on the float views of the half spectra."""
     v, e = state.v, state.e
+    if _coefficient_form(state):
+        v, e = v.view(float), e.view(float)
     kept = [] if ops.mask_mode == "periodic" else [e[ix].copy()
                                                    for ix in WRAPS]
     v -= e
@@ -729,20 +822,30 @@ def run(problem: ProblemSpec, config: OuterConfig,
 
     The cost is always evaluated with the true (possibly masked) operators.
     The relative cost error and RMSD columns are NaN without a reference.
+    With periodic C and the quadratic potential the steps run in
+    coefficient form (see the module docstring), and the rmsd after the
+    first row is |hat(x) - hat(ref)| / sqrt(n), by Parseval.
     """
     ops = ProblemOps(problem)
     if reference is not None and reference.shape != ops.shape:
         raise ValueError("reference grid %s does not match the problem grid %s"
                          % (reference.shape, ops.shape))
     step = _make_step(config)
+    coefficients = (ops.mask_mode == "periodic"
+                    and ops.potential.kind == "quadratic")
     # the reference's cost and the rank check build whole-grid temporaries,
     # so they come before the state exists
     ref = reference.values if reference is not None else None
-    ref_cost = ops.cost(ref) if ref is not None else None
+    if ref is None:
+        ref_cost = None
+    elif coefficients:
+        ref_hat = ops.hat(ref)
+        ref_cost = ops.cost(ref, ref_hat * ops.transfer)
+    else:
+        ref_cost = ops.cost(ref)
     trace = MetricTrace(full_rank=ops.rank.full_rank)
-    state = canonical_init(ops, config.rho, config.eta, config.x0_mode)
-    h, w = ops.shape
-    err_rows = row_blocks(h, w * np.dtype(float).itemsize)
+    state = _consistent_state(ops, _initial_x(ops, config.x0_mode),
+                              config.rho, config.eta, coefficients)
 
     def record(state):
         c = ops.cost(state.x, state.ax_hat, state.phi)
@@ -752,17 +855,23 @@ def run(problem: ProblemSpec, config: OuterConfig,
             rel, rmsd = float("nan"), float("nan")
         else:
             rel = (c - ref_cost) / (ref_cost or 1.0)  # absolute at cost 0
-            err = np.empty((err_rows[0].stop, w))
             sq = 0.0
-            for rows in err_rows:
-                block = np.subtract(state.x[rows], ref[rows],
-                                    out=err[:rows.stop - rows.start])
-                sq += np.vdot(block, block)
-            rmsd = math.sqrt(sq / state.x.size)
+            if state.x is None:
+                for rows, block, _ in ops._blocks:
+                    diff = np.subtract(state.x_hat[rows], ref_hat[rows],
+                                       out=block)
+                    sq += np.vdot(diff, diff).real
+            else:
+                for rows, block in ops._image_blocks:
+                    diff = np.subtract(state.x[rows], ref[rows], out=block)
+                    sq += np.vdot(diff, diff)
+            rmsd = math.sqrt(sq / ops.y.size)
         trace.append(state.k, c, rel, rmsd, state.inner_residual)
         return c
 
     initial_cost = record(state)
+    if coefficients:
+        state.x = None  # x0 served the first rmsd; the steps keep only x_hat
     guard = DIVERGENCE_FACTOR * max(initial_cost, 1.0)
     for _ in range(config.max_iterations):
         state = step(state, ops)
@@ -771,6 +880,10 @@ def run(problem: ProblemSpec, config: OuterConfig,
             raise SolverDivergenceError(
                 "cost %.3g exceeded %.0e x initial cost at iteration %d "
                 "(oscillation guard)" % (c, DIVERGENCE_FACTOR, state.k))
+    if state.x is None:
+        # the image takes the memory of d_hat, which the run gives up
+        state.x = ops.unhat(state.x_hat, work=state.ax_hat,
+                            out=_real_view(state.d_hat, ops.shape))
     trace.final_image = ImageGrid(state.x)
     return trace
 

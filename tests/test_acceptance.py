@@ -239,6 +239,22 @@ def test_exact_and_pcg3_iteration_counts(benchmark_hits, tmp_path):
            "exact %s, PCG-3 %s" % (got_exact, got_pcg))
 
 
+def test_periodic_iteration_counts():
+    # A periodic quadratic run steps in coefficient form; at 64x64 its
+    # iterations to 1e-6 are those of real-domain stepping on the five
+    # benchmark settings and at (0.16, 20 alpha) (ROADMAP item 1's probe)
+    config = ExperimentConfig(mask_mode="periodic", inner=EXACT)
+    problem, _ = make_problem(config)
+    ref = reference_solution(problem)
+    a = config.alpha
+    got = [run(problem, OuterConfig(rho=rho, eta=eta, max_iterations=250,
+                                    inner=EXACT),
+               reference=ref).iterations_to(1e-6)
+           for rho, eta in default_parameter_grid(a) + [(0.16, 20.0 * a)]]
+    report("periodic iterations to 1e-6 in coefficient form",
+           got == [1, 83, 186, 98, 5, 77], "got %s" % (got,))
+
+
 def _sqrt_cost_rate(trace):
     """Asymptotic rate of the x-error read off the relative cost error.
 
