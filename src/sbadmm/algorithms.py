@@ -39,6 +39,8 @@ from .prox import Potential, potential_value_array, shrinkage
 
 DIVERGENCE_FACTOR = 1e6
 
+EXACT_TOLERANCE = 1e-15  # the relative M^-1-norm residual of exact solves
+
 ALGORITHMS = ("sb", "admm2", "admm2_simplified", "quadratic_closed_form")
 
 
@@ -138,10 +140,10 @@ class ProblemOps:
     x-update is solved on the half spectrum hat(x), the rfft2 scaled so that
     it is unitary: there M is a product, hat(U c) the product of an (h, 2)
     and a (2, w/2 + 1) matrix and U'z two matrix-vector products, so no 2-D
-    transform runs inside a solve.  The half spectra of M and 1 / M, and
-    what the masked solves derive from them, are cached for the last
-    (rho, eta); the half spectra of lambda and omega they are built from
-    are not kept.
+    transform runs inside a solve.  A masked solve, exact or not, is
+    ``pcg_hat``.  M, 1 / M and the diagonals of G = U' M^-1 U are cached
+    for the last (rho, eta); the half spectra of lambda and omega they are
+    built from are not kept.
     The object holds arrays only, no callables bound to itself, so it is
     freed as soon as it is dropped.
     """
@@ -302,7 +304,7 @@ class ProblemOps:
             m = hessian_spectrum(*self._half_spectra(), rho, eta)
             self._spectra = (m, 1.0 / m)
             self._spectra_key = (rho, eta)
-            self._capacitance = self._gram_diagonal = None
+            self._gram_diagonal = None
         return self._spectra
 
     def _fold(self, v):
@@ -352,58 +354,16 @@ class ProblemOps:
             return out
         return self._add_wrap_hat(self._hessian_wraps(f, eta), out)
 
-    def _factor_capacitance(self, inverse, eta):
-        """S = I/eta - U' M^-1 U in the real wrap coordinates (c_row,
-        c_col), as [[A, -K], [-K', D]].  M^-1 commutes with shifts, so the
-        blocks are read off M^-1 of the first row wrap (gh) and of the first
-        column wrap (gv); A and D are circulant.  Returns the FFT of A's
-        first column, A^-1 K, K and the inverse of the Schur complement
-        D - K' A^-1 K, which is positive definite when S is."""
-        h, w = self.shape
-        gh, gv = (self.unhat(self._add_wrap_hat(
-            v, np.zeros(inverse.shape, complex)) * inverse)
-            for v in (np.r_[np.full(h, h ** -0.5), np.zeros(w // 2 + 1)],
-                      np.r_[np.zeros(h), self._col_scale]))
-        a_col = gh[:, -1] - gh[:, 0]
-        a_col[0] += 1.0 / eta
-        # A is symmetric, so the FFT of its first column is real
-        a_eigenvalues = np.fft.fft(a_col).real
-        k = (gv - np.roll(gv, 1, axis=1))[:, -np.arange(w) % w]
-        a_inv_k = np.fft.ifft(np.fft.fft(k, axis=0)
-                              / a_eigenvalues[:, None], axis=0).real
-        d_col = gv[0] - gv[-1]
-        schur = np.eye(w) / eta - d_col[np.subtract.outer(np.arange(w),
-                                                          np.arange(w)) % w]
-        schur -= k.T @ a_inv_k
-        return a_eigenvalues, a_inv_k, k, np.linalg.inv(schur)
-
     def solve_hat(self, f, rho, eta, out=None):
         """hat of the exact solution of H x = unhat(f), into out if it is
-        given: a division by M, plus in masked mode the Woodbury correction
-        M^-1 U S^-1 U' M^-1 b, i.e. (f + hat(U c)) / M.  S = I/eta -
-        U' M^-1 U is positive definite when H is; S c = (b_row, b_col) is
-        solved by blocks, c_col from the Schur complement and c_row by a
-        division in the row-wrap spectrum.  In masked mode f + hat(U c) is
-        written over f, so pass only a spectrum the caller gives up."""
-        inverse = self.hessian_spectra(rho, eta)[1]
-        x = np.multiply(f, inverse, out=out)
+        given: a division by M in periodic mode, and in masked mode
+        ``pcg_hat`` from zero run to rounding level.  In masked mode f is
+        written over, so pass only a spectrum the caller gives up."""
         if self.mask_mode == "periodic":
-            return x
-        h, w = self.shape
-        if self._capacitance is None:
-            self._capacitance = self._factor_capacitance(inverse, eta)
-        a_eigenvalues, a_inv_k, k, schur_inverse = self._capacitance
-        v = self._wrap_adjoint_hat(x)
-        # A c_row - K c_col = b_row and -K' c_row + D c_col = b_col; v[:h]
-        # is the unitary FFT of b_row, so t = A^-1 b_row is one division
-        t = np.fft.ifft(v[:h] / a_eigenvalues, norm="ortho").real
-        c_col = schur_inverse @ (np.fft.irfft(v[h:] / self._col_scale, n=w)
-                                 + k.T @ t)
-        c_row = t + a_inv_k @ c_col
-        self._add_wrap_hat(
-            np.concatenate((np.fft.fft(c_row, norm="ortho"),
-                            np.fft.rfft(c_col) * self._col_scale)), f)
-        return np.multiply(f, inverse, out=x)
+            return np.multiply(f, self.hessian_spectra(rho, eta)[1], out=out)
+        x = np.empty_like(f) if out is None else out
+        x.fill(0.0)
+        return self.pcg_hat(f, x, rho, eta)[0]
 
     def _wrap_gram(self, v):
         """G v, G = U' M^-1 U at the last (rho, eta), for the wrap vector
@@ -425,12 +385,9 @@ class ProblemOps:
         np.matmul(inverse.T, t[:h], out=pairs[h:])
         g *= self._gram_out
         g += v * self._gram_diagonal
-        rows = g[:h]
-        rows += rows[self._mirror].conj()
-        g.imag[self._self_conjugate] = 0.0
-        return g
+        return self._fold(g)
 
-    def pcg_hat(self, b, x, rho, eta, steps):
+    def pcg_hat(self, b, x, rho, eta, steps=None):
         """hat(x) after `steps` PCG steps on H x = unhat(b) from the warm
         start hat(x0) = x, preconditioned by 1 / M, written over x and
         returned with its residual relative to |b|.  b is written over:
@@ -443,19 +400,31 @@ class ProblemOps:
         its rows; Re vdot of two wrap vectors is the dot product of their
         float views.  r0 is formed, and z0, r and x are used, one row block
         at a time.  The iterates are those of ``pcg_solve``, with its
-        checks.  In periodic mode U = 0, so H = M and the answer is the
-        exact division."""
+        checks.  Without `steps` it is exact: as M^-1 H is I off an
+        (h + w + 1)-dimensional subspace, it stops once r'z <=
+        EXACT_TOLERANCE^2 b'M^-1 b, within h + w + 1 steps or raising
+        PcgBreakdownError.  In periodic mode U = 0, so H = M and the
+        answer is the exact division."""
         if self.mask_mode == "periodic":
             return self.solve_hat(b, rho, eta, out=x), 0.0
-        m, inverse = self.hessian_spectra(rho, eta)
         b_norm = math.sqrt(np.vdot(b, b).real)
-        h = self.shape[0]
+        if not math.isfinite(b_norm):
+            raise PcgBreakdownError("non-finite right-hand side")
+        m, inverse = self.hessian_spectra(rho, eta)
+        h, w = self.shape
+        exact = steps is None
+        steps = h + w + 1 if exact else steps
+        if exact and not b_norm:
+            x.fill(0.0)  # the solution, whatever the warm start
         # rows w0 = U'z0, c, q, e, chi and g = G e; q starts at w0
         wraps = np.zeros((6, self._gram_in.size), complex)
         w0 = wraps[0]
         hx_wraps = self._hessian_wraps(x, eta)
-        rho0 = 0.0
+        rho0 = bmb = 0.0
         for part, block, work in self._blocks:
+            if exact:
+                bmb += np.vdot(b[part], np.multiply(b[part], inverse[part],
+                                                    out=block)).real
             # r0 = b - (M x0 + U c) over b, then z0 = r0 / M in the block
             hx = np.multiply(x[part], m[part], out=block)
             hx += self._wrap_hat_rows(hx_wraps, part, work)
@@ -465,6 +434,8 @@ class ProblemOps:
             np.matmul(z0, self._row_weights, out=w0[part])
             w0[h:] += np.matmul(self._col_weights[part], z0)
         wraps[2] = self._fold(w0)
+        # 0 for a fixed step count, so only r'z < RZ_UNDERFLOW ends it early
+        stop = EXACT_TOLERANCE ** 2 * bmb
         pi, gamma, xi, rz = 1.0, 1.0, 0.0, rho0
         rows = wraps.view(float)
         # the updates e -= a (c - eta q), chi += a c and then c = e + beta c,
@@ -473,11 +444,14 @@ class ProblemOps:
         update_e_chi = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
         update_c_q = np.array([[0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
                                [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
-        for step in range(steps):
+        # an exact solve checks r'z once more, after its last step
+        for step in range(steps + 1 if exact else steps):
             if rz < 0.0:
                 raise PcgBreakdownError("r'z = %g < 0 at step %d" % (rz, step))
-            if rz < RZ_UNDERFLOW:
-                break  # r = 0 to working precision
+            if rz < RZ_UNDERFLOW or rz <= stop:
+                break  # r = 0 to working precision, or r'z below the stop
+            if step == steps:
+                raise PcgBreakdownError("r'z = %g after %d steps" % (rz, steps))
             # p'Hp with q'(c - eta q), the wraps of H p being c - eta q
             (cw, _, _), (_, qc, qq) = rows[1:3].dot(rows[:3].T).tolist()
             php = pi * (pi * rho0 + cw) + (qc - eta * qq)
@@ -488,7 +462,7 @@ class ProblemOps:
             update_e_chi[0, :2] = -a, a * eta
             update_e_chi[1, 0] = a
             rows[3:5] = update_e_chi.dot(rows[1:5])
-            if step + 1 == steps:
+            if step + 1 == steps and not exact:
                 break
             wraps[5] = self._wrap_gram(wraps[3])
             # U'z = u = g + gamma w0, so u'e = g'e + gamma w0'e
@@ -604,9 +578,9 @@ def _solve_x(ops, rho, eta, rhs, x_hat, inner: InnerSolveConfig):
     """Solve (rho A'A + eta C'C) x = unhat(rhs), exactly or by PCG from the
     warm start unhat(x_hat); writes hat(x) over x_hat and returns it with
     the relative residual.  rhs is written over."""
-    if inner.mode == "circulant_exact":
-        return ops.solve_hat(rhs, rho, eta, out=x_hat), 0.0
-    return ops.pcg_hat(rhs, x_hat, rho, eta, inner.pcg_iterations)
+    return ops.pcg_hat(rhs, x_hat, rho, eta, None
+                       if inner.mode == "circulant_exact"
+                       else inner.pcg_iterations)
 
 
 # A step writes its result over the arrays of the state it is given and

@@ -1,11 +1,11 @@
 """Inner solvers for the x-update least-squares system (rho A'A + eta C'C) x = b.
 
-Two routes: an exact solve, and a fixed-iteration preconditioned conjugate
-gradient loop preconditioned by the inverse of the circulant part M of the
-Hessian.  ``ProblemOps`` runs both on the half spectrum, where M is a
-product, and raises SingularHessianError in both where M vanishes.  The
-array helpers here divide a real FFT by the exact half spectrum of M, and
-``pcg_solve`` is the plain PCG loop the library's solve is checked against.
+Two routes, both conjugate gradients preconditioned by the inverse of the
+circulant part M of the Hessian: k fixed steps, or an exact solve run to
+rounding level (with periodic C, a division by M).  ``ProblemOps`` runs
+both on the half spectrum and raises SingularHessianError where M vanishes.
+The array helpers here divide a real FFT by the exact half spectrum of M,
+and ``pcg_solve`` is the plain PCG loop the library's solve is checked against.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ class PcgBreakdownError(RuntimeError):
 class InnerSolveConfig:
     """How the x-update system is solved.
 
-    mode            'circulant_exact' or 'pcg'
+    mode            'circulant_exact' or 'pcg'; an exact masked solve is
+                    PCG run to rounding level
     pcg_iterations  fixed step count for PCG, which is preconditioned by
                     the inverse of the circulant Hessian surrogate
     """

@@ -322,8 +322,8 @@ def test_one_exact_masked_step_at_rho_1_eta_alpha_is_optimal(rng):
 
 
 def test_exact_solve_matches_sparse_solve(rng):
-    # the circulant division, plus the Woodbury wrap correction in masked
-    # mode, against a sparse direct solve of the normal matrix
+    # the circulant division, and in masked mode PCG run to rounding
+    # level, against a sparse direct solve of the normal matrix
     for shape in ODD_AND_DEGENERATE_SHAPES + [(2, 3), (3, 2), (2, 2)]:
         for mode in ("periodic", "masked"):
             kernel = fitting_kernel(rng, shape)
@@ -341,21 +341,59 @@ def test_exact_solve_matches_sparse_solve(rng):
                         <= 1e-12 * np.linalg.norm(want))
 
 
-def test_capacitance_is_factored_once_per_parameters(rng, monkeypatch):
-    # the factorization of the capacitance is the inverse of its Schur
-    # complement
+def test_the_hessian_is_set_up_once_per_parameters(rng, monkeypatch):
+    # a masked exact run builds M and 1 / M (hessian_spectrum) and the
+    # diagonals of G = U' M^-1 U once per (rho, eta), however many outer
+    # and PCG steps use them
     calls = []
-    real = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv",
-                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    real = algorithms.hessian_spectrum
+    monkeypatch.setattr(algorithms, "hessian_spectrum",
+                        lambda *a: calls.append(1) or real(*a))
     ops = ProblemOps(random_problem(rng, mask_mode="masked"))
     state = canonical_init(ops, 1.0, 0.5)
-    for _ in range(2):
-        state = admm2_step(state, ops, 1.0, 0.5, EXACT)
-    assert len(calls) == 1
-    for _ in range(2):
-        state = admm2_step(state, ops, 2.0, 0.5, EXACT)
-    assert len(calls) == 2
+    diagonals = []
+    for rho, built in ((1.0, 1), (2.0, 2)):
+        for _ in range(2):
+            state = admm2_step(state, ops, rho, 0.5, EXACT)
+            diagonals.append(ops._gram_diagonal)
+        assert len(calls) == built
+    assert diagonals[0] is diagonals[1] and diagonals[2] is diagonals[3]
+    assert diagonals[1] is not diagonals[2]
+
+
+def test_an_exact_masked_solve_stops_by_its_tolerance(rng, monkeypatch):
+    # M^-1 H is the identity off an (h + w + 1)-dimensional subspace, so
+    # PCG run to rounding level from a warm start stops by its tolerance
+    # within h + w + 1 steps, each applying G once, and leaves a residual
+    # at rounding level.  Measured 2-14 steps, relative residuals below
+    # 2.2e-15
+    steps = []
+    real = ProblemOps._wrap_gram
+    monkeypatch.setattr(ProblemOps, "_wrap_gram",
+                        lambda self, v: steps.append(1) or real(self, v))
+    for shape in ODD_AND_DEGENERATE_SHAPES:
+        ops = make_ops(fitting_kernel(rng, shape), shape, "masked")
+        for rho, eta in ((1.0, 0.25), (2.5, 0.03), (0.3, 2.0)):
+            rhs, warm = (ops.hat(rng.standard_normal(shape)) for _ in range(2))
+            steps.clear()
+            _, rel = _solve_x(ops, rho, eta, rhs, warm, EXACT)
+            assert 0 < len(steps) <= sum(shape) + 1, (shape, len(steps))
+            assert rel <= 1e-14, (shape, rel)
+            # a zero right-hand side has the solution 0 at once
+            f, rel = _solve_x(ops, rho, eta, np.zeros_like(rhs), warm, EXACT)
+            assert not f.any() and rel == 0.0
+
+
+def test_an_exact_masked_solve_raises_at_its_step_cap(rng, monkeypatch):
+    # with a tolerance of 0 only r'z < RZ_UNDERFLOW could stop the loop
+    # early, which these solves do not reach (measured r'z 5e-134 to 1e-42
+    # after the last step), so each ends at its cap of h + w + 1 steps
+    monkeypatch.setattr(algorithms, "EXACT_TOLERANCE", 0.0)
+    for shape in ODD_AND_DEGENERATE_SHAPES:
+        ops = make_ops(fitting_kernel(rng, shape), shape, "masked")
+        with pytest.raises(PcgBreakdownError,
+                           match="after %d steps" % (sum(shape) + 1)):
+            ops.solve(rng.standard_normal(shape), 1.0, 0.25)
 
 
 def test_exact_solve_singular_names_frequency():
@@ -571,7 +609,7 @@ def dense_wrap_gram(ops, rho, eta):
 
 def test_wrap_gram_matches_the_capacitance_matrix(rng):
     # the matrix-free G = U' M^-1 U of PCG against G = I/eta - S, S the
-    # capacitance of the exact masked solve, built densely from its
+    # capacitance matrix of Woodbury's identity, built densely from its
     # definition, on the wrap vectors of real wraps c = (c_row, c_col);
     # several (rho, eta) per problem, as G's cached diagonals must follow
     # them
@@ -593,18 +631,20 @@ def test_wrap_gram_matches_the_capacitance_matrix(rng):
 
 
 def test_pcg_rejects_a_non_finite_right_hand_side(rng):
-    # a NaN or an infinity in the right-hand side makes p'Hp non-finite in
-    # the first step (inf * 0 on the way is a NaN, not yet the error); only
-    # masked mode runs a PCG loop, periodic mode divides by M
+    # a NaN or an infinity in the right-hand side makes its norm
+    # non-finite, which is checked before any product; only masked mode
+    # runs a PCG loop, fixed or exact, periodic mode divides by M.  The
+    # entry is set on the half spectrum, as the FFT of an infinity warns
     pcg = InnerSolveConfig(mode="pcg", pcg_iterations=3)
     ops = make_ops(fitting_kernel(rng, (6, 8)), (6, 8), "masked")
     for bad in (np.nan, np.inf, -np.inf):
-        rhs = rng.standard_normal((6, 8))
-        rhs[2, 3] = bad
-        with np.errstate(invalid="ignore"), pytest.raises(
-                PcgBreakdownError, match="p'Hp = (nan|inf)"):
-            _solve_x(ops, 1.0, 0.5, ops.hat(rhs),
-                     ops.hat(np.zeros((6, 8))), pcg)
+        for inner_cfg in (pcg, EXACT):
+            rhs = ops.hat(rng.standard_normal((6, 8)))
+            rhs[2, 3] = bad
+            with pytest.raises(PcgBreakdownError,
+                               match="non-finite right-hand side"):
+                _solve_x(ops, 1.0, 0.5, rhs, ops.hat(np.zeros((6, 8))),
+                         inner_cfg)
 
 
 def test_periodic_pcg_traces_equal_exact_traces(rng):
@@ -725,8 +765,8 @@ def test_masked_pcg3_step_call_counts(rng, monkeypatch):
     cases.append(("quadratic_closed_form", "periodic", EXACT))
     for name, mode, solve in cases:
         ops = ProblemOps(random_problem(rng, shape=(16, 16), mask_mode=mode))
-        # the first step builds the masked capacitance matrix, once per
-        # (rho, eta), and the cached spectra of y; count the second
+        # the first step builds the cached spectra of M, of y and the
+        # diagonals of G, once per (rho, eta); count the second
         state = steps[name](canonical_init(ops, 1.0, 0.5), ops, solve)
         counts.clear()
         steps[name](state, ops, solve)
@@ -858,24 +898,27 @@ def test_the_cost_and_the_potential_value_allocate_a_block(rng, kind):
 
 
 def test_a_masked_pcg_run_holds_its_state_and_little_else(rng):
-    # the tracemalloc peak of a whole masked 256x256 admm2 PCG-3 run with a
-    # reference, set-up included: the state, 9 half spectra (x 1, v and e
-    # 2 each, u, d, hat(x) and hat(A x)); the transfer, hat(y), M and 1 / M,
-    # 3 more; the two row-block buffers, 0.49; and the scratch of one
-    # blocked sweep, the vertical term of C', 0.25.  Measured 12.9 half
-    # spectra; 19.4 when the state kept C x, ProblemOps hat(A'), a scratch
-    # half spectrum and the half spectra of lambda and omega, and PCG made
-    # its residual and z0 whole
+    # the tracemalloc peak of a whole masked 256x256 admm2 run with a
+    # reference, set-up included, PCG-3 or exact: the state, 9 half spectra
+    # (x 1, v and e 2 each, u, d, hat(x) and hat(A x)); the transfer,
+    # hat(y), M and 1 / M, 3 more; the two row-block buffers, 0.49; and the
+    # scratch of one blocked sweep, the vertical term of C', 0.25.
+    # Measured 12.9 half spectra; 19.4 when the state kept C x, ProblemOps
+    # hat(A'), a scratch half spectrum and the half spectra of lambda and
+    # omega, and PCG made its residual and z0 whole; 20.5 for the exact
+    # run when it factored the capacitance matrix densely
     shape = (256, 256)
     half = shape[0] * (shape[1] // 2 + 1) * np.dtype(complex).itemsize
-    problem = random_problem(rng, shape=shape, mask_mode="masked")
-    reference = ImageGrid(rng.standard_normal(shape))
-    config = OuterConfig(rho=2.0, eta=0.5, max_iterations=3,
-                         inner=InnerSolveConfig(mode="pcg", pcg_iterations=3))
-    trace = []
-    peak = traced_peak(lambda: trace.append(run(problem, config, reference)))
-    assert len(trace[0]) == 4
-    assert peak <= 13 * half, peak / half
+    for inner_cfg in (InnerSolveConfig(mode="pcg", pcg_iterations=3), EXACT):
+        problem = random_problem(rng, shape=shape, mask_mode="masked")
+        reference = ImageGrid(rng.standard_normal(shape))
+        config = OuterConfig(rho=2.0, eta=0.5, max_iterations=3,
+                             inner=inner_cfg)
+        trace = []
+        peak = traced_peak(lambda: trace.append(run(problem, config,
+                                                    reference)))
+        assert len(trace[0]) == 4
+        assert peak <= 13 * half, (inner_cfg.mode, peak / half)
 
 
 def test_a_periodic_quadratic_run_holds_half_spectra_only(rng):
