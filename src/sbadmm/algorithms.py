@@ -8,15 +8,16 @@ two-split step, and alpha*v + eta*e = 0 in the quadratic case.  u and d
 are kept as half spectra (u0 = transfer hat(x0)), where A is a product, so
 a step makes one rfft2, of its C' term, and one irfft2, of x.
 
-With periodic C and the quadratic potential, ``run`` keeps v and e in
+With the quadratic potential and either C, ``run`` keeps v and e in
 coefficient form: as the half spectra nu = hat(n) and sigma = hat(s) of
 images n and s with v = C n and e = C s.  The canonical start puts v and e
 in range(C), and the quadratic shrinkage, a real scalar multiple, keeps
-them there.  C'C is then the product by omega on the half spectrum, so
-hat(C'(v + e)) = omega (nu + sigma), "C x" is hat(x), Phi(C x) =
-alpha/2 sum omega |hat(x)|^2 by Parseval and a step makes no transform.
-The split helpers read the form from the state they are given (v complex
-and 2-D); ``canonical_init`` and ``solution_state`` build real states.
+them there.  C'C is then omega on the half spectrum, less U U' for masked
+C (see ``ProblemOps``), so hat(C'(v + e)) = omega (nu + sigma) + hat(U c)
+with c = -U'(n + s), "C x" is hat(x), Phi(C x) = alpha/2 (sum omega
+|hat(x)|^2 - |U'x|^2) by Parseval, and a step makes no transform.  The
+split helpers read the form from the state they are given (v complex and
+2-D); ``canonical_init`` and ``solution_state`` build real states.
 """
 
 from __future__ import annotations
@@ -103,8 +104,9 @@ class SolverState:
     it is given, every one of them, and returns that state, so a caller
     who still needs a state steps a copy.
 
-    In coefficient form (see the module docstring; ``run`` builds it) v
-    and e are the half spectra nu and sigma, and x is None.
+    In coefficient form (see the module docstring; ``run`` builds it for
+    the quadratic potential, with either C) v and e are the half spectra
+    nu and sigma, and x is None.
     """
 
     x: np.ndarray
@@ -436,7 +438,7 @@ class ProblemOps:
         wraps[2] = self._fold(w0)
         # 0 for a fixed step count, so only r'z < RZ_UNDERFLOW ends it early
         stop = EXACT_TOLERANCE ** 2 * bmb
-        pi, gamma, xi, rz = 1.0, 1.0, 0.0, rho0
+        pi, gamma, xi, rz, taken = 1.0, 1.0, 0.0, rho0, 0
         rows = wraps.view(float)
         # the updates e -= a (c - eta q), chi += a c and then c = e + beta c,
         # q = u + beta q, u = g + gamma w0, as products with rows[1:5] and
@@ -458,7 +460,7 @@ class ProblemOps:
             if not (php > 0.0 and math.isfinite(php)):
                 raise PcgBreakdownError("p'Hp = %g at step %d" % (php, step))
             a = rz / php
-            xi, gamma = xi + a * pi, gamma - a * pi
+            xi, gamma, taken = xi + a * pi, gamma - a * pi, step + 1
             update_e_chi[0, :2] = -a, a * eta
             update_e_chi[1, 0] = a
             rows[3:5] = update_e_chi.dot(rows[1:5])
@@ -487,7 +489,7 @@ class ProblemOps:
             x_part += dx
             if not np.isfinite(x_part.view(float)).all():
                 raise PcgBreakdownError(
-                    "non-finite iterate after %d steps" % steps)
+                    "non-finite iterate after %d steps" % taken)
         return x, math.sqrt(r_norm2) / b_norm if b_norm else 0.0
 
     def solve(self, b, rho, eta):
@@ -527,13 +529,17 @@ def _divide(z, c):
 
 
 def _quadratic_phi(ops: ProblemOps, x_hat) -> float:
-    """Phi(C x) = alpha/2 |C x|^2 = alpha/2 Re vdot(hat(x), omega hat(x)),
-    by Parseval, for periodic C, one row block at a time."""
+    """Phi(C x) = alpha/2 |C x|^2 = alpha/2 (Re vdot(hat(x), omega hat(x))
+    - |U'x|^2), by Parseval, one row block at a time; U = 0 for periodic
+    C."""
     total = 0.0
     for rows, block, work in ops._blocks:
         f = x_hat[rows]
         total += np.vdot(f, np.multiply(f, ops._omega_rows(rows, work),
                                         out=block)).real
+    if ops.mask_mode == "masked":
+        wraps = ops._wrap_adjoint_hat(x_hat).view(float)
+        total -= wraps.dot(wraps)
     return 0.5 * ops.potential.alpha * total
 
 
@@ -600,13 +606,16 @@ def _split_rhs(ops, state, g, scale):
     """scale hat(C'g) into state.ax_hat, the right-hand side, with C'g
     written over state.x, which the step writes afresh.  In coefficient
     form g is the half spectrum of an image n that stands for the field
-    C n, and hat(C'C n) = omega g is formed one row block at a time."""
+    C n, and hat(C'C n) = omega g is formed one row block at a time, plus
+    hat(U c), c = -U'n, for masked C."""
     if _coefficient_form(state):
         rhs = state.ax_hat
         for rows, _, work in ops._blocks:
             omega = ops._omega_rows(rows, work)
             omega *= scale
             np.multiply(g[rows], omega, out=rhs[rows])
+        if ops.mask_mode == "masked":
+            ops._add_wrap_hat(ops._hessian_wraps(g, scale), rhs)
         return rhs
     rhs = ops.hat(ops.Ct(g, out=state.x), out=state.ax_hat)
     rhs *= scale
@@ -654,12 +663,14 @@ def _split_update(ops, state, eta):
     -shrinkage(C x - e), written over v and e.  In masked mode v is zero
     and e keeps its value on the wrap-around slices, saved before e is
     written.  In coefficient form the quadratic shrinkage, a real scalar
-    multiple, acts on the float views of the half spectra."""
+    multiple, acts on the float views of the half spectra; there the wrap
+    slices of v and e, fields C n, are zero already."""
     v, e = state.v, state.e
-    if _coefficient_form(state):
+    coefficients = _coefficient_form(state)
+    if coefficients:
         v, e = v.view(float), e.view(float)
-    kept = [] if ops.mask_mode == "periodic" else [e[ix].copy()
-                                                   for ix in WRAPS]
+    kept = [] if ops.mask_mode == "periodic" or coefficients else [
+        e[ix].copy() for ix in WRAPS]
     v -= e
     s = shrinkage(ops.potential, v, eta, out=e)
     v -= s
@@ -796,7 +807,7 @@ def run(problem: ProblemSpec, config: OuterConfig,
 
     The cost is always evaluated with the true (possibly masked) operators.
     The relative cost error and RMSD columns are NaN without a reference.
-    With periodic C and the quadratic potential the steps run in
+    With the quadratic potential, periodic or masked C, the steps run in
     coefficient form (see the module docstring), and the rmsd after the
     first row is |hat(x) - hat(ref)| / sqrt(n), by Parseval.
     """
@@ -805,8 +816,7 @@ def run(problem: ProblemSpec, config: OuterConfig,
         raise ValueError("reference grid %s does not match the problem grid %s"
                          % (reference.shape, ops.shape))
     step = _make_step(config)
-    coefficients = (ops.mask_mode == "periodic"
-                    and ops.potential.kind == "quadratic")
+    coefficients = ops.potential.kind == "quadratic"
     # the reference's cost and the rank check build whole-grid temporaries,
     # so they come before the state exists
     ref = reference.values if reference is not None else None
