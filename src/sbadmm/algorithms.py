@@ -16,8 +16,14 @@ them there.  C'C is then omega on the half spectrum, less U U' for masked
 C (see ``ProblemOps``), so hat(C'(v + e)) = omega (nu + sigma) + hat(U c)
 with c = -U'(n + s), "C x" is hat(x), Phi(C x) = alpha/2 (sum omega
 |hat(x)|^2 - |U'x|^2) by Parseval, and a step makes no transform.  The
-split helpers read the form from the state they are given (v complex and
-2-D); ``canonical_init`` and ``solution_state`` build real states.
+state carries the wrap vectors of U'x, U'n and U's, so no half spectrum
+passes through U' whole.  Such a step runs in the two row-block sweeps of
+``ProblemOps.pcg_hat`` (one with periodic C): the first builds the
+right-hand side and the first PCG residual block by block, the second
+updates x and, in the same block, forms hat(A x), the shares of Phi, of
+the cost's data term and of U'x, and writes u, d, v and e.  The steps
+read the form from the state they are given (v complex and 2-D);
+``canonical_init`` and ``solution_state`` build real states.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -41,6 +48,9 @@ from .prox import Potential, potential_value_array, shrinkage
 DIVERGENCE_FACTOR = 1e6
 
 EXACT_TOLERANCE = 1e-15  # the relative M^-1-norm residual of exact solves
+# An r'z or p'Hp of PCG within this of 0, relative to the sizes of the
+# terms it is summed from, is 0 to rounding
+ROUNDING = 4 * np.finfo(float).eps
 
 ALGORITHMS = ("sb", "admm2", "admm2_simplified", "quadratic_closed_form")
 
@@ -106,7 +116,12 @@ class SolverState:
 
     In coefficient form (see the module docstring; ``run`` builds it for
     the quadratic potential, with either C) v and e are the half spectra
-    nu and sigma, and x is None.
+    nu and sigma, and x is None; with masked C, wraps holds the wrap
+    vectors of U'x, U'n and U's, which the next step needs, and is None
+    otherwise.  A step in coefficient form also sums the data term
+    1/2 |y - A x|^2 of the cost into data_term, so the cost of its
+    iterate needs no pass of its own; it is None in a state no such step
+    wrote.
     """
 
     x: np.ndarray
@@ -119,6 +134,8 @@ class SolverState:
     phi: float
     k: int = 0
     inner_residual: float = 0.0
+    wraps: np.ndarray = None
+    data_term: float = None
 
 
 class ProblemOps:
@@ -187,12 +204,6 @@ class ProblemOps:
         self._self_conjugate = [h, h + w // 2] if w % 2 == 0 else [h]
         self._gram_in = np.concatenate((self._col_weights, self._row_weights))
         self._gram_out = np.concatenate((self._b, self._a_hat))
-        # the factors (v_row, _b)' and (_a_hat; v_col) of hat(U c); the
-        # wrap vector's halves are written in by _add_wrap_hat
-        self._wrap_left = np.empty((2, h), complex)
-        self._wrap_left[1] = self._b
-        self._wrap_right = np.empty((2, w // 2 + 1), complex)
-        self._wrap_right[0] = self._a_hat
 
     @cached_property
     def mask(self):
@@ -243,16 +254,39 @@ class ProblemOps:
 
     @cached_property
     def _omega_factors(self):
-        """The column of 4 sin^2(pi k / h) and the row of 4 sin^2(pi l / w),
-        l = 0..w/2, whose outer sum is the half spectrum of omega."""
+        """The column c of 4 sin^2(pi k / h) and the row r of
+        4 sin^2(pi l / w), l = 0..w/2, whose outer sum is the half spectrum
+        of omega, as the factors (c, 1) and (1; r) of a real matrix
+        product, numpy's fastest way to form it.  r is spread over the float
+        view of a half spectrum, each entry followed by a 0, so that the
+        product is omega as a complex array, and repeated, each entry
+        twice, to weigh that float view."""
         h, w = self.shape
-        return _diff_spectrum_1d(h)[:, None], _diff_spectrum_1d(w)[:w // 2 + 1]
+        row = _diff_spectrum_1d(w)[:w // 2 + 1]
+        left = np.ones((h, 2))
+        left[:, 0] = _diff_spectrum_1d(h)
+        right = np.zeros((2, w // 2 + 1, 2))
+        right[0, :, 0] = 1.0
+        right[1, :, 0] = row
+        return left, right.reshape(2, -1), np.repeat(row, 2)
 
-    def _omega_rows(self, rows, work):
-        """omega at the given rows of the half spectrum, a real block
-        written into the first half of the complex block work."""
-        column, row = self._omega_factors
-        return np.add(column[rows], row, out=_real_view(work, work.shape))
+    def _omega_rows(self, rows, work, scale):
+        """scale omega at the given rows of the half spectrum, as a complex
+        array written into the block work."""
+        left, right, _ = self._omega_factors
+        np.matmul(left[rows] * scale, right, out=work.view(float))
+        return work
+
+    def _omega_norm2_rows(self, f, rows, block):
+        """Re vdot(f, omega f) for the rows f of a half spectrum: the sum
+        of (c_k + r_l) |f_kl|^2, from |f|^2 on float views, written into
+        block, and its sums over k weighed by c and by 1, one matrix
+        product."""
+        left, _, row = self._omega_factors
+        f = f.view(float)
+        squares = np.multiply(f, f, out=block.view(float))
+        by_c, by_1 = left[rows].T @ squares
+        return by_c.sum() + by_1 @ row
 
     @cached_property
     def lam(self):
@@ -319,26 +353,56 @@ class ProblemOps:
         v.imag[self._self_conjugate] = 0.0
         return v
 
+    def _wrap_adjoint_rows(self, f, rows, v):
+        """The share of the rows f of a half spectrum in v, the wrap vector
+        of U' of that spectrum before _fold: f @ _row_weights written at
+        the rows, _col_weights @ f added to the column part."""
+        np.matmul(f, self._row_weights, out=v[rows])
+        v[self.shape[0]:] += np.matmul(self._col_weights[rows], f)
+
     def _wrap_adjoint_hat(self, f):
         """The wrap vector of U' unhat(f)."""
-        h = self.shape[0]
-        v = np.empty(self._gram_in.size, complex)
-        np.matmul(f, self._row_weights, out=v[:h])
-        np.matmul(self._col_weights, f, out=v[h:])
+        v = np.zeros(self._gram_in.size, complex)
+        self._wrap_adjoint_rows(f, slice(0, self.shape[0]), v)
         return self._fold(v)
 
-    def _wrap_hat_rows(self, v, rows, out):
-        """hat(U c) at the given rows, into out, from the wrap vector v of
-        c: outer(v_row, _a_hat) + outer(_b, v_col) as one matrix product."""
-        self._wrap_left[0, rows] = v[rows]
-        self._wrap_right[1] = v[self.shape[0]:]
-        return np.matmul(self._wrap_left.T[rows], self._wrap_right, out=out)
+    @cached_property
+    def _wrap_factor_arrays(self):
+        """Real factors left[i] @ right[i] of hat(U c) = L'R for two wrap
+        vectors at a time, L = (v_row, _b) and R = (_a_hat, v_col), on float
+        views: the real and imaginary parts of L's entries, and R and 1j R.
+        The parts that do not depend on c are written here, the rest by
+        _wrap_factors."""
+        h, w = self.shape
+        left, right = np.empty((2, h, 4)), np.empty((2, 4, 2 * (w // 2 + 1)))
+        left[:, :, 2:] = self._b.view(float).reshape(h, 2)
+        right[:, :2] = np.stack((self._a_hat, 1j * self._a_hat)).view(float)
+        return left, right
+
+    def _wrap_factors(self, vs):
+        """The factors (left, right) of hat(U c) for each of the one or two
+        wrap vectors in the rows of vs, written into _wrap_factor_arrays."""
+        h, k = self.shape[0], len(vs)
+        left, right = self._wrap_factor_arrays
+        left[:k, :, :2] = vs[:, :h].view(float).reshape(k, h, 2)
+        right[:k, 2] = vs[:, h:].view(float)
+        np.multiply(vs[:, h:], 1j, out=right[:k, 3].view(complex))
+        return list(zip(left[:k], right[:k]))
+
+    def _wrap_hat_rows(self, factors, rows, out):
+        """hat(U c) at the given rows, into out, a complex block, from the
+        factors of c (_wrap_factors): one real matrix product on its float
+        view."""
+        left, right = factors
+        np.matmul(left[rows], right, out=out.view(float))
+        return out
 
     def _add_wrap_hat(self, v, out):
         """out += hat(U c), from the wrap vector v of c, one row block at a
         time."""
+        (factors,) = self._wrap_factors(v[None])
         for rows, _, work in self._blocks:
-            out[rows] += self._wrap_hat_rows(v, rows, work)
+            out[rows] += self._wrap_hat_rows(factors, rows, work)
         return out
 
     def _hessian_wraps(self, f, eta):
@@ -389,7 +453,7 @@ class ProblemOps:
         g += v * self._gram_diagonal
         return self._fold(g)
 
-    def pcg_hat(self, b, x, rho, eta, steps=None):
+    def pcg_hat(self, b, x, rho, eta, steps=None, sweeps=None):
         """hat(x) after `steps` PCG steps on H x = unhat(b) from the warm
         start hat(x0) = x, preconditioned by 1 / M, written over x and
         returned with its residual relative to |b|.  b is written over:
@@ -400,45 +464,88 @@ class ProblemOps:
         vectors are the rows of one array, and each step updates (e, chi)
         and then (c, q) by one product of a small coefficient matrix with
         its rows; Re vdot of two wrap vectors is the dot product of their
-        float views.  r0 is formed, and z0, r and x are used, one row block
-        at a time.  The iterates are those of ``pcg_solve``, with its
+        float views.  The iterates are those of ``pcg_solve``, with its
         checks.  Without `steps` it is exact: as M^-1 H is I off an
         (h + w + 1)-dimensional subspace, it stops once r'z <=
-        EXACT_TOLERANCE^2 b'M^-1 b, within h + w + 1 steps or raising
-        PcgBreakdownError.  In periodic mode U = 0, so H = M and the
-        answer is the exact division."""
+        EXACT_TOLERANCE^2 b'M^-1 b, within h + w + 1 steps, and at that cap
+        it keeps the iterate only if its residual is at most
+        EXACT_TOLERANCE.  An r'z or p'Hp within ROUNDING of 0, relative to
+        the sizes of the terms it is summed from, is 0 to rounding: the
+        Krylov space has run out, as it does on masked grids of a few
+        pixels, and the loop stops with the iterate it has.  One further
+        below 0, a non-finite one, or a non-finite iterate raises
+        PcgBreakdownError.  In periodic mode U = 0, so H = M and the answer
+        is the exact division.
+
+        The work is two sweeps of row blocks around the loop: the first
+        forms r0, z0, r0'z0 and U'z0, the second r, for the residual, and
+        x.  Given `sweeps`, the per-block work of a coefficient-form step
+        (``_Sweeps``), the first sweep builds b into its buffer, as
+        sweeps.rhs writes it and hat(U c_b), c_b = sweeps.rhs_wraps, is
+        added, and the wrap term of H x0 is hat(U c), c = sweeps.x_wraps,
+        which the caller carries.
+        The second sweep runs sweeps.finish on each block once x is final
+        there.  In periodic mode the division makes the two sweeps one.
+        hat(U c) is a real matrix product on float views (_wrap_factors),
+        which numpy runs in about half the time of the complex one."""
         if self.mask_mode == "periodic":
-            return self.solve_hat(b, rho, eta, out=x), 0.0
-        b_norm = math.sqrt(np.vdot(b, b).real)
-        if not math.isfinite(b_norm):
-            raise PcgBreakdownError("non-finite right-hand side")
+            if sweeps is None:
+                return self.solve_hat(b, rho, eta, out=x), 0.0
+            inverse = self.hessian_spectra(rho, eta)[1]
+            for part, block, work in self._blocks:
+                sweeps.rhs(part, b[part], block, work)
+                np.multiply(b[part], inverse[part], out=x[part])
+                sweeps.finish(part, block, work)
+            return x, 0.0
+        if sweeps is None:
+            b_norm2 = np.vdot(b, b).real
+            if not math.isfinite(b_norm2):
+                raise PcgBreakdownError("non-finite right-hand side")
+            (hx_factors,) = self._wrap_factors(
+                self._hessian_wraps(x, eta)[None])
+        else:
+            b_factors, hx_factors = self._wrap_factors(
+                np.stack((sweeps.rhs_wraps, sweeps.x_wraps)))
+            b_norm2 = 0.0
         m, inverse = self.hessian_spectra(rho, eta)
         h, w = self.shape
         exact = steps is None
         steps = h + w + 1 if exact else steps
-        if exact and not b_norm:
-            x.fill(0.0)  # the solution, whatever the warm start
         # rows w0 = U'z0, c, q, e, chi and g = G e; q starts at w0
         wraps = np.zeros((6, self._gram_in.size), complex)
         w0 = wraps[0]
-        hx_wraps = self._hessian_wraps(x, eta)
         rho0 = bmb = 0.0
         for part, block, work in self._blocks:
+            bp = b[part]
+            if sweeps is not None:
+                sweeps.rhs(part, bp, block, work)
+                bp += self._wrap_hat_rows(b_factors, part, work)
+                b_norm2 += np.vdot(bp, bp).real
             if exact:
-                bmb += np.vdot(b[part], np.multiply(b[part], inverse[part],
-                                                    out=block)).real
+                bmb += np.vdot(bp, np.multiply(bp, inverse[part],
+                                               out=block)).real
             # r0 = b - (M x0 + U c) over b, then z0 = r0 / M in the block
             hx = np.multiply(x[part], m[part], out=block)
-            hx += self._wrap_hat_rows(hx_wraps, part, work)
-            r0 = np.subtract(b[part], hx, out=b[part])
+            hx += self._wrap_hat_rows(hx_factors, part, work)
+            r0 = np.subtract(bp, hx, out=bp)
             z0 = np.multiply(r0, inverse[part], out=block)
             rho0 += np.vdot(r0, z0).real
-            np.matmul(z0, self._row_weights, out=w0[part])
-            w0[h:] += np.matmul(self._col_weights[part], z0)
+            self._wrap_adjoint_rows(z0, part, w0)
+        if sweeps is not None and not math.isfinite(b_norm2):
+            raise PcgBreakdownError("non-finite right-hand side")
+        b_norm = math.sqrt(max(b_norm2, 0.0))
+        if exact and not b_norm:
+            # the solution is 0, whatever the warm start
+            x.fill(0.0)
+            b.fill(0.0)
+            rho0 = 0.0
+            w0.fill(0.0)
         wraps[2] = self._fold(w0)
-        # 0 for a fixed step count, so only r'z < RZ_UNDERFLOW ends it early
+        # 0 for a fixed step count, so only an r'z at rounding level ends it
+        # early
         stop = EXACT_TOLERANCE ** 2 * bmb
-        pi, gamma, xi, rz, taken = 1.0, 1.0, 0.0, rho0, 0
+        pi, gamma, xi, rz, taken, capped = 1.0, 1.0, 0.0, rho0, 0, False
+        rz_size = rho0  # the sum of the sizes of the terms of r'z
         rows = wraps.view(float)
         # the updates e -= a (c - eta q), chi += a c and then c = e + beta c,
         # q = u + beta q, u = g + gamma w0, as products with rows[1:5] and
@@ -448,17 +555,23 @@ class ProblemOps:
                                [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
         # an exact solve checks r'z once more, after its last step
         for step in range(steps + 1 if exact else steps):
-            if rz < 0.0:
+            noise = ROUNDING * rz_size
+            if rz < -noise:
                 raise PcgBreakdownError("r'z = %g < 0 at step %d" % (rz, step))
-            if rz < RZ_UNDERFLOW or rz <= stop:
+            if rz < RZ_UNDERFLOW or rz <= noise or rz <= stop:
                 break  # r = 0 to working precision, or r'z below the stop
             if step == steps:
-                raise PcgBreakdownError("r'z = %g after %d steps" % (rz, steps))
+                capped = True
+                break
             # p'Hp with q'(c - eta q), the wraps of H p being c - eta q
             (cw, _, _), (_, qc, qq) = rows[1:3].dot(rows[:3].T).tolist()
             php = pi * (pi * rho0 + cw) + (qc - eta * qq)
-            if not (php > 0.0 and math.isfinite(php)):
+            noise = ROUNDING * (pi * pi * rho0 + abs(pi * cw) + abs(qc)
+                                + eta * qq)
+            if not (php >= -noise and math.isfinite(php)):
                 raise PcgBreakdownError("p'Hp = %g at step %d" % (php, step))
+            if php <= noise:
+                break  # p'Hp is 0 to rounding, so r is
             a = rz / php
             xi, gamma, taken = xi + a * pi, gamma - a * pi, step + 1
             update_e_chi[0, :2] = -a, a * eta
@@ -470,6 +583,7 @@ class ProblemOps:
             # U'z = u = g + gamma w0, so u'e = g'e + gamma w0'e
             we, ge = rows[0:6:5].dot(rows[3]).tolist()
             rz_new = gamma * (gamma * rho0 + we) + (ge + gamma * we)
+            rz_size = gamma * gamma * rho0 + 2.0 * abs(gamma * we) + abs(ge)
             beta = rz_new / rz
             pi, rz = gamma + beta * pi, rz_new
             update_c_q[0, 1] = update_c_q[1, 2] = beta
@@ -477,39 +591,47 @@ class ProblemOps:
             rows[1:3] = update_c_q.dot(rows)
         # r = gamma r0 + U e for its norm, x += M^-1 (xi r0 + U chi)
         r_norm2 = 0.0
+        e_factors, chi_factors = self._wrap_factors(wraps[3:5])
         for part, block, work in self._blocks:
             r0 = b[part]
             r = np.multiply(r0, gamma, out=block)
-            r += self._wrap_hat_rows(wraps[3], part, work)
+            r += self._wrap_hat_rows(e_factors, part, work)
             r_norm2 += np.vdot(r, r).real
             dx = np.multiply(r0, xi, out=block)
-            dx += self._wrap_hat_rows(wraps[4], part, work)
+            dx += self._wrap_hat_rows(chi_factors, part, work)
             dx *= inverse[part]
             x_part = x[part]
             x_part += dx
-            if not np.isfinite(x_part.view(float)).all():
+            if not np.isfinite(x_part).all():
                 raise PcgBreakdownError(
                     "non-finite iterate after %d steps" % taken)
-        return x, math.sqrt(r_norm2) / b_norm if b_norm else 0.0
+            if sweeps is not None:
+                sweeps.finish(part, block, work)
+        residual = math.sqrt(r_norm2) / b_norm if b_norm else 0.0
+        if capped and not residual <= EXACT_TOLERANCE:
+            raise PcgBreakdownError("r'z = %g after %d steps" % (rz, steps))
+        return x, residual
 
     def solve(self, b, rho, eta):
         """Exact solution of (rho A'A + eta C'C) x = b."""
         f = self.solve_hat(self.hat(b), rho, eta)
         return self.unhat(f, work=f)
 
-    def cost(self, x, ax_hat=None, phi=None):
-        """Objective at x, reusing hat(A x) and phi = Phi(C x) when they
-        are given.  The data term is 1/2 |hat(y) - hat(A x)|^2, by
-        Parseval, summed one row block at a time."""
-        if ax_hat is None:
-            ax_hat = self.hat(x)
-            ax_hat *= self.transfer
-        data = 0.0
-        for rows, block, _ in self._blocks:
-            res = np.subtract(self.y_hat[rows], ax_hat[rows], out=block)
-            data += np.vdot(res, res).real
-        return 0.5 * data + (potential_value_array(self.potential, self.C(x))
-                             if phi is None else phi)
+    def cost(self, x, ax_hat=None, phi=None, data_term=None):
+        """Objective at x, reusing hat(A x), phi = Phi(C x) and the data
+        term when they are given.  The data term is 1/2 |hat(y) -
+        hat(A x)|^2, by Parseval, summed one row block at a time."""
+        if data_term is None:
+            if ax_hat is None:
+                ax_hat = self.hat(x)
+                ax_hat *= self.transfer
+            data = 0.0
+            for rows, block, _ in self._blocks:
+                res = np.subtract(self.y_hat[rows], ax_hat[rows], out=block)
+                data += np.vdot(res, res).real
+            data_term = 0.5 * data
+        return data_term + (potential_value_array(self.potential, self.C(x))
+                            if phi is None else phi)
 
 
 def _real_view(f, shape):
@@ -528,19 +650,14 @@ def _divide(z, c):
     np.multiply(f, 1.0 / c, out=f)
 
 
-def _quadratic_phi(ops: ProblemOps, x_hat) -> float:
+def _quadratic_phi(ops: ProblemOps, omega_norm2, x_wraps=None) -> float:
     """Phi(C x) = alpha/2 |C x|^2 = alpha/2 (Re vdot(hat(x), omega hat(x))
-    - |U'x|^2), by Parseval, one row block at a time; U = 0 for periodic
-    C."""
-    total = 0.0
-    for rows, block, work in ops._blocks:
-        f = x_hat[rows]
-        total += np.vdot(f, np.multiply(f, ops._omega_rows(rows, work),
-                                        out=block)).real
-    if ops.mask_mode == "masked":
-        wraps = ops._wrap_adjoint_hat(x_hat).view(float)
-        total -= wraps.dot(wraps)
-    return 0.5 * ops.potential.alpha * total
+    - |U'x|^2), by Parseval, from the first term and the wrap vector of
+    U'x; periodic C, where U = 0, has none."""
+    if x_wraps is not None:
+        flat = x_wraps.view(float)
+        omega_norm2 -= flat.dot(flat)
+    return 0.5 * ops.potential.alpha * omega_norm2
 
 
 def _consistent_state(ops: ProblemOps, x, rho: float, eta: float,
@@ -548,12 +665,21 @@ def _consistent_state(ops: ProblemOps, x, rho: float, eta: float,
     """The state at x whose splits and duals agree with it: u = A x,
     v = C x, u + rho*d = y, and alpha*v + eta*e = 0 for the quadratic
     potential (e = 0 otherwise).  Each field is an array of its own, as
-    the steps write over them.  In coefficient form v is hat(x) and x is
-    kept for the first record only."""
+    the steps write over them.  In coefficient form v is hat(x), x is
+    kept for the first record only, and with masked C the state carries
+    U'x, U'n and U's."""
     x_hat = ops.hat(x)
     u_hat = ops.transfer * x_hat
+    wraps = None
     if coefficients:
-        v, phi = x_hat.copy(), _quadratic_phi(ops, x_hat)
+        v = x_hat.copy()
+        if ops.mask_mode == "masked":
+            wraps = np.empty((3, ops._gram_in.size), complex)
+            wraps[:2] = ops._wrap_adjoint_hat(x_hat)
+        phi = _quadratic_phi(ops, sum(
+            ops._omega_norm2_rows(x_hat[rows], rows, block)
+            for rows, block, _ in ops._blocks),
+            None if wraps is None else wraps[0])
     else:
         v = ops.C(x)
         phi = potential_value_array(ops.potential, v)
@@ -561,10 +687,12 @@ def _consistent_state(ops: ProblemOps, x, rho: float, eta: float,
         e = -(ops.potential.alpha / eta) * v
     else:
         e = np.zeros_like(v)
+    if wraps is not None:
+        wraps[2] = ops._wrap_adjoint_hat(e)
     d_hat = ops.y_hat - u_hat
     _divide(d_hat, rho)
     return SolverState(x=x, u_hat=u_hat, v=v, d_hat=d_hat, e=e, x_hat=x_hat,
-                       ax_hat=u_hat.copy(), phi=phi)
+                       ax_hat=u_hat.copy(), phi=phi, wraps=wraps)
 
 
 def _initial_x(ops: ProblemOps, x0_mode: str):
@@ -580,97 +708,134 @@ def canonical_init(ops: ProblemOps, rho: float, eta: float,
     return _consistent_state(ops, _initial_x(ops, x0_mode), rho, eta)
 
 
+def _inner_steps(inner: InnerSolveConfig):
+    """The `steps` of ``ProblemOps.pcg_hat`` for an x-update config."""
+    return None if inner.mode == "circulant_exact" else inner.pcg_iterations
+
+
 def _solve_x(ops, rho, eta, rhs, x_hat, inner: InnerSolveConfig):
     """Solve (rho A'A + eta C'C) x = unhat(rhs), exactly or by PCG from the
     warm start unhat(x_hat); writes hat(x) over x_hat and returns it with
     the relative residual.  rhs is written over."""
-    return ops.pcg_hat(rhs, x_hat, rho, eta, None
-                       if inner.mode == "circulant_exact"
-                       else inner.pcg_iterations)
+    return ops.pcg_hat(rhs, x_hat, rho, eta, _inner_steps(inner))
 
 
 # A step writes its result over the arrays of the state it is given and
-# returns that state.  The right-hand side is built in the ax_hat buffer,
-# v + e in v and C'(v + e) in x, as none of them is read before the step
-# writes it again; the solve writes hat(x) over x_hat and may write over
-# the right-hand side, and unhat consumes it.  Other scratch is a row block
-# of a half spectrum (ProblemOps._blocks).  If a step raises, its state is
-# left part-written.  The split helpers below take a state in coefficient
-# form (see the module docstring) when its v is a half spectrum.
+# returns that state.  The right-hand side is built in the ax_hat buffer;
+# in real form v + e goes into v and C'(v + e) into x, as none of them is
+# read before the step writes it again; the solve writes hat(x) over x_hat
+# and may write over the right-hand side, and unhat consumes it.  Other
+# scratch is a row block of a half spectrum (ProblemOps._blocks).  If a
+# step raises, its state is left part-written.  A state is in coefficient
+# form (see the module docstring) when its v is a half spectrum; such a
+# step runs in the row-block sweeps of pcg_hat (_coefficient_step).
 
 def _coefficient_form(state):
     return state.v.ndim == 2
 
 
+@dataclass
+class _Sweeps:
+    """What a coefficient-form step does in the row-block sweeps of
+    ``ProblemOps.pcg_hat``.  rhs(rows, out, block, work) writes the
+    right-hand side at the rows into out, less hat(U c) for c =
+    rhs_wraps, and finish(rows, block, work) runs once hat(x) is final at
+    the rows; block and work are the row block's scratch.  With masked C,
+    x_wraps is the c of H x0 = M x0 + hat(U c), -eta U'x0."""
+
+    rhs: Callable
+    finish: Callable
+    x_wraps: np.ndarray = None
+    rhs_wraps: np.ndarray = None
+
+
+def _coefficient_step(ops, state, rho, eta, steps, rhs, update,
+                      rhs_wraps=None):
+    """One step of a state in coefficient form, in the row-block sweeps of
+    ``pcg_hat``: rhs builds the right-hand side less hat(U c), c =
+    rhs_wraps (see ``_Sweeps``).  Once hat(x) is final in a row block,
+    hat(A x) and its share of Phi and, for masked C, of U'x are formed
+    there, and update(rows, block, work) writes u, d, v and e.  U'x, the
+    warm start's for the next step, is carried in state.wraps[0], so no
+    half spectrum passes through U' whole."""
+    masked = ops.mask_mode == "masked"
+    omega_norm2 = data = 0.0
+
+    def finish(rows, block, work):
+        nonlocal omega_norm2, data
+        f = state.x_hat[rows]
+        ax = np.multiply(f, ops.transfer[rows], out=state.ax_hat[rows])
+        res = np.subtract(ops.y_hat[rows], ax, out=block)
+        data += np.vdot(res, res).real
+        omega_norm2 += ops._omega_norm2_rows(f, rows, block)
+        update(rows, block, work)
+        if masked:
+            ops._wrap_adjoint_rows(f, rows, x_wraps)
+
+    sweeps = _Sweeps(rhs, finish)
+    if masked:
+        x_wraps = state.wraps[0]
+        sweeps.x_wraps, sweeps.rhs_wraps = x_wraps * -eta, rhs_wraps
+        # U'x of the new x: its row part is written block by block, its
+        # column part summed
+        x_wraps[ops.shape[0]:] = 0.0
+    _, res = ops.pcg_hat(state.ax_hat, state.x_hat, rho, eta, steps, sweeps)
+    if masked:
+        ops._fold(x_wraps)
+    state.phi = _quadratic_phi(ops, omega_norm2, x_wraps if masked else None)
+    state.data_term = 0.5 * data
+    state.k += 1
+    state.inner_residual = res
+    return state
+
+
 def _split_rhs(ops, state, g, scale):
     """scale hat(C'g) into state.ax_hat, the right-hand side, with C'g
-    written over state.x, which the step writes afresh.  In coefficient
-    form g is the half spectrum of an image n that stands for the field
-    C n, and hat(C'C n) = omega g is formed one row block at a time, plus
-    hat(U c), c = -U'n, for masked C."""
-    if _coefficient_form(state):
-        rhs = state.ax_hat
-        for rows, _, work in ops._blocks:
-            omega = ops._omega_rows(rows, work)
-            omega *= scale
-            np.multiply(g[rows], omega, out=rhs[rows])
-        if ops.mask_mode == "masked":
-            ops._add_wrap_hat(ops._hessian_wraps(g, scale), rhs)
-        return rhs
+    written over state.x, which the step writes afresh."""
     rhs = ops.hat(ops.Ct(g, out=state.x), out=state.ax_hat)
     rhs *= scale
     return rhs
 
 
-def _add_eliminated_rhs(ops, state, rho, rhs):
-    """rhs += hat(A'y) + (rho - 1) hat(A'u), one row block at a time."""
-    for rows, block, work in ops._blocks:
-        adjoint = np.conj(ops.transfer[rows], out=work)
-        data = np.multiply(rho - 1.0, adjoint, out=block)
-        data *= state.u_hat[rows]
-        aty = np.multiply(adjoint, ops.y_hat[rows], out=work)
-        rhs[rows] += np.add(aty, data, out=data)
+def _eliminated_rhs(ops, state, rho, rows, out, block, work):
+    """out += hat(A'y) + (rho - 1) hat(A'u) at the given rows."""
+    adjoint = np.conj(ops.transfer[rows], out=work)
+    data = np.multiply(rho - 1.0, adjoint, out=block)
+    data *= state.u_hat[rows]
+    aty = np.multiply(adjoint, ops.y_hat[rows], out=work)
+    out += np.add(aty, data, out=data)
 
 
 def _new_x(ops, state, residual, cx):
     """x_hat holds the x-update hat(x): write x and hat(A x) over the
     state, C x into cx, a field of the state the step writes afresh, and
-    phi = Phi(C x).  In coefficient form "C x" is hat(x) and x is not
-    formed."""
-    if _coefficient_form(state):
-        np.copyto(cx, state.x_hat)
-        state.phi = _quadratic_phi(ops, state.x_hat)
-    else:
-        ops.unhat(state.x_hat, out=state.x, work=state.ax_hat)
-        state.phi = potential_value_array(ops.potential,
-                                          ops.C(state.x, out=cx))
+    phi = Phi(C x)."""
+    ops.unhat(state.x_hat, out=state.x, work=state.ax_hat)
+    state.phi = potential_value_array(ops.potential, ops.C(state.x, out=cx))
     np.multiply(state.x_hat, ops.transfer, out=state.ax_hat)
     state.k += 1
     state.inner_residual = residual
 
 
-def _eliminated_u_d(ops, state, rho):
-    """u = (rho A x + u) / (rho + 1) and d = (y - u) / rho, over u and d."""
-    u_hat = np.multiply(rho, state.ax_hat, out=state.d_hat)
-    np.add(u_hat, state.u_hat, out=state.u_hat)
-    _divide(state.u_hat, rho + 1.0)
-    np.subtract(ops.y_hat, state.u_hat, out=state.d_hat)
-    _divide(state.d_hat, rho)
+def _eliminated_u_d(ops, state, rho, rows):
+    """u = (rho A x + u) / (rho + 1) and d = (y - u) / rho, over u and d
+    at the given rows."""
+    u_hat, d_hat = state.u_hat[rows], state.d_hat[rows]
+    np.multiply(rho, state.ax_hat[rows], out=d_hat)
+    np.add(d_hat, u_hat, out=u_hat)
+    _divide(u_hat, rho + 1.0)
+    np.subtract(ops.y_hat[rows], u_hat, out=d_hat)
+    _divide(d_hat, rho)
 
 
 def _split_update(ops, state, eta):
     """With C x in v: v = prox(C x - e) and the dual e - C x + v =
     -shrinkage(C x - e), written over v and e.  In masked mode v is zero
     and e keeps its value on the wrap-around slices, saved before e is
-    written.  In coefficient form the quadratic shrinkage, a real scalar
-    multiple, acts on the float views of the half spectra; there the wrap
-    slices of v and e, fields C n, are zero already."""
+    written."""
     v, e = state.v, state.e
-    coefficients = _coefficient_form(state)
-    if coefficients:
-        v, e = v.view(float), e.view(float)
-    kept = [] if ops.mask_mode == "periodic" or coefficients else [
-        e[ix].copy() for ix in WRAPS]
+    kept = [] if ops.mask_mode == "periodic" else [e[ix].copy()
+                                                   for ix in WRAPS]
     v -= e
     s = shrinkage(ops.potential, v, eta, out=e)
     v -= s
@@ -680,52 +845,101 @@ def _split_update(ops, state, eta):
         e[ix] = old
 
 
+def _coefficient_split(ops, eta, x, v, e):
+    """v = prox(x - e) and e = -shrinkage(x - e) over v and e, for half
+    spectra or wrap vectors x, v and e: for the quadratic potential the
+    real scalar multiples eta / (eta + alpha) and alpha / (eta + alpha) of
+    x - e."""
+    alpha = ops.potential.alpha
+    z = np.subtract(x, e, out=v)
+    np.multiply(z, -alpha / (eta + alpha), out=e)
+    z *= eta / (eta + alpha)
+
+
+def _split_step(ops, state, rho, eta, inner, data, dual):
+    """The step of sb and both ADMM variants, given their data term and u,
+    d update: data(rows, out, block, work) adds the data term of the
+    right-hand side at the rows to out, and dual(rows) writes u and d
+    there from hat(A x).  In coefficient form the right-hand side at a
+    row block is eta omega (nu + sigma) plus the data term, and v and e
+    are updated with "C x" = hat(x) (_coefficient_split); the wrap slices
+    of the fields C n that v and e stand for are zero already.  With masked
+    C, hat(C'C n) = omega hat(n) + hat(U c), c = -U'n, and the wrap
+    vectors of U'n and U's that the state carries for it are updated as v
+    and e are: U' commutes with a real scalar multiple."""
+    steps = _inner_steps(inner)
+    if _coefficient_form(state):
+        def rhs(rows, out, block, work):
+            g = np.add(state.v[rows], state.e[rows], out=out)
+            g *= ops._omega_rows(rows, work, eta)
+            data(rows, out, block, work)
+
+        def update(rows, block, work):
+            dual(rows)
+            _coefficient_split(ops, eta, state.x_hat[rows], state.v[rows],
+                               state.e[rows])
+
+        if state.wraps is None:
+            return _coefficient_step(ops, state, rho, eta, steps, rhs, update)
+        rhs_wraps = np.add(state.wraps[1], state.wraps[2])
+        rhs_wraps *= -eta
+        _coefficient_step(ops, state, rho, eta, steps, rhs, update, rhs_wraps)
+        _coefficient_split(ops, eta, *state.wraps)
+        return state
+    rhs = _split_rhs(ops, state, np.add(state.v, state.e, out=state.v), eta)
+    for rows, block, work in ops._blocks:
+        data(rows, rhs[rows], block, work)
+    _, res = ops.pcg_hat(rhs, state.x_hat, rho, eta, steps)
+    _new_x(ops, state, res, state.v)
+    dual(slice(None))
+    _split_update(ops, state, eta)
+    return state
+
+
 def sb_step(state: SolverState, ops: ProblemOps, eta: float,
             inner: InnerSolveConfig) -> SolverState:
     """One split Bregman sweep: least-squares x, prox v, dual e."""
-    rhs = _split_rhs(ops, state, np.add(state.v, state.e, out=state.v), eta)
-    for rows, block, work in ops._blocks:
+    def data(rows, out, block, work):
         adjoint = np.conj(ops.transfer[rows], out=work)
-        rhs[rows] += np.multiply(adjoint, ops.y_hat[rows], out=block)
-    _, res = _solve_x(ops, 1.0, eta, rhs, state.x_hat, inner)
-    _new_x(ops, state, res, state.v)
-    state.u_hat[...] = state.ax_hat
-    np.subtract(ops.y_hat, state.u_hat, out=state.d_hat)
-    _split_update(ops, state, eta)
-    return state
+        out += np.multiply(adjoint, ops.y_hat[rows], out=block)
+
+    def dual(rows):
+        state.u_hat[rows] = state.ax_hat[rows]
+        np.subtract(ops.y_hat[rows], state.u_hat[rows], out=state.d_hat[rows])
+
+    return _split_step(ops, state, 1.0, eta, inner, data, dual)
 
 
 def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
                inner: InnerSolveConfig) -> SolverState:
     """One two-split ADMM sweep (x, u, v, then both dual updates)."""
-    rhs = _split_rhs(ops, state, np.add(state.v, state.e, out=state.v), eta)
-    for rows, block, work in ops._blocks:
+    def data(rows, out, block, work):
         data = np.add(state.u_hat[rows], state.d_hat[rows], out=block)
         data *= np.conj(ops.transfer[rows], out=work)
         data *= rho
-        rhs[rows] += data
-    _, res = _solve_x(ops, rho, eta, rhs, state.x_hat, inner)
-    _new_x(ops, state, res, state.v)
-    u_hat = np.subtract(state.ax_hat, state.d_hat, out=state.u_hat)
-    u_hat *= rho
-    u_hat += ops.y_hat
-    _divide(u_hat, rho + 1.0)
-    state.d_hat -= state.ax_hat
-    state.d_hat += u_hat
-    _split_update(ops, state, eta)
-    return state
+        out += data
+
+    def dual(rows):
+        u_hat = np.subtract(state.ax_hat[rows], state.d_hat[rows],
+                            out=state.u_hat[rows])
+        u_hat *= rho
+        u_hat += ops.y_hat[rows]
+        _divide(u_hat, rho + 1.0)
+        d_hat = state.d_hat[rows]
+        d_hat -= state.ax_hat[rows]
+        d_hat += u_hat
+
+    return _split_step(ops, state, rho, eta, inner, data, dual)
 
 
 def admm2_simplified_step(state: SolverState, ops: ProblemOps, rho: float,
                           eta: float, inner: InnerSolveConfig) -> SolverState:
     """Two-split ADMM with d eliminated; requires the canonical d init."""
-    rhs = _split_rhs(ops, state, np.add(state.v, state.e, out=state.v), eta)
-    _add_eliminated_rhs(ops, state, rho, rhs)
-    _, res = _solve_x(ops, rho, eta, rhs, state.x_hat, inner)
-    _new_x(ops, state, res, state.v)
-    _eliminated_u_d(ops, state, rho)
-    _split_update(ops, state, eta)
-    return state
+    return _split_step(
+        ops, state, rho, eta, inner,
+        lambda rows, out, block, work: _eliminated_rhs(ops, state, rho, rows,
+                                                       out, block, work),
+        lambda rows: _eliminated_u_d(ops, state, rho, rows))
 
 
 def quadratic_closed_form_step(state: SolverState, ops: ProblemOps, rho: float,
@@ -741,15 +955,33 @@ def quadratic_closed_form_step(state: SolverState, ops: ProblemOps, rho: float,
     if ops.mask_mode != "periodic":
         raise ValueError("closed-form recursion requires periodic operators")
     alpha = ops.potential.alpha
+
+    def mix(rows):
+        # v = (eta C x + alpha v) / (eta + alpha), e = -(alpha / eta) v
+        v = np.multiply(eta / (eta + alpha), state.e[rows], out=state.e[rows])
+        state.v[rows] *= alpha / (eta + alpha)
+        np.add(v, state.v[rows], out=state.v[rows])
+        np.multiply(-(alpha / eta), state.v[rows], out=state.e[rows])
+
+    if _coefficient_form(state):
+        def rhs(rows, out, block, work):
+            np.multiply(state.v[rows], ops._omega_rows(rows, work, eta - alpha),
+                        out=out)
+            _eliminated_rhs(ops, state, rho, rows, out, block, work)
+
+        def update(rows, block, work):
+            np.copyto(state.e[rows], state.x_hat[rows])
+            _eliminated_u_d(ops, state, rho, rows)
+            mix(rows)
+
+        return _coefficient_step(ops, state, rho, eta, None, rhs, update)
     rhs = _split_rhs(ops, state, state.v, eta - alpha)
-    _add_eliminated_rhs(ops, state, rho, rhs)
+    for rows, block, work in ops._blocks:
+        _eliminated_rhs(ops, state, rho, rows, rhs[rows], block, work)
     ops.solve_hat(rhs, rho, eta, out=state.x_hat)
     _new_x(ops, state, 0.0, state.e)
-    _eliminated_u_d(ops, state, rho)
-    v = np.multiply(eta / (eta + alpha), state.e, out=state.e)
-    state.v *= alpha / (eta + alpha)
-    np.add(v, state.v, out=state.v)
-    np.multiply(-(alpha / eta), state.v, out=state.e)
+    _eliminated_u_d(ops, state, rho, slice(None))
+    mix(slice(None))
     return state
 
 
@@ -832,7 +1064,7 @@ def run(problem: ProblemSpec, config: OuterConfig,
                               config.rho, config.eta, coefficients)
 
     def record(state):
-        c = ops.cost(state.x, state.ax_hat, state.phi)
+        c = ops.cost(state.x, state.ax_hat, state.phi, state.data_term)
         if not math.isfinite(c):
             raise SolverDivergenceError("non-finite cost at iteration %d" % state.k)
         if ref is None:
