@@ -8,21 +8,24 @@ two-split step, and alpha*v + eta*e = 0 in the quadratic case.  u and d
 are kept as half spectra (u0 = transfer hat(x0)), where A is a product, so
 a step makes one rfft2, of its C' term, and one irfft2, of x.
 
-With the quadratic potential and either C, ``run`` keeps v and e in
-coefficient form: as the half spectra nu = hat(n) and sigma = hat(s) of
-images n and s with v = C n and e = C s.  The canonical start puts v and e
-in range(C), and the quadratic shrinkage, a real scalar multiple, keeps
-them there.  C'C is then omega on the half spectrum, less U U' for masked
-C (see ``ProblemOps``), so hat(C'(v + e)) = omega (nu + sigma) + hat(U c)
-with c = -U'(n + s), "C x" is hat(x), Phi(C x) = alpha/2 (sum omega
-|hat(x)|^2 - |U'x|^2) by Parseval, and a step makes no transform.  The
-state carries the wrap vectors of U'x, U'n and U's, so no half spectrum
-passes through U' whole.  Such a step runs in the two row-block sweeps of
-``ProblemOps.pcg_hat`` (one with periodic C): the first builds the
-right-hand side and the first PCG residual block by block, the second
-updates x and, in the same block, forms hat(A x), the shares of Phi, of
-the cost's data term and of U'x, and writes u, d, v and e.  The steps
-read the form from the state they are given (v complex and 2-D);
+With the quadratic potential and either C, ``run`` keeps v in coefficient
+form: as the half spectrum nu = hat(n) of an image n with v = C n.  The
+canonical start puts v in range(C), and the quadratic shrinkage, a real
+scalar multiple, keeps it there; as alpha*v + eta*e = 0, e is not kept.
+C'C is then omega on the half spectrum, less U U' for masked C (see
+``ProblemOps``), so hat(C'(v + e)) = (1 - alpha/eta) (omega nu + hat(U c))
+with c = -U'n, "C x" is hat(x), the split is nu = (eta hat(x) + alpha nu) /
+(eta + alpha), Phi(C x) = alpha/2 (sum omega |hat(x)|^2 - |U'x|^2) by
+Parseval, and a step makes no transform.  With periodic C the x-update is
+hat(x) = P nu + A h at each frequency, h the variant's data term and P and
+A cached (``ProblemOps.coefficient_spectra``), in one row-block sweep that
+also forms hat(A x), the shares of Phi and of the cost's data term, and
+writes u, d and v.  With masked C the state carries the wrap vectors of
+U'x and U'n, so no half spectrum passes through U' whole, and the step
+runs in the two row-block sweeps of ``ProblemOps.pcg_hat``: the first
+builds the right-hand side and the first PCG residual block by block, the
+second updates x and does the same per-block work, U'x included.  The
+steps read the form from the state they are given (v complex and 2-D);
 ``canonical_init`` and ``solution_state`` build real states.
 """
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -115,9 +118,9 @@ class SolverState:
     who still needs a state steps a copy.
 
     In coefficient form (see the module docstring; ``run`` builds it for
-    the quadratic potential, with either C) v and e are the half spectra
-    nu and sigma, and x is None; with masked C, wraps holds the wrap
-    vectors of U'x, U'n and U's, which the next step needs, and is None
+    the quadratic potential, with either C) v is the half spectrum nu, and
+    x and e, -(alpha/eta) v, are None; with masked C, wraps holds the wrap
+    vectors of U'x and U'n, which the next step needs, and is None
     otherwise.  A step in coefficient form also sums the data term
     1/2 |y - A x|^2 of the cost into data_term, so the cost of its
     iterate needs no pass of its own; it is None in a state no such step
@@ -144,7 +147,8 @@ class ProblemOps:
     Built once from a ProblemSpec: the real-FFT blur transfer; the
     validity mask of C, the full spectra lambda and omega, and the rank
     check of the split are built on first use.  A solver run keeps, at
-    grid size, only the transfer, hat(y), and M and 1 / M below; work that
+    grid size, only the transfer, hat(y), and M and 1 / M below, or P and A
+    (``coefficient_spectra``) in a periodic quadratic run; work that
     needs scratch takes a row block of a half spectrum at a time through
     two cached block buffers.  A/At/C/Ct are
     the true (possibly masked) operators; cost is the objective of the true
@@ -343,6 +347,24 @@ class ProblemOps:
             self._gram_diagonal = None
         return self._spectra
 
+    def coefficient_spectra(self, rho, eta):
+        """(P, A) = ((eta - alpha) omega / M, conj(transfer) / M) on the
+        half spectrum, in place of (M, 1 / M), once per (rho, eta): a
+        periodic x-update in coefficient form is hat(x) = P nu + A h.
+        Raises SingularHessianError where M vanishes."""
+        key = ("coefficients", rho, eta)
+        if self._spectra_key != key:
+            self._spectra = self._spectra_key = None
+            lam, om = self._half_spectra()
+            m = hessian_spectrum(lam, om, rho, eta)  # om is now eta omega
+            om *= (eta - self.potential.alpha) / eta
+            om /= m
+            adjoint = np.conj(self.transfer)
+            adjoint.real /= m  # on float views, with no cast buffer
+            adjoint.imag /= m
+            self._spectra, self._spectra_key = (om, adjoint), key
+        return self._spectra
+
     def _fold(self, v):
         """Finish the wrap vector v of U' unhat(f) whose row part holds
         f @ _row_weights.  A column of f off 0 and w/2 also stands for its
@@ -479,24 +501,17 @@ class ProblemOps:
 
         The work is two sweeps of row blocks around the loop: the first
         forms r0, z0, r0'z0 and U'z0, the second r, for the residual, and
-        x.  Given `sweeps`, the per-block work of a coefficient-form step
-        (``_Sweeps``), the first sweep builds b into its buffer, as
+        x.  Given `sweeps`, the per-block work of a masked coefficient-form
+        step (``_Sweeps``), the first sweep builds b into its buffer, as
         sweeps.rhs writes it and hat(U c_b), c_b = sweeps.rhs_wraps, is
         added, and the wrap term of H x0 is hat(U c), c = sweeps.x_wraps,
         which the caller carries.
         The second sweep runs sweeps.finish on each block once x is final
-        there.  In periodic mode the division makes the two sweeps one.
-        hat(U c) is a real matrix product on float views (_wrap_factors),
-        which numpy runs in about half the time of the complex one."""
+        there.  hat(U c) is a real matrix product on float views
+        (_wrap_factors), which numpy runs in about half the time of the
+        complex one."""
         if self.mask_mode == "periodic":
-            if sweeps is None:
-                return self.solve_hat(b, rho, eta, out=x), 0.0
-            inverse = self.hessian_spectra(rho, eta)[1]
-            for part, block, work in self._blocks:
-                sweeps.rhs(part, b[part], block, work)
-                np.multiply(b[part], inverse[part], out=x[part])
-                sweeps.finish(part, block, work)
-            return x, 0.0
+            return self.solve_hat(b, rho, eta, out=x), 0.0
         if sweeps is None:
             b_norm2 = np.vdot(b, b).real
             if not math.isfinite(b_norm2):
@@ -665,17 +680,16 @@ def _consistent_state(ops: ProblemOps, x, rho: float, eta: float,
     """The state at x whose splits and duals agree with it: u = A x,
     v = C x, u + rho*d = y, and alpha*v + eta*e = 0 for the quadratic
     potential (e = 0 otherwise).  Each field is an array of its own, as
-    the steps write over them.  In coefficient form v is hat(x), x is
-    kept for the first record only, and with masked C the state carries
-    U'x, U'n and U's."""
+    the steps write over them.  In coefficient form v is hat(x), e is
+    None, x is kept for the first record only, and with masked C the
+    state carries U'x and U'n."""
     x_hat = ops.hat(x)
     u_hat = ops.transfer * x_hat
-    wraps = None
+    wraps = e = None
     if coefficients:
         v = x_hat.copy()
         if ops.mask_mode == "masked":
-            wraps = np.empty((3, ops._gram_in.size), complex)
-            wraps[:2] = ops._wrap_adjoint_hat(x_hat)
+            wraps = np.tile(ops._wrap_adjoint_hat(x_hat), (2, 1))
         phi = _quadratic_phi(ops, sum(
             ops._omega_norm2_rows(x_hat[rows], rows, block)
             for rows, block, _ in ops._blocks),
@@ -683,12 +697,10 @@ def _consistent_state(ops: ProblemOps, x, rho: float, eta: float,
     else:
         v = ops.C(x)
         phi = potential_value_array(ops.potential, v)
-    if ops.potential.kind == "quadratic":
-        e = -(ops.potential.alpha / eta) * v
-    else:
-        e = np.zeros_like(v)
-    if wraps is not None:
-        wraps[2] = ops._wrap_adjoint_hat(e)
+        if ops.potential.kind == "quadratic":
+            e = -(ops.potential.alpha / eta) * v
+        else:
+            e = np.zeros_like(v)
     d_hat = ops.y_hat - u_hat
     _divide(d_hat, rho)
     return SolverState(x=x, u_hat=u_hat, v=v, d_hat=d_hat, e=e, x_hat=x_hat,
@@ -728,7 +740,7 @@ def _solve_x(ops, rho, eta, rhs, x_hat, inner: InnerSolveConfig):
 # scratch is a row block of a half spectrum (ProblemOps._blocks).  If a
 # step raises, its state is left part-written.  A state is in coefficient
 # form (see the module docstring) when its v is a half spectrum; such a
-# step runs in the row-block sweeps of pcg_hat (_coefficient_step).
+# step runs in row-block sweeps (_coefficient_step).
 
 def _coefficient_form(state):
     return state.v.ndim == 2
@@ -736,74 +748,100 @@ def _coefficient_form(state):
 
 @dataclass
 class _Sweeps:
-    """What a coefficient-form step does in the row-block sweeps of
+    """What a masked coefficient-form step does in the row-block sweeps of
     ``ProblemOps.pcg_hat``.  rhs(rows, out, block, work) writes the
     right-hand side at the rows into out, less hat(U c) for c =
     rhs_wraps, and finish(rows, block, work) runs once hat(x) is final at
-    the rows; block and work are the row block's scratch.  With masked C,
-    x_wraps is the c of H x0 = M x0 + hat(U c), -eta U'x0."""
+    the rows; block and work are the row block's scratch.  x_wraps is the
+    c of H x0 = M x0 + hat(U c), -eta U'x0."""
 
     rhs: Callable
     finish: Callable
-    x_wraps: np.ndarray = None
-    rhs_wraps: np.ndarray = None
+    x_wraps: np.ndarray
+    rhs_wraps: np.ndarray
 
 
-def _coefficient_step(ops, state, rho, eta, steps, rhs, update,
-                      rhs_wraps=None):
-    """One step of a state in coefficient form, in the row-block sweeps of
-    ``pcg_hat``: rhs builds the right-hand side less hat(U c), c =
-    rhs_wraps (see ``_Sweeps``).  Once hat(x) is final in a row block,
-    hat(A x) and its share of Phi and, for masked C, of U'x are formed
-    there, and update(rows, block, work) writes u, d, v and e.  U'x, the
-    warm start's for the next step, is carried in state.wraps[0], so no
-    half spectrum passes through U' whole."""
+def _mix(ops, eta, x, nu):
+    """nu = (eta x + alpha nu) / (eta + alpha) over nu, the split of a
+    quadratic step whose e is -(alpha/eta) nu, on float views."""
+    alpha = ops.potential.alpha
+    f = nu.view(float)
+    f *= alpha / eta
+    f += x.view(float)
+    f *= eta / (eta + alpha)
+
+
+def _coefficient_step(ops, state, rho, eta, steps, data, dual):
+    """One step of a state in coefficient form.  With periodic C it is one
+    sweep of row blocks, hat(x) = P nu + A h in each (``coefficient_spectra``,
+    data adding A h); with masked C the two sweeps of ``pcg_hat``, whose
+    right-hand side is (eta - alpha) omega nu plus the data term, less
+    hat(U c), c = (alpha - eta) U'n.  Once hat(x) is final in a row block,
+    hat(A x) and its shares of Phi, of the data term and, for masked C, of
+    U'x are formed there, dual(rows) writes u and d, and nu is mixed with
+    hat(x); the wrap slices of the field C n that nu stands for are zero
+    already.  U'x and U'n are carried in state.wraps, so no half spectrum
+    passes through U' whole."""
+    alpha = ops.potential.alpha
     masked = ops.mask_mode == "masked"
-    omega_norm2 = data = 0.0
+    omega_norm2 = data_term = res = 0.0
 
     def finish(rows, block, work):
-        nonlocal omega_norm2, data
+        nonlocal omega_norm2, data_term
         f = state.x_hat[rows]
         ax = np.multiply(f, ops.transfer[rows], out=state.ax_hat[rows])
-        res = np.subtract(ops.y_hat[rows], ax, out=block)
-        data += np.vdot(res, res).real
+        residual = np.subtract(ops.y_hat[rows], ax, out=block)
+        data_term += np.vdot(residual, residual).real
         omega_norm2 += ops._omega_norm2_rows(f, rows, block)
-        update(rows, block, work)
+        dual(rows)
+        _mix(ops, eta, f, state.v[rows])
         if masked:
-            ops._wrap_adjoint_rows(f, rows, x_wraps)
+            ops._wrap_adjoint_rows(f, rows, state.wraps[0])
 
-    sweeps = _Sweeps(rhs, finish)
     if masked:
-        x_wraps = state.wraps[0]
-        sweeps.x_wraps, sweeps.rhs_wraps = x_wraps * -eta, rhs_wraps
+        def rhs(rows, out, block, work):
+            omega = ops._omega_rows(rows, work, eta - alpha)
+            np.multiply(state.v[rows], omega, out=out)
+            data(rows, out, block, np.conj(ops.transfer[rows], out=work))
+
+        x_wraps, n_wraps = state.wraps
+        sweeps = _Sweeps(rhs, finish, x_wraps * -eta, n_wraps * (alpha - eta))
         # U'x of the new x: its row part is written block by block, its
         # column part summed
         x_wraps[ops.shape[0]:] = 0.0
-    _, res = ops.pcg_hat(state.ax_hat, state.x_hat, rho, eta, steps, sweeps)
-    if masked:
-        ops._fold(x_wraps)
-    state.phi = _quadratic_phi(ops, omega_norm2, x_wraps if masked else None)
-    state.data_term = 0.5 * data
+        _, res = ops.pcg_hat(state.ax_hat, state.x_hat, rho, eta, steps,
+                             sweeps)
+        _mix(ops, eta, ops._fold(x_wraps), n_wraps)
+    else:
+        p, adjoint = ops.coefficient_spectra(rho, eta)
+        for rows, block, work in ops._blocks:
+            x = np.multiply(p[rows], state.v[rows], out=state.x_hat[rows])
+            data(rows, x, block, adjoint[rows])
+            finish(rows, block, work)
+    state.phi = _quadratic_phi(ops, omega_norm2,
+                               state.wraps[0] if masked else None)
+    state.data_term = 0.5 * data_term
     state.k += 1
     state.inner_residual = res
     return state
 
 
-def _split_rhs(ops, state, g, scale):
-    """scale hat(C'g) into state.ax_hat, the right-hand side, with C'g
-    written over state.x, which the step writes afresh."""
+def _split_rhs(ops, state, g, scale, data):
+    """scale hat(C'g) plus the data term into state.ax_hat, the right-hand
+    side, with C'g written over state.x, which the step writes afresh."""
     rhs = ops.hat(ops.Ct(g, out=state.x), out=state.ax_hat)
     rhs *= scale
+    for rows, block, work in ops._blocks:
+        data(rows, rhs[rows], block, np.conj(ops.transfer[rows], out=work))
     return rhs
 
 
-def _eliminated_rhs(ops, state, rho, rows, out, block, work):
-    """out += hat(A'y) + (rho - 1) hat(A'u) at the given rows."""
-    adjoint = np.conj(ops.transfer[rows], out=work)
-    data = np.multiply(rho - 1.0, adjoint, out=block)
-    data *= state.u_hat[rows]
-    aty = np.multiply(adjoint, ops.y_hat[rows], out=work)
-    out += np.add(aty, data, out=data)
+def _eliminated_rhs(ops, state, rho, rows, out, block, adjoint):
+    """out += adjoint (hat(y) + (rho - 1) hat(u)) at the given rows."""
+    h = np.multiply(state.u_hat[rows], rho - 1.0, out=block)
+    h += ops.y_hat[rows]
+    h *= adjoint
+    out += h
 
 
 def _new_x(ops, state, residual, cx):
@@ -845,51 +883,17 @@ def _split_update(ops, state, eta):
         e[ix] = old
 
 
-def _coefficient_split(ops, eta, x, v, e):
-    """v = prox(x - e) and e = -shrinkage(x - e) over v and e, for half
-    spectra or wrap vectors x, v and e: for the quadratic potential the
-    real scalar multiples eta / (eta + alpha) and alpha / (eta + alpha) of
-    x - e."""
-    alpha = ops.potential.alpha
-    z = np.subtract(x, e, out=v)
-    np.multiply(z, -alpha / (eta + alpha), out=e)
-    z *= eta / (eta + alpha)
-
-
 def _split_step(ops, state, rho, eta, inner, data, dual):
     """The step of sb and both ADMM variants, given their data term and u,
-    d update: data(rows, out, block, work) adds the data term of the
-    right-hand side at the rows to out, and dual(rows) writes u and d
-    there from hat(A x).  In coefficient form the right-hand side at a
-    row block is eta omega (nu + sigma) plus the data term, and v and e
-    are updated with "C x" = hat(x) (_coefficient_split); the wrap slices
-    of the fields C n that v and e stand for are zero already.  With masked
-    C, hat(C'C n) = omega hat(n) + hat(U c), c = -U'n, and the wrap
-    vectors of U'n and U's that the state carries for it are updated as v
-    and e are: U' commutes with a real scalar multiple."""
+    d update: data(rows, out, block, adjoint) adds adjoint h at the rows
+    to out, h the variant's data term and adjoint conj(transfer), or A in
+    a periodic coefficient-form step, and dual(rows) writes u and d there
+    from hat(A x)."""
     steps = _inner_steps(inner)
     if _coefficient_form(state):
-        def rhs(rows, out, block, work):
-            g = np.add(state.v[rows], state.e[rows], out=out)
-            g *= ops._omega_rows(rows, work, eta)
-            data(rows, out, block, work)
-
-        def update(rows, block, work):
-            dual(rows)
-            _coefficient_split(ops, eta, state.x_hat[rows], state.v[rows],
-                               state.e[rows])
-
-        if state.wraps is None:
-            return _coefficient_step(ops, state, rho, eta, steps, rhs, update)
-        rhs_wraps = np.add(state.wraps[1], state.wraps[2])
-        rhs_wraps *= -eta
-        _coefficient_step(ops, state, rho, eta, steps, rhs, update, rhs_wraps)
-        _coefficient_split(ops, eta, *state.wraps)
-        return state
-    rhs = _split_rhs(ops, state, np.add(state.v, state.e, out=state.v), eta)
-    for rows, block, work in ops._blocks:
-        data(rows, rhs[rows], block, work)
-    _, res = ops.pcg_hat(rhs, state.x_hat, rho, eta, steps)
+        return _coefficient_step(ops, state, rho, eta, steps, data, dual)
+    _split_rhs(ops, state, np.add(state.v, state.e, out=state.v), eta, data)
+    _, res = ops.pcg_hat(state.ax_hat, state.x_hat, rho, eta, steps)
     _new_x(ops, state, res, state.v)
     dual(slice(None))
     _split_update(ops, state, eta)
@@ -899,8 +903,7 @@ def _split_step(ops, state, rho, eta, inner, data, dual):
 def sb_step(state: SolverState, ops: ProblemOps, eta: float,
             inner: InnerSolveConfig) -> SolverState:
     """One split Bregman sweep: least-squares x, prox v, dual e."""
-    def data(rows, out, block, work):
-        adjoint = np.conj(ops.transfer[rows], out=work)
+    def data(rows, out, block, adjoint):
         out += np.multiply(adjoint, ops.y_hat[rows], out=block)
 
     def dual(rows):
@@ -913,11 +916,11 @@ def sb_step(state: SolverState, ops: ProblemOps, eta: float,
 def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
                inner: InnerSolveConfig) -> SolverState:
     """One two-split ADMM sweep (x, u, v, then both dual updates)."""
-    def data(rows, out, block, work):
-        data = np.add(state.u_hat[rows], state.d_hat[rows], out=block)
-        data *= np.conj(ops.transfer[rows], out=work)
-        data *= rho
-        out += data
+    def data(rows, out, block, adjoint):
+        h = np.add(state.u_hat[rows], state.d_hat[rows], out=block)
+        h *= adjoint
+        h *= rho
+        out += h
 
     def dual(rows):
         u_hat = np.subtract(state.ax_hat[rows], state.d_hat[rows],
@@ -935,11 +938,9 @@ def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
 def admm2_simplified_step(state: SolverState, ops: ProblemOps, rho: float,
                           eta: float, inner: InnerSolveConfig) -> SolverState:
     """Two-split ADMM with d eliminated; requires the canonical d init."""
-    return _split_step(
-        ops, state, rho, eta, inner,
-        lambda rows, out, block, work: _eliminated_rhs(ops, state, rho, rows,
-                                                       out, block, work),
-        lambda rows: _eliminated_u_d(ops, state, rho, rows))
+    return _split_step(ops, state, rho, eta, inner,
+                       partial(_eliminated_rhs, ops, state, rho),
+                       partial(_eliminated_u_d, ops, state, rho))
 
 
 def quadratic_closed_form_step(state: SolverState, ops: ProblemOps, rho: float,
@@ -948,40 +949,23 @@ def quadratic_closed_form_step(state: SolverState, ops: ProblemOps, rho: float,
 
     Valid only with periodic operators (exact spectra) and the canonical
     d and e initializations.  C x goes into e, which the recursion then
-    rebuilds from v.
+    rebuilds from v.  In coefficient form it is admm2_simplified's step.
     """
     if ops.potential.kind != "quadratic":
         raise ValueError("closed-form recursion requires a quadratic potential")
     if ops.mask_mode != "periodic":
         raise ValueError("closed-form recursion requires periodic operators")
-    alpha = ops.potential.alpha
-
-    def mix(rows):
-        # v = (eta C x + alpha v) / (eta + alpha), e = -(alpha / eta) v
-        v = np.multiply(eta / (eta + alpha), state.e[rows], out=state.e[rows])
-        state.v[rows] *= alpha / (eta + alpha)
-        np.add(v, state.v[rows], out=state.v[rows])
-        np.multiply(-(alpha / eta), state.v[rows], out=state.e[rows])
-
+    data = partial(_eliminated_rhs, ops, state, rho)
+    dual = partial(_eliminated_u_d, ops, state, rho)
     if _coefficient_form(state):
-        def rhs(rows, out, block, work):
-            np.multiply(state.v[rows], ops._omega_rows(rows, work, eta - alpha),
-                        out=out)
-            _eliminated_rhs(ops, state, rho, rows, out, block, work)
-
-        def update(rows, block, work):
-            np.copyto(state.e[rows], state.x_hat[rows])
-            _eliminated_u_d(ops, state, rho, rows)
-            mix(rows)
-
-        return _coefficient_step(ops, state, rho, eta, None, rhs, update)
-    rhs = _split_rhs(ops, state, state.v, eta - alpha)
-    for rows, block, work in ops._blocks:
-        _eliminated_rhs(ops, state, rho, rows, rhs[rows], block, work)
-    ops.solve_hat(rhs, rho, eta, out=state.x_hat)
+        return _coefficient_step(ops, state, rho, eta, None, data, dual)
+    _split_rhs(ops, state, state.v, eta - ops.potential.alpha, data)
+    ops.solve_hat(state.ax_hat, rho, eta, out=state.x_hat)
     _new_x(ops, state, 0.0, state.e)
-    _eliminated_u_d(ops, state, rho, slice(None))
-    mix(slice(None))
+    dual(slice(None))
+    # v = (eta C x + alpha v) / (eta + alpha), e = -(alpha / eta) v
+    _mix(ops, eta, state.e, state.v)
+    np.multiply(-(ops.potential.alpha / eta), state.v, out=state.e)
     return state
 
 

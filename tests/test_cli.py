@@ -81,7 +81,8 @@ def test_restore_one_iteration_convergence(tmp_path, runner):
     assert result.exit_code == 0, result.output
     assert os.path.exists(os.path.join(out, "trace.csv"))
     assert os.path.exists(os.path.join(out, "final.pgm"))
-    rows = open(os.path.join(out, "trace.csv")).read().splitlines()
+    with open(os.path.join(out, "trace.csv")) as f:
+        rows = f.read().splitlines()
     # (rho, eta) = (1, alpha) with exact solves: optimal after one iteration
     rel = [float(r.split(",")[2]) for r in rows[1:]]
     assert rel[1] <= 1e-10
@@ -96,7 +97,8 @@ def test_restore_pcg_iters_alone_keeps_pcg(tmp_path, runner):
                                       "--pcg-iters", "5", "--output-dir", out]
                                + extra)
         assert result.exit_code == 0, result.output
-        traces.append(open(os.path.join(out, "trace.csv"), "rb").read())
+        with open(os.path.join(out, "trace.csv"), "rb") as f:
+            traces.append(f.read())
     assert traces[0] == traces[1]
 
 
@@ -174,7 +176,8 @@ def test_restore_exact_on_masked_converges_in_one_step(tmp_path, runner):
     result = runner.invoke(main, ["restore", "--config", config,
                                   "--output-dir", out])
     assert result.exit_code == 0, result.output
-    rows = open(os.path.join(out, "trace.csv")).read().splitlines()
+    with open(os.path.join(out, "trace.csv")) as f:
+        rows = f.read().splitlines()
     assert float(rows[2].split(",")[2]) <= 1e-10
 
 
@@ -277,7 +280,8 @@ def test_spectra_csv_dc_row(tmp_path, runner):
     result = runner.invoke(main, ["spectra", "--config", config,
                                   "--output-dir", out])
     assert result.exit_code == 0, result.output
-    rows = open(os.path.join(out, "spectra.csv")).read().splitlines()
+    with open(os.path.join(out, "spectra.csv")) as f:
+        rows = f.read().splitlines()
     head = rows[1].split(",")
     # differences annihilate constants: omega = 0 at the DC frequency
     assert head[0] == "0" and head[1] == "0" and float(head[3]) == 0.0

@@ -187,9 +187,11 @@ def test_benchmark_protocol_deterministic(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     ex.benchmark_protocol(_with_outdir(config, out1))
     ex.benchmark_protocol(_with_outdir(config, out2))
-    f1 = open(os.path.join(out1, "trace_rho1_eta0.0625.csv")).read()
-    f2 = open(os.path.join(out2, "trace_rho1_eta0.0625.csv")).read()
-    assert f1 == f2
+    traces = []
+    for out in (out1, out2):
+        with open(os.path.join(out, "trace_rho1_eta0.0625.csv")) as f:
+            traces.append(f.read())
+    assert traces[0] == traces[1]
 
 
 def _with_outdir(config, outdir):
