@@ -43,8 +43,8 @@ from .inner import (RZ_UNDERFLOW, InnerSolveConfig, PcgBreakdownError,
                     hessian_spectrum)
 from .operators import (WRAPS, _diff_spectrum_1d, blur, blur_transfer,
                         diff_gram_half_spectrum, diff_gram_spectrum,
-                        diff_mask, difference, difference_transpose, irfft2,
-                        rfft2, row_blocks, split_operator_rank_check,
+                        difference, difference_transpose, irfft2, rfft2,
+                        row_blocks, split_operator_rank_check,
                         transfer_gram_spectrum)
 from .prox import Potential, potential_value_array, shrinkage
 
@@ -163,10 +163,12 @@ class ProblemOps:
     x-update is solved on the half spectrum hat(x), the rfft2 scaled so that
     it is unitary: there M is a product, hat(U c) the product of an (h, 2)
     and a (2, w/2 + 1) matrix and U'z two matrix-vector products, so no 2-D
-    transform runs inside a solve.  A masked solve, exact or not, is
-    ``pcg_hat``.  M, 1 / M and the diagonals of G = U' M^-1 U are cached
-    for the last (rho, eta); the half spectra of lambda and omega they are
-    built from are not kept.
+    transform runs inside a solve.  Every x-update but a periodic
+    coefficient-form one (``coefficient_spectra``) is ``pcg_hat``, exact
+    or not, which applies H only inside its first sweep of row blocks;
+    ``solve_hat``, the exact solve from zero, calls it.  M, 1 / M and the
+    diagonals of G = U' M^-1 U are cached for the last (rho, eta); the half
+    spectra of lambda and omega they are built from are not kept.
     The object holds arrays only, no callables bound to itself, so it is
     freed as soon as it is dropped.
     """
@@ -208,11 +210,6 @@ class ProblemOps:
         self._self_conjugate = [h, h + w // 2] if w % 2 == 0 else [h]
         self._gram_in = np.concatenate((self._col_weights, self._row_weights))
         self._gram_out = np.concatenate((self._b, self._a_hat))
-
-    @cached_property
-    def mask(self):
-        """The validity mask of C, a (2, h, w) bool array."""
-        return diff_mask(self.shape, self.mask_mode)
 
     def _half_spectra(self):
         """New arrays of lambda and omega, the spectra of A'A and of the
@@ -419,36 +416,12 @@ class ProblemOps:
         np.matmul(left[rows], right, out=out.view(float))
         return out
 
-    def _add_wrap_hat(self, v, out):
-        """out += hat(U c), from the wrap vector v of c, one row block at a
-        time."""
-        (factors,) = self._wrap_factors(v[None])
-        for rows, _, work in self._blocks:
-            out[rows] += self._wrap_hat_rows(factors, rows, work)
-        return out
-
-    def _hessian_wraps(self, f, eta):
-        """The wrap vector c of -eta U' unhat(f), so that H unhat(f) =
-        M unhat(f) + U c."""
-        v = self._wrap_adjoint_hat(f)
-        v *= -eta
-        return v
-
-    def hessian_hat(self, f, rho, eta):
-        """hat(H unhat(f)): M f, minus eta U U' unhat(f) in masked mode by
-        two matrix-vector products and one matrix product."""
-        out = f * self.hessian_spectra(rho, eta)[0]
-        if self.mask_mode == "periodic":
-            return out
-        return self._add_wrap_hat(self._hessian_wraps(f, eta), out)
-
     def solve_hat(self, f, rho, eta, out=None):
         """hat of the exact solution of H x = unhat(f), into out if it is
-        given: a division by M in periodic mode, and in masked mode
-        ``pcg_hat`` from zero run to rounding level.  In masked mode f is
-        written over, so pass only a spectrum the caller gives up."""
-        if self.mask_mode == "periodic":
-            return np.multiply(f, self.hessian_spectra(rho, eta)[1], out=out)
+        given: ``pcg_hat`` without a step count from hat(x0) = 0, which
+        divides by M in periodic mode and in masked mode runs PCG to
+        rounding level.  In masked mode f is written over, so pass only a
+        spectrum the caller gives up."""
         x = np.empty_like(f) if out is None else out
         x.fill(0.0)
         return self.pcg_hat(f, x, rho, eta)[0]
@@ -496,8 +469,9 @@ class ProblemOps:
         Krylov space has run out, as it does on masked grids of a few
         pixels, and the loop stops with the iterate it has.  One further
         below 0, a non-finite one, or a non-finite iterate raises
-        PcgBreakdownError.  In periodic mode U = 0, so H = M and the answer
-        is the exact division.
+        PcgBreakdownError.  In periodic mode U = 0, so H = M: x = b / M
+        with residual 0, whatever the warm start and `steps`, and b is not
+        written.
 
         The work is two sweeps of row blocks around the loop: the first
         forms r0, z0, r0'z0 and U'z0, the second r, for the residual, and
@@ -511,13 +485,15 @@ class ProblemOps:
         (_wrap_factors), which numpy runs in about half the time of the
         complex one."""
         if self.mask_mode == "periodic":
-            return self.solve_hat(b, rho, eta, out=x), 0.0
+            inverse = self.hessian_spectra(rho, eta)[1]
+            return np.multiply(b, inverse, out=x), 0.0
         if sweeps is None:
             b_norm2 = np.vdot(b, b).real
             if not math.isfinite(b_norm2):
                 raise PcgBreakdownError("non-finite right-hand side")
+            # H x0 = M x0 + hat(U c) with c = -eta U'x0
             (hx_factors,) = self._wrap_factors(
-                self._hessian_wraps(x, eta)[None])
+                (-eta * self._wrap_adjoint_hat(x))[None])
         else:
             b_factors, hx_factors = self._wrap_factors(
                 np.stack((sweeps.rhs_wraps, sweeps.x_wraps)))
@@ -723,13 +699,6 @@ def canonical_init(ops: ProblemOps, rho: float, eta: float,
 def _inner_steps(inner: InnerSolveConfig):
     """The `steps` of ``ProblemOps.pcg_hat`` for an x-update config."""
     return None if inner.mode == "circulant_exact" else inner.pcg_iterations
-
-
-def _solve_x(ops, rho, eta, rhs, x_hat, inner: InnerSolveConfig):
-    """Solve (rho A'A + eta C'C) x = unhat(rhs), exactly or by PCG from the
-    warm start unhat(x_hat); writes hat(x) over x_hat and returns it with
-    the relative residual.  rhs is written over."""
-    return ops.pcg_hat(rhs, x_hat, rho, eta, _inner_steps(inner))
 
 
 # A step writes its result over the arrays of the state it is given and

@@ -108,8 +108,8 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         if self.parameter_grid is None:
             self.parameter_grid = default_parameter_grid(self.alpha)
         if not self.parameter_grid:

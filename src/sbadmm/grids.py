@@ -59,10 +59,6 @@ class ConvolutionKernel:
         object.__setattr__(self, "taps", t)
         object.__setattr__(self, "anchor", (int(ai), int(aj)))
 
-    @classmethod
-    def identity(cls):
-        return cls(np.ones((1, 1)), (0, 0))
-
 
 def write_pgm(grid: ImageGrid, path):
     """Write an 8-bit binary PGM (P5), rescaling intensities to 0..255."""

@@ -23,8 +23,8 @@ class Potential:
     """Regularization potential Phi, scaled by weight alpha.
 
     kind        one of 'quadratic', 'l1', 'huber', 'fair'
-    alpha       positive weight
-    threshold   positive transition point (huber / fair only)
+    alpha       positive, finite weight
+    threshold   positive, finite transition point (huber / fair only)
     """
 
     kind: str
@@ -34,11 +34,11 @@ class Potential:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError("unknown potential kind %r" % (self.kind,))
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
         if self.kind in ("huber", "fair"):
-            if self.threshold is None or not self.threshold > 0:
-                raise ValueError("%s potential needs a positive threshold" % self.kind)
+            if self.threshold is None or not 0 < self.threshold < np.inf:
+                raise ValueError("%s threshold must be positive and finite" % self.kind)
 
     @classmethod
     def quadratic(cls, alpha):

@@ -48,8 +48,8 @@ class DeltaSpectrum:
             raise ValueError("empty delta spectrum")
         if np.any(np.isnan(d)) or np.any(d < 0):
             raise ValueError("deltas must be nonnegative (or +inf)")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
         object.__setattr__(self, "deltas", d)
 
     @property

@@ -48,6 +48,24 @@ def make_ops(kernel, shape, mask_mode="periodic"):
                                   potential=Potential.quadratic(1.0)))
 
 
+def wrap_hat(ops, c):
+    """hat(U c) for the wrap vector c, by the product pcg_hat runs."""
+    (factors,) = ops._wrap_factors(c[None])
+    out = np.empty((ops.shape[0], ops.shape[1] // 2 + 1), complex)
+    return ops._wrap_hat_rows(factors, slice(None), out)
+
+
+def hessian_hat(ops, f, rho, eta):
+    """hat(H unhat(f)) = M f + hat(U c), c = -eta U' unhat(f), by the
+    products pcg_hat runs; periodic C has no wraps.  Symmetric to
+    rounding, which a composed hat(H unhat(f)) is not: pcg_solve on that
+    raises p'Hp < 0 on single-row and single-column grids."""
+    out = f * ops.hessian_spectra(rho, eta)[0]
+    if ops.mask_mode == "masked":
+        out += wrap_hat(ops, -eta * ops._wrap_adjoint_hat(f))
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 
 from sbadmm import algorithms, inner, operators
 from sbadmm.algorithms import (MetricTrace, OuterConfig, ProblemOps,
-                               ProblemSpec, SolverState, _solve_x,
+                               ProblemSpec, SolverState,
                                admm2_simplified_step, admm2_step,
                                canonical_init,
                                quadratic_closed_form_step, run, sb_step,
@@ -170,7 +170,7 @@ def test_split_update_masks_only_the_wrap_slices(rng, algorithm, kind):
         st = canonical_init(ops, rho, eta)
         st.e = rng.standard_normal(st.e.shape)
         out = STEPS[algorithm](copy.deepcopy(st), ops, rho, eta)
-        on = ops.mask
+        on = operators.diff_mask(ops.shape, ops.mask_mode)
         assert np.all(out.v[~on] == 0.0)
         assert np.array_equal(out.e[~on], st.e[~on])
         cx = ops.C(out.x)
@@ -388,11 +388,11 @@ def test_an_exact_masked_solve_stops_by_its_tolerance(rng, monkeypatch):
         for rho, eta in ((1.0, 0.25), (2.5, 0.03), (0.3, 2.0)):
             rhs, warm = (ops.hat(rng.standard_normal(shape)) for _ in range(2))
             steps.clear()
-            _, rel = _solve_x(ops, rho, eta, rhs, warm, EXACT)
+            _, rel = ops.pcg_hat(rhs, warm, rho, eta)
             assert 0 < len(steps) <= sum(shape) + 1, (shape, len(steps))
             assert rel <= 1e-14, (shape, rel)
             # a zero right-hand side has the solution 0 at once
-            f, rel = _solve_x(ops, rho, eta, np.zeros_like(rhs), warm, EXACT)
+            f, rel = ops.pcg_hat(np.zeros_like(rhs), warm, rho, eta)
             assert not f.any() and rel == 0.0
 
 
@@ -425,7 +425,7 @@ def test_a_non_finite_iterate_names_the_steps_taken(rng, monkeypatch):
     rhs = ops.hat(np.ones((6, 8)))
     with np.errstate(invalid="ignore"), pytest.raises(
             PcgBreakdownError, match="non-finite iterate after 1 steps"):
-        _solve_x(ops, 1.0, 0.5, rhs, np.zeros_like(rhs), EXACT)
+        ops.pcg_hat(rhs, np.zeros_like(rhs), 1.0, 0.5)
 
 
 def test_exact_solve_singular_names_frequency():
@@ -436,10 +436,9 @@ def test_exact_solve_singular_names_frequency():
         ops = make_ops(zero_sum, (4, 5), mode)
         with pytest.raises(SingularHessianError, match=r"\(0, 0\)"):
             ops.solve(np.ones((4, 5)), 1.0, 0.5)
-        pcg = InnerSolveConfig(mode="pcg", pcg_iterations=3)
         with pytest.raises(SingularHessianError, match=r"\(0, 0\)"):
-            _solve_x(ops, 1.0, 0.5, ops.hat(np.ones((4, 5))),
-                     ops.hat(np.zeros((4, 5))), pcg)
+            ops.pcg_hat(ops.hat(np.ones((4, 5))), ops.hat(np.zeros((4, 5))),
+                        1.0, 0.5, 3)
 
 
 def test_run_trace_contract(rng):
@@ -598,7 +597,10 @@ def test_rank_deficiency_is_reported(rng):
 def test_split_pcg_matches_generic_pcg(rng):
     # PCG in the wrap subspace of the half spectrum against PCG applying the
     # Hessian by composition on real arrays: x agrees to 1e-12 relative and
-    # the final residual to 1e-12 of |rhs|
+    # the final residual to 1e-12 of |rhs|.  With periodic C, H = M, and
+    # pcg_hat is the division by M, to the bit, with residual 0, whatever
+    # the warm start and step count; solve_hat is pcg_hat from zero without
+    # a step count, to the bit, in both modes
     for shape in ODD_AND_DEGENERATE_SHAPES:
         for mode in ("periodic", "masked"):
             ops = make_ops(fitting_kernel(rng, shape), shape, mode)
@@ -607,10 +609,18 @@ def test_split_pcg_matches_generic_pcg(rng):
             warm = rng.standard_normal(shape)
             pre = circulant_preconditioner(ops.lam, ops.om, rho, eta)
             tol = 1e-12 * np.linalg.norm(rhs)
-            for steps in (1, 3, 50):
+            b = ops.hat(rhs)
+            exact, _ = ops.pcg_hat(b.copy(), np.zeros_like(b), rho, eta)
+            assert np.array_equal(ops.solve_hat(b.copy(), rho, eta),
+                                  exact), (shape, mode)
+            for steps in (1, 3, 50, None):
+                f, rel = ops.pcg_hat(b.copy(), ops.hat(warm), rho, eta, steps)
+                if mode == "periodic":
+                    division = b * ops.hessian_spectra(rho, eta)[1]
+                    assert np.array_equal(f, division) and rel == 0.0
+                if steps is None:
+                    continue
                 cfg = InnerSolveConfig(mode="pcg", pcg_iterations=steps)
-                f, rel = _solve_x(ops, rho, eta, ops.hat(rhs), ops.hat(warm),
-                                  cfg)
                 generic = pcg_solve(
                     lambda z: rho * ops.At(ops.A(z)) + eta * ops.Ct(ops.C(z)),
                     rhs, cfg, warm_start=warm, preconditioner=pre)
@@ -665,16 +675,14 @@ def test_pcg_rejects_a_non_finite_right_hand_side(rng):
     # non-finite, which is checked before any product; only masked mode
     # runs a PCG loop, fixed or exact, periodic mode divides by M.  The
     # entry is set on the half spectrum, as the FFT of an infinity warns
-    pcg = InnerSolveConfig(mode="pcg", pcg_iterations=3)
     ops = make_ops(fitting_kernel(rng, (6, 8)), (6, 8), "masked")
     for bad in (np.nan, np.inf, -np.inf):
-        for inner_cfg in (pcg, EXACT):
+        for steps in (3, None):
             rhs = ops.hat(rng.standard_normal((6, 8)))
             rhs[2, 3] = bad
             with pytest.raises(PcgBreakdownError,
                                match="non-finite right-hand side"):
-                _solve_x(ops, 1.0, 0.5, rhs, ops.hat(np.zeros((6, 8))),
-                         inner_cfg)
+                ops.pcg_hat(rhs, ops.hat(np.zeros((6, 8))), 1.0, 0.5, steps)
 
 
 def test_periodic_pcg_traces_equal_exact_traces(rng):
@@ -745,9 +753,8 @@ def test_pcg_preconditioner_is_exact_on_near_singular_kernel():
                 rhs = rng.standard_normal(shape)
                 warm = rng.standard_normal(shape)
                 want = np.linalg.solve(hessian, rhs.ravel())
-                cfg = InnerSolveConfig(mode="pcg", pcg_iterations=steps)
-                f, _ = _solve_x(ops, rho, eta, ops.hat(rhs), ops.hat(warm),
-                                cfg)
+                f, _ = ops.pcg_hat(ops.hat(rhs), ops.hat(warm), rho, eta,
+                                   steps)
                 errors = [np.sqrt(e @ hessian @ e) for e in
                           (warm.ravel() - want, ops.unhat(f).ravel() - want)]
                 assert errors[1] <= bound * errors[0], (seed, shape, mode)
@@ -1118,12 +1125,10 @@ def test_a_masked_coefficient_step_sweeps_its_row_blocks(rng, monkeypatch):
     # a masked coefficient-form PCG-3 step on a grid of several row blocks
     # makes its rank-2 wrap products inside the two sweeps of pcg_hat, 4 a
     # block (the right-hand side's wrap term, the warm start's, and those
-    # of r and x), with no pass of its own for any of them, and takes U' of
-    # no whole half spectrum, as U'x and U'n are carried from the last
-    # step.  The parent made one of the 4 products in a pass of its own
-    # (_add_wrap_hat) and took U' of a whole half spectrum 3 times a step
-    calls = {name: [] for name in ("_wrap_hat_rows", "_add_wrap_hat",
-                                   "_wrap_adjoint_hat")}
+    # of r and x), with no pass of its own for any of them, which would
+    # add to that count, and takes U' of no whole half spectrum, as U'x and
+    # U'n are carried from the last step
+    calls = {name: [] for name in ("_wrap_hat_rows", "_wrap_adjoint_hat")}
     for name, made in calls.items():
         real = getattr(ProblemOps, name)
 
@@ -1142,8 +1147,7 @@ def test_a_masked_coefficient_step_sweeps_its_row_blocks(rng, monkeypatch):
             made.clear()
         VARIANTS[name](state, ops, PCG3)
         assert {key: len(made) for key, made in calls.items()} == {
-            "_wrap_hat_rows": 4 * blocks, "_add_wrap_hat": 0,
-            "_wrap_adjoint_hat": 0}, name
+            "_wrap_hat_rows": 4 * blocks, "_wrap_adjoint_hat": 0}, name
 
 
 def test_a_built_right_hand_side_solves_as_a_given_one(rng):
@@ -1158,13 +1162,16 @@ def test_a_built_right_hand_side_solves_as_a_given_one(rng):
             rho, eta = rng.uniform(0.1, 3.0, size=2)
             f, x0 = (ops.hat(rng.standard_normal(shape)) for _ in range(2))
             c = ops._wrap_adjoint_hat(ops.hat(rng.standard_normal(shape)))
-            given = ops._add_wrap_hat(c, f.copy())
+            given = f.copy()
+            (factors,) = ops._wrap_factors(c[None])
+            for rows, _, work in ops._blocks:
+                given[rows] += ops._wrap_hat_rows(factors, rows, work)
             want, want_res = ops.pcg_hat(given, x0.copy(), rho, eta, steps)
             finished = []
             sweeps = algorithms._Sweeps(
                 lambda rows, out, block, work: np.copyto(out, f[rows]),
                 lambda rows, block, work: finished.append(rows),
-                ops._hessian_wraps(x0, eta), c)
+                -eta * ops._wrap_adjoint_hat(x0), c)
             got, res = ops.pcg_hat(np.empty_like(f), x0.copy(), rho, eta,
                                    steps, sweeps)
             assert finished == [rows for rows, _, _ in ops._blocks]
@@ -1202,8 +1209,7 @@ def test_a_negative_curvature_beyond_rounding_still_raises(rng,
     monkeypatch.setattr(ProblemOps, "_wrap_gram",
                         lambda self, v: 5.0 * real(self, v))
     ops = make_ops(fitting_kernel(rng, (6, 8)), (6, 8), "masked")
-    for inner_cfg in (PCG3, EXACT):
+    for steps in (3, None):
         rhs = ops.hat(rng.standard_normal((6, 8)))
         with pytest.raises(PcgBreakdownError, match="p'Hp = -"):
-            _solve_x(ops, 1.0, 2.0, rhs, ops.hat(np.zeros((6, 8))),
-                     inner_cfg)
+            ops.pcg_hat(rhs, ops.hat(np.zeros((6, 8))), 1.0, 2.0, steps)

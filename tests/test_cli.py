@@ -217,12 +217,20 @@ def test_recommend_verdict_follows_the_radii(tmp_path, runner):
     result = runner.invoke(main, ["recommend", "--eta", "1.25"])
     assert result.exit_code == 0, result.output
     assert "faster=tie" in result.output
-    # no verdict from NaN radii: an infinite penalty is a bad argument
+    # no verdict from NaN radii: an infinite penalty is a bad argument, as
+    # is an infinite alpha or threshold, which made restore and benchmark
+    # abort a solve (exit 3) and spectra succeed
+    fair = write_config(tmp_path / "f.cfg", "potential = fair\n"
+                        "threshold = inf\nheight = 8\nwidth = 8\n")
+    o = ["--output-dir", str(tmp_path / "o")]
     for args in (["recommend", "--eta", "inf"],
-                 ["predict", "--case", "II", "--rho", "inf",
-                  "--output-dir", str(tmp_path / "o")],
-                 ["restore", "--iters", "3", "--eta", "inf",
-                  "--output-dir", str(tmp_path / "o")]):
+                 ["predict", "--case", "II", "--rho", "inf"] + o,
+                 ["restore", "--iters", "3", "--eta", "inf"] + o,
+                 ["restore", "--alpha", "inf", "--eta", "1"] + o,
+                 ["benchmark", "--alpha", "inf"] + o,
+                 ["recommend", "--alpha", "inf"],
+                 ["spectra", "--alpha", "inf"] + o,
+                 ["restore", "--config", fair, "--iters", "3"] + o):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert "must be positive and finite" in result.output
@@ -326,7 +334,8 @@ def test_rate_commands_exit_2_where_restore_does(tmp_path, runner):
     for config, commands, message in (
             (missing, ("restore", "spectra", "recommend"),
              "image file not found"),
-            (huber, ("restore", "spectra"), "needs a positive threshold")):
+            (huber, ("restore", "spectra"),
+             "huber threshold must be positive and finite")):
         for command in commands:
             result = runner.invoke(main, [command, "--config", config] + o)
             assert result.exit_code == 2, result.output

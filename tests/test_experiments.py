@@ -66,6 +66,9 @@ def test_default_parameter_grid():
 def test_config_validation():
     with pytest.raises(ValueError):
         ex.ExperimentConfig(alpha=0.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ex.ExperimentConfig(alpha=bad)
     with pytest.raises(ValueError):
         ex.ExperimentConfig(parameter_grid=[])
 

@@ -32,7 +32,7 @@ def test_kernel_validation():
         ConvolutionKernel(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         ConvolutionKernel(np.ones((3, 3)), (3, 0))
-    k = ConvolutionKernel.identity()
+    k = ConvolutionKernel(np.ones((1, 1)))
     assert k.taps.shape == (1, 1) and k.anchor == (0, 0)
 
 

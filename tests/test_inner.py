@@ -7,8 +7,8 @@ from sbadmm.inner import (InnerSolveConfig, PcgBreakdownError,
                           circulant_solve_array, pcg_solve)
 from sbadmm.operators import (diff_gram_spectrum, gram_spectrum,
                               sparse_blur_matrix, sparse_diff_matrix)
-from conftest import (ODD_AND_DEGENERATE_SHAPES, fitting_kernel, make_ops,
-                      random_kernel)
+from conftest import (ODD_AND_DEGENERATE_SHAPES, fitting_kernel, hessian_hat,
+                      make_ops, random_kernel)
 
 
 def test_config_validation():
@@ -184,7 +184,7 @@ def test_pcg_stops_once_rz_underflows():
                     preconditioner=circulant_preconditioner(ops.lam, ops.om,
                                                             rho, eta))
                 spectral = pcg_solve(
-                    lambda f: ops.hessian_hat(f, rho, eta), ops.hat(rhs), cfg,
+                    lambda f: hessian_hat(ops, f, rho, eta), ops.hat(rhs), cfg,
                     warm_start=ops.hat(warm), preconditioner=lambda f: f / m)
                 for x in (real.x, ops.unhat(spectral.x)):
                     res = hessian(x) - rhs
@@ -211,7 +211,7 @@ def test_pcg_never_writes_rhs_or_the_warm_start(rng):
     ops = make_ops(random_kernel(rng), shape, "masked")
     cfg = InnerSolveConfig(mode="pcg", pcg_iterations=50)
     real = (hessian, rng.standard_normal(shape), rng.standard_normal(shape))
-    spectral = (lambda f: ops.hessian_hat(f, 1.0, 0.25),
+    spectral = (lambda f: hessian_hat(ops, f, 1.0, 0.25),
                 ops.hat(rng.standard_normal(shape)),
                 ops.hat(rng.standard_normal(shape)))
     for apply, rhs, warm in (real, spectral):

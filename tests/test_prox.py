@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sbadmm.algorithms import ProblemOps, admm2_step, canonical_init
 from sbadmm.inner import InnerSolveConfig
+from sbadmm.operators import diff_mask
 from sbadmm.prox import (KINDS, Potential, potential_value_array, prox_array,
                          shrinkage)
 from conftest import random_problem
@@ -38,6 +39,16 @@ def test_potential_validation():
     with pytest.raises(ValueError):
         Potential("fair", 1.0, -1.0)
     assert Potential.huber(1.0, 2.0).threshold == 2.0
+    # an infinite or NaN weight or threshold, of every kind
+    for kind in KINDS:
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError,
+                               match="alpha must be positive and finite"):
+                Potential(kind, bad, 1.0)
+            if kind in ("huber", "fair"):
+                with pytest.raises(ValueError, match="%s threshold must be "
+                                   "positive and finite" % kind):
+                    Potential(kind, 1.0, bad)
 
 
 def test_quadratic_prox_scalar():
@@ -193,8 +204,9 @@ def test_prox_on_gradient_field_respects_mask(rng):
     state.e = rng.standard_normal(state.e.shape)
     out = admm2_step(state, ops, 1.0, 1.0,
                      InnerSolveConfig(mode="pcg", pcg_iterations=3))
-    assert np.all(out.v[~ops.mask] == 0.0)
-    assert np.any(out.v[ops.mask] != 0.0)
+    mask = diff_mask(ops.shape, ops.mask_mode)
+    assert np.all(out.v[~mask] == 0.0)
+    assert np.any(out.v[mask] != 0.0)
     # the value sums one plane at a time, np.sum the whole field: the same
     # terms in another order, so the two agree to a few ulps, not exactly
     assert potential_value_array(Potential.l1(1.0), out.v) == pytest.approx(

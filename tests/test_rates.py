@@ -75,6 +75,9 @@ def test_rates_reject_nonpositive_parameters():
             rate_s2(1.0, bad, 1.0)
         with pytest.raises(ValueError, match="positive and finite"):
             rate_s3(1.0, bad)
+        with pytest.raises(ValueError, match="alpha must be positive and "
+                           "finite"):
+            DeltaSpectrum(np.array([0.5, 2.0]), bad)
 
 
 def test_s1_sign_and_monotonicity(rng):
