@@ -110,9 +110,10 @@ class SolverState:
     """Iterate tuple (x, u, v, d, e) as raw arrays, plus the counter.
 
     u and d are kept as u_hat = hat(u) and d_hat = hat(d); x_hat and
-    ax_hat are hat(x) and hat(A x), and phi the float Phi(C x), as the step
-    computed them, so the cost of the iterate needs neither A x nor C x
-    again and the next PCG step warm-starts from x_hat without an rfft2.
+    ax_hat are hat(x) and hat(A x), and phi and data_term the two terms
+    Phi(C x) and 1/2 |y - A x|^2 of the cost, as the step computed them,
+    so the cost of the iterate is data_term + phi and the next PCG step
+    warm-starts from x_hat without an rfft2.
     No two fields share memory: a step writes over the arrays of the state
     it is given, every one of them, and returns that state, so a caller
     who still needs a state steps a copy.
@@ -121,10 +122,8 @@ class SolverState:
     the quadratic potential, with either C) v is the half spectrum nu, and
     x and e, -(alpha/eta) v, are None; with masked C, wraps holds the wrap
     vectors of U'x and U'n, which the next step needs, and is None
-    otherwise.  A step in coefficient form also sums the data term
-    1/2 |y - A x|^2 of the cost into data_term, so the cost of its
-    iterate needs no pass of its own; it is None in a state no such step
-    wrote.
+    otherwise.  A step in coefficient form sums both terms of the cost
+    inside its sweeps.
     """
 
     x: np.ndarray
@@ -135,10 +134,10 @@ class SolverState:
     x_hat: np.ndarray
     ax_hat: np.ndarray
     phi: float
+    data_term: float
     k: int = 0
     inner_residual: float = 0.0
     wraps: np.ndarray = None
-    data_term: float = None
 
 
 class ProblemOps:
@@ -608,21 +607,22 @@ class ProblemOps:
         f = self.solve_hat(self.hat(b), rho, eta)
         return self.unhat(f, work=f)
 
-    def cost(self, x, ax_hat=None, phi=None, data_term=None):
-        """Objective at x, reusing hat(A x), phi = Phi(C x) and the data
-        term when they are given.  The data term is 1/2 |hat(y) -
+    def data_term(self, ax_hat):
+        """1/2 |y - A x|^2 from ax_hat = hat(A x): 1/2 |hat(y) -
         hat(A x)|^2, by Parseval, summed one row block at a time."""
-        if data_term is None:
-            if ax_hat is None:
-                ax_hat = self.hat(x)
-                ax_hat *= self.transfer
-            data = 0.0
-            for rows, block, _ in self._blocks:
-                res = np.subtract(self.y_hat[rows], ax_hat[rows], out=block)
-                data += np.vdot(res, res).real
-            data_term = 0.5 * data
-        return data_term + (potential_value_array(self.potential, self.C(x))
-                            if phi is None else phi)
+        data = 0.0
+        for rows, block, _ in self._blocks:
+            res = np.subtract(self.y_hat[rows], ax_hat[rows], out=block)
+            data += np.vdot(res, res).real
+        return 0.5 * data
+
+    def cost(self, x, ax_hat=None):
+        """Objective at x, reusing ax_hat = hat(A x) when it is given."""
+        if ax_hat is None:
+            ax_hat = self.hat(x)
+            ax_hat *= self.transfer
+        return self.data_term(ax_hat) + potential_value_array(self.potential,
+                                                              self.C(x))
 
 
 def _real_view(f, shape):
@@ -680,7 +680,8 @@ def _consistent_state(ops: ProblemOps, x, rho: float, eta: float,
     d_hat = ops.y_hat - u_hat
     _divide(d_hat, rho)
     return SolverState(x=x, u_hat=u_hat, v=v, d_hat=d_hat, e=e, x_hat=x_hat,
-                       ax_hat=u_hat.copy(), phi=phi, wraps=wraps)
+                       ax_hat=u_hat.copy(), phi=phi,
+                       data_term=ops.data_term(u_hat), wraps=wraps)
 
 
 def _initial_x(ops: ProblemOps, x0_mode: str):
@@ -816,10 +817,11 @@ def _eliminated_rhs(ops, state, rho, rows, out, block, adjoint):
 def _new_x(ops, state, residual, cx):
     """x_hat holds the x-update hat(x): write x and hat(A x) over the
     state, C x into cx, a field of the state the step writes afresh, and
-    phi = Phi(C x)."""
+    the two terms of the cost."""
     ops.unhat(state.x_hat, out=state.x, work=state.ax_hat)
     state.phi = potential_value_array(ops.potential, ops.C(state.x, out=cx))
     np.multiply(state.x_hat, ops.transfer, out=state.ax_hat)
+    state.data_term = ops.data_term(state.ax_hat)
     state.k += 1
     state.inner_residual = residual
 
@@ -1017,7 +1019,7 @@ def run(problem: ProblemSpec, config: OuterConfig,
                               config.rho, config.eta, coefficients)
 
     def record(state):
-        c = ops.cost(state.x, state.ax_hat, state.phi, state.data_term)
+        c = state.data_term + state.phi
         if not math.isfinite(c):
             raise SolverDivergenceError("non-finite cost at iteration %d" % state.k)
         if ref is None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import os
 import sys
 
@@ -298,6 +299,9 @@ def oracle(grid_text, case, rho, eta, alpha):
         raise ConfigError("--grid must look like 4x4")
     if h < 1 or w < 1:
         raise ConfigError("--grid sides must be positive, got %s" % grid_text)
+    # before the defaults below are filled in from it
+    if not 0 < alpha < math.inf:
+        raise ConfigError("alpha must be positive and finite")
     # the free parameter of the case defaults to 2 (rho) or 2 alpha (eta)
     rho_, eta_ = case_parameters(
         case, alpha, 2.0 if case == "II" and rho is None else rho,

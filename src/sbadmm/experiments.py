@@ -25,7 +25,6 @@ DEFAULT_ALPHA = 2.0 ** -4
 LONG_RUN_ITERATIONS = 2000
 REFERENCE_TOLERANCE = 1e-10  # normal-equation residual relative to |A'y|
 SUMMARY_TOLERANCE = 1e-6  # the summary's iterations-to column
-RATE_DISCARD, RATE_WINDOW = 0.5, 0.25  # trace fractions, see empirical_rate
 
 # (value, semi-axis a, semi-axis b, center x, center y, angle degrees)
 # in [-1, 1] coordinates; a modified Shepp-Logan-style intensity set.
@@ -70,13 +69,21 @@ def phantom(height: int = 64, width: int = 64) -> ImageGrid:
 
 
 def gaussian_kernel(size: int = 7, sigma: float = 2.0) -> ConvolutionKernel:
-    """Normalized truncated Gaussian PSF with a centered anchor."""
+    """Normalized truncated Gaussian PSF with a centered anchor.  A sigma
+    so large that sigma^2 overflows, or so small that an exponent -k^2 /
+    (2 sigma^2) overflows or is 0/0, is rejected, as its taps are not
+    finite numbers."""
     if size < 1 or size % 2 == 0:
         raise ValueError("size must be a positive odd number")
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ValueError("sigma must be positive and finite")
     k = np.arange(size) - size // 2
-    g = np.exp(-k ** 2 / (2.0 * sigma ** 2))
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            g = np.exp(-k ** 2 / (2.0 * sigma ** 2))
+    except (OverflowError, FloatingPointError):
+        raise ValueError("sigma must be positive and finite, with finite "
+                         "PSF taps (got %g)" % sigma) from None
     taps = np.outer(g, g)
     taps /= taps.sum()
     return ConvolutionKernel(taps, (size // 2, size // 2))
@@ -110,6 +117,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0 < self.alpha < math.inf:
             raise ValueError("alpha must be positive and finite")
+        if self.noise_std is not None and not 0 <= self.noise_std < math.inf:
+            raise ValueError("noise_std must be nonnegative and finite")
         if self.parameter_grid is None:
             self.parameter_grid = default_parameter_grid(self.alpha)
         if not self.parameter_grid:
@@ -218,20 +227,3 @@ def _write_summary(path, traces, failures):
                (rho, eta, "ok", trace.rel_cost_err[-1],
                 trace.iterations_to(SUMMARY_TOLERANCE))
                for (rho, eta), trace in traces.items()))
-
-
-def empirical_rate(errors) -> float:
-    """Asymptotic per-iteration error ratio.
-
-    Geometric-mean ratio over the last window of iterations after
-    discarding the transient, robust to initial overshoot.
-    """
-    errors = np.asarray(errors, dtype=float)
-    n = errors.size
-    if n < 4:
-        raise ValueError("need at least 4 error samples")
-    start = max(int(n * (1.0 - RATE_WINDOW)) - 1, int(n * RATE_DISCARD))
-    e0, e1 = errors[start], errors[-1]
-    if e0 <= 0 or e1 <= 0:
-        raise ValueError("errors must stay positive to estimate a rate")
-    return float((e1 / e0) ** (1.0 / (n - 1 - start)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,29 +75,27 @@ def write_pgm(grid: ImageGrid, path):
         f.write(data.tobytes())
 
 
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
+
+
 def read_pgm(path) -> ImageGrid:
     """Read a binary PGM (P5, 8-bit) into an ImageGrid of 0..255 floats."""
     with open(path, "rb") as f:
         raw = f.read()
     if not raw.startswith(b"P5"):
         raise ValueError("%s: not a binary PGM (P5) file" % path)
-    # Header: magic, width, height, maxval; '#' comments allowed between tokens.
-    tokens = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":
-            pos = raw.index(b"\n", pos) + 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        tokens.append(int(raw[start:pos]))
-    pos += 1
-    width, height, maxval = tokens
+    # Header: magic, width, height, maxval, each number after whitespace or
+    # '#' comments, then one whitespace byte before the pixels.
+    header = _PGM_HEADER.match(raw)
+    if header is None:
+        raise ValueError("%s: PGM header is malformed or cut short" % path)
+    width, height, maxval = (int(t) for t in header.groups())
     if maxval > 255:
         raise ValueError("%s: only 8-bit PGM is supported" % path)
+    pos = header.end()
+    if len(raw) - pos < width * height:
+        raise ValueError("%s: pixel data cut short: %d of %d bytes"
+                         % (path, len(raw) - pos, width * height))
     data = np.frombuffer(raw, dtype=np.uint8, count=width * height, offset=pos)
     return ImageGrid(data.reshape(height, width).astype(float))
 

@@ -40,22 +40,6 @@ class Potential:
             if self.threshold is None or not 0 < self.threshold < np.inf:
                 raise ValueError("%s threshold must be positive and finite" % self.kind)
 
-    @classmethod
-    def quadratic(cls, alpha):
-        return cls("quadratic", alpha)
-
-    @classmethod
-    def l1(cls, alpha):
-        return cls("l1", alpha)
-
-    @classmethod
-    def huber(cls, alpha, threshold):
-        return cls("huber", alpha, threshold)
-
-    @classmethod
-    def fair(cls, alpha, threshold):
-        return cls("fair", alpha, threshold)
-
 
 def potential_value_array(potential: Potential, v: np.ndarray) -> float:
     """Phi(v) summed over all entries of a raw array.  l1 and Huber take a

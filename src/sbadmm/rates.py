@@ -109,18 +109,15 @@ def _check_positive(**kwargs):
             raise ValueError("%s must be positive and finite" % name)
 
 
-def gamma_pivot(spectrum: DeltaSpectrum) -> float:
-    """median{delta_min, delta_max, 1/alpha} in the extended-real order."""
-    return float(np.median([spectrum.delta_min, spectrum.delta_max,
-                            1.0 / spectrum.alpha]))
-
-
 def optimal_penalties(spectrum: DeltaSpectrum):
-    """(gamma, eta*, rho*): the pivot and the optimal penalties, eta* =
-    sqrt(alpha/gamma) of split Bregman and rho* = sqrt(alpha*gamma) of
-    Case II.  gamma = 1/alpha, the typical huge-dynamic-range situation,
-    gives eta* = alpha and rho* = 1; gamma = 0 and inf are rejected."""
-    gamma = gamma_pivot(spectrum)
+    """(gamma, eta*, rho*): the pivot gamma = median{delta_min,
+    delta_max, 1/alpha} in the extended-real order and the optimal
+    penalties, eta* = sqrt(alpha/gamma) of split Bregman and rho* =
+    sqrt(alpha*gamma) of Case II.  gamma = 1/alpha, the typical
+    huge-dynamic-range situation, gives eta* = alpha and rho* = 1; gamma =
+    0 and inf are rejected."""
+    gamma = float(np.median([spectrum.delta_min, spectrum.delta_max,
+                             1.0 / spectrum.alpha]))
     if gamma == 0.0 or np.isinf(gamma):
         raise ValueError("degenerate delta spectrum: gamma = %g" % gamma)
     alpha = spectrum.alpha

@@ -45,7 +45,7 @@ def make_ops(kernel, shape, mask_mode="periodic"):
     """Operators A, A', C, C' of a quadratic problem with zero data."""
     return ProblemOps(ProblemSpec(y=ImageGrid(np.zeros(shape)), kernel=kernel,
                                   mask_mode=mask_mode,
-                                  potential=Potential.quadratic(1.0)))
+                                  potential=Potential("quadratic", 1.0)))
 
 
 def wrap_hat(ops, c):
@@ -64,6 +64,26 @@ def hessian_hat(ops, f, rho, eta):
     if ops.mask_mode == "masked":
         out += wrap_hat(ops, -eta * ops._wrap_adjoint_hat(f))
     return out
+
+
+RATE_DISCARD, RATE_WINDOW = 0.5, 0.25  # trace fractions, see empirical_rate
+
+
+def empirical_rate(errors) -> float:
+    """Asymptotic per-iteration error ratio.
+
+    Geometric-mean ratio over the last window of iterations after
+    discarding the transient, robust to initial overshoot.
+    """
+    errors = np.asarray(errors, dtype=float)
+    n = errors.size
+    if n < 4:
+        raise ValueError("need at least 4 error samples")
+    start = max(int(n * (1.0 - RATE_WINDOW)) - 1, int(n * RATE_DISCARD))
+    e0, e1 = errors[start], errors[-1]
+    if e0 <= 0 or e1 <= 0:
+        raise ValueError("errors must stay positive to estimate a rate")
+    return float((e1 / e0) ** (1.0 / (n - 1 - start)))
 
 
 @pytest.fixture

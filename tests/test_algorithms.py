@@ -529,7 +529,7 @@ def test_trace_cost_is_cost_of_each_iterate(rng, algorithm, mask_mode):
         kernel = fitting_kernel(rng, shape)
         problem = ProblemSpec(y=ImageGrid(rng.standard_normal(shape)),
                               kernel=kernel, mask_mode=mask_mode,
-                              potential=Potential.quadratic(0.25))
+                              potential=Potential("quadratic", 0.25))
         ref = rng.standard_normal(shape)
         ops = ProblemOps(problem)
         step = {"sb": lambda s: sb_step(s, ops, eta, inner),
@@ -549,6 +549,9 @@ def test_trace_cost_is_cost_of_each_iterate(rng, algorithm, mask_mode):
                     state = step(state)
                 want = ops.cost(state.x)
                 assert abs(trace.cost[k] - want) <= 1e-12 * abs(want)
+                # the state's own two terms are that cost
+                assert (abs(state.data_term + state.phi - want)
+                        <= 1e-12 * abs(want))
                 rmsd = math.sqrt(np.mean((state.x - ref) ** 2))
                 assert abs(trace.rmsd[k] - rmsd) <= rmsd_tol * rmsd, (
                     shape, inner.mode, x0_mode, k)
@@ -574,9 +577,7 @@ def test_parseval_cost_matches_the_real_space_cost(rng, kind):
             cx = (sparse_diff_matrix(shape, mode) @ x.ravel()).reshape(
                 (2,) + shape)
             want = 0.5 * res @ res + potential_value_array(pot, cx)
-            for got in (ops.cost(x),
-                        ops.cost(x, ops.transfer * ops.hat(x),
-                                 potential_value_array(pot, ops.C(x)))):
+            for got in (ops.cost(x), ops.cost(x, ops.transfer * ops.hat(x))):
                 assert abs(got - want) <= 1e-13 * abs(want), (shape, mode)
 
 
@@ -586,7 +587,7 @@ def test_rank_deficiency_is_reported(rng):
     kernel = ConvolutionKernel(np.array([[1.0, -1.0]]), (0, 0))
     problem = ProblemSpec(y=ImageGrid(np.ones((6, 6))), kernel=kernel,
                           mask_mode="periodic",
-                          potential=Potential.quadratic(0.25))
+                          potential=Potential("quadratic", 0.25))
     ops = ProblemOps(problem)
     assert not ops.rank.full_rank
     # run() carries the check on its trace, for restore's warning
@@ -914,9 +915,9 @@ def test_a_step_allocates_a_few_half_spectra(rng, kind):
 @pytest.mark.parametrize("kind", ["l1", "huber"])
 def test_the_cost_and_the_potential_value_allocate_a_block(rng, kind):
     # after a warm-up call has cached hat(y) and the row-block buffers, the
-    # cost of an iterate given hat(A x) and Phi(C x) allocates nothing of
-    # grid size, and Phi of a difference field allocates one row block of
-    # an image plane at a time: at 256x256, 64 of its 256 rows.  When the
+    # data term of an iterate given hat(A x) allocates nothing of grid
+    # size, and Phi of a difference field allocates one row block of an
+    # image plane at a time: at 256x256, 64 of its 256 rows.  When the
     # potential took one plane at a time it allocated a whole image, and
     # the cost given C x a half spectrum beside it.  Measured 376 bytes and
     # 1.01 blocks
@@ -925,8 +926,8 @@ def test_the_cost_and_the_potential_value_allocate_a_block(rng, kind):
         ops = ProblemOps(random_problem(rng, shape=shape, mask_mode=mode,
                                         kind=kind, threshold=0.5))
         state = canonical_init(ops, 2.0, 0.5, "data")
-        ops.cost(state.x, state.ax_hat, state.phi)
-        peak = traced_peak(lambda: ops.cost(state.x, state.ax_hat, state.phi))
+        ops.data_term(state.ax_hat)
+        peak = traced_peak(lambda: ops.data_term(state.ax_hat))
         assert peak <= 4096, (mode, peak)
         peak = traced_peak(lambda: potential_value_array(ops.potential,
                                                          state.v))
@@ -1113,7 +1114,7 @@ def test_a_periodic_quadratic_run_refuses_a_singular_hessian():
     zero_sum = ConvolutionKernel(np.array([[1.0, -1.0]]), (0, 0))
     problem = ProblemSpec(y=ImageGrid(np.ones((4, 5))), kernel=zero_sum,
                           mask_mode="periodic",
-                          potential=Potential.quadratic(0.25))
+                          potential=Potential("quadratic", 0.25))
     for algorithm in algorithms.ALGORITHMS:
         config = OuterConfig(rho=1.0, eta=0.5, max_iterations=3,
                              algorithm=algorithm)
@@ -1189,7 +1190,7 @@ def test_tiny_masked_runs_finish(rng):
     for shape in ((1, 2), (2, 1), (2, 2), (2, 3), (3, 2)):
         problem = ProblemSpec(y=ImageGrid(rng.standard_normal(shape)),
                               kernel=kernel, mask_mode="masked",
-                              potential=Potential.quadratic(0.25))
+                              potential=Potential("quadratic", 0.25))
         for algorithm, inner_cfg, x0_mode in itertools.product(
                 ("sb", "admm2", "admm2_simplified"), (PCG3, EXACT),
                 ("zero", "data")):

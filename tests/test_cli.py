@@ -237,12 +237,16 @@ def test_recommend_verdict_follows_the_radii(tmp_path, runner):
 
 
 def test_zero_psf_sigma_exits_2(tmp_path, runner):
-    config = write_config(tmp_path / "c.cfg", "psf_sigma = 0\n")
-    for command in ("restore", "spectra"):
-        result = runner.invoke(main, [command, "--config", config,
-                                      "--output-dir", str(tmp_path / "o")])
-        assert result.exit_code == 2, result.output
-        assert "sigma must be positive and finite" in result.output
+    # and a sigma whose taps overflow: 1e300 crashed with an OverflowError
+    # traceback (exit 1), 1e-300 exited 2 with "image contains non-finite
+    # entries"
+    for sigma in ("0", "1e300", "1e-160", "1e-300"):
+        config = write_config(tmp_path / "c.cfg", "psf_sigma = %s\n" % sigma)
+        for command in ("restore", "spectra"):
+            result = runner.invoke(main, [command, "--config", config,
+                                          "--output-dir", str(tmp_path / "o")])
+            assert result.exit_code == 2, (sigma, result.output)
+            assert "sigma must be positive and finite" in result.output
 
 
 def test_predict_case_and_csv(tmp_path, runner):
@@ -326,16 +330,22 @@ def test_rate_commands_analyse_the_image_grid(tmp_path, runner):
 def test_rate_commands_exit_2_where_restore_does(tmp_path, runner):
     # the rate commands build the problem restore builds, so they fail
     # where it fails (a Huber config fails predict and recommend earlier,
-    # being no quadratic)
+    # being no quadratic).  A noise_std of -1 ran and exited 0, and inf
+    # and nan exited 2 with "image contains non-finite entries"
     missing = write_config(tmp_path / "m.cfg", "image = %s\n"
                            % (tmp_path / "missing.pgm"))
     huber = write_config(tmp_path / "h.cfg", "potential = huber\n")
     o = ["--output-dir", str(tmp_path / "o")]
-    for config, commands, message in (
-            (missing, ("restore", "spectra", "recommend"),
-             "image file not found"),
-            (huber, ("restore", "spectra"),
-             "huber threshold must be positive and finite")):
+    every = ("restore", "spectra", "recommend")
+    cases = [(missing, every, "image file not found"),
+             (huber, ("restore", "spectra"),
+              "huber threshold must be positive and finite")]
+    for i, std in enumerate(("-1", "inf", "nan")):
+        noise = write_config(tmp_path / ("n%d.cfg" % i),
+                             "noise_std = %s\n" % std)
+        cases.append((noise, every, "noise_std must be nonnegative and "
+                      "finite"))
+    for config, commands, message in cases:
         for command in commands:
             result = runner.invoke(main, [command, "--config", config] + o)
             assert result.exit_code == 2, result.output
@@ -356,6 +366,16 @@ def test_oracle_rejects_inconsistent_case(runner):
     result = runner.invoke(main, ["oracle", "--grid", "4x4", "--case", "I",
                                   "--rho", "3"])
     assert result.exit_code == 2
+
+
+def test_oracle_blames_a_bad_alpha(runner):
+    # the default eta = 2 alpha was checked first, so a negative alpha was
+    # reported as a bad eta
+    for case in ("I", "II", "III"):
+        result = runner.invoke(main, ["oracle", "--grid", "4x4", "--case",
+                                      case, "--alpha", "-1"])
+        assert result.exit_code == 2, result.output
+        assert "alpha must be positive and finite" in result.output
 
 
 def test_oracle_bad_grid_spec(runner):

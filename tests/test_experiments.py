@@ -8,7 +8,7 @@ import sbadmm.experiments as ex
 from sbadmm.algorithms import OuterConfig, ProblemOps, ProblemSpec, run
 from sbadmm.grids import ImageGrid
 from sbadmm.inner import InnerSolveConfig
-from conftest import random_problem
+from conftest import empirical_rate, random_problem
 
 
 def small_config(**kw):
@@ -50,7 +50,9 @@ def test_gaussian_kernel_normalized():
     assert k.anchor == (3, 3)
     with pytest.raises(ValueError):
         ex.gaussian_kernel(4, 2.0)
-    for sigma in (0.0, -1.0, np.inf, np.nan):
+    # 1e300 overflowed sigma ** 2, and below about 1e-154 the exponents
+    # overflow or are 0/0
+    for sigma in (0.0, -1.0, np.inf, np.nan, 1e300, 1e-160, 1e-300):
         with pytest.raises(ValueError, match="sigma must be positive and "
                            "finite"):
             ex.gaussian_kernel(3, sigma)
@@ -71,6 +73,11 @@ def test_config_validation():
             ex.ExperimentConfig(alpha=bad)
     with pytest.raises(ValueError):
         ex.ExperimentConfig(parameter_grid=[])
+    for bad in (-1.0, -1e-300, np.inf, np.nan):
+        with pytest.raises(ValueError, match="noise_std must be nonnegative "
+                           "and finite"):
+            ex.ExperimentConfig(noise_std=bad)
+    assert ex.ExperimentConfig(noise_std=0.0).noise_std == 0.0
 
 
 def test_make_problem_deterministic():
@@ -224,8 +231,8 @@ def test_benchmark_records_failures_and_continues(tmp_path, monkeypatch):
 
 def test_empirical_rate_on_geometric_sequence():
     errors = 3.0 * 0.8 ** np.arange(40)
-    assert ex.empirical_rate(errors) == pytest.approx(0.8, rel=1e-12)
+    assert empirical_rate(errors) == pytest.approx(0.8, rel=1e-12)
     with pytest.raises(ValueError):
-        ex.empirical_rate([1.0, 0.5])
+        empirical_rate([1.0, 0.5])
     with pytest.raises(ValueError):
-        ex.empirical_rate([1.0, 0.0, 0.0, 0.0])
+        empirical_rate([1.0, 0.0, 0.0, 0.0])

@@ -61,6 +61,31 @@ def test_pgm_rejects_wrong_magic(tmp_path):
         read_pgm(str(path))
 
 
+def test_pgm_header_comments_are_skipped(tmp_path):
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P5\n# a comment\n3 # width\n2\n# maxval next\n255\n"
+                     + bytes(range(6)))
+    assert np.array_equal(read_pgm(str(path)).values,
+                          np.arange(6.0).reshape(2, 3))
+
+
+def test_pgm_cut_short_names_the_file_and_the_fault(tmp_path):
+    # a header cut short raised int()'s "invalid literal ... b''", and a
+    # pixel block cut short numpy's "buffer is smaller than requested size"
+    path = tmp_path / "short.pgm"
+    header = "PGM header is malformed or cut short"
+    for raw, fault in ((b"P5\n4 4\n", header),
+                       (b"P5\n4 4\n255", header),
+                       (b"P5\n4 x\n255\n" + bytes(16), header),
+                       (b"P5\n# no end to this comment", header),
+                       (b"P5\n4 4\n255\n" + bytes(15),
+                        "pixel data cut short: 15 of 16 bytes")):
+        path.write_bytes(raw)
+        with pytest.raises(ValueError) as info:
+            read_pgm(str(path))
+        assert str(info.value) == "%s: %s" % (path, fault), raw
+
+
 def test_matrix_text_exact_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     img = ImageGrid(rng.standard_normal((4, 6)))
