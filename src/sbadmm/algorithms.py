@@ -19,14 +19,18 @@ with c = -U'n, "C x" is hat(x), the split is nu = (eta hat(x) + alpha nu) /
 Parseval, and a step makes no transform.  With periodic C the x-update is
 hat(x) = P nu + A h at each frequency, h the variant's data term and P and
 A cached (``ProblemOps.coefficient_spectra``), in one row-block sweep that
-also forms hat(A x), the shares of Phi and of the cost's data term, and
-writes u, d and v.  With masked C the state carries the wrap vectors of
-U'x and U'n, so no half spectrum passes through U' whole, and the step
-runs in the two row-block sweeps of ``ProblemOps.pcg_hat``: the first
-builds the right-hand side and the first PCG residual block by block, the
-second updates x and does the same per-block work, U'x included.  The
-steps read the form from the state they are given (v complex and 2-D);
-``canonical_init`` and ``solution_state`` build real states.
+also forms hat(A x), the shares of Phi, of the cost's data term and of
+the rmsd's |hat(x) - hat(ref)|^2, and writes u, d and v.  As the
+frequencies step apart, ``run`` takes each row block through CHUNK steps
+before the next block starts, so that its arrays stay in the L2 cache,
+and records those steps after the chunk.  With masked C the state
+carries the wrap vectors of U'x and U'n, so no half spectrum passes
+through U' whole, and the step runs in the two row-block sweeps of
+``ProblemOps.pcg_hat``: the first builds the right-hand side and the
+first PCG residual block by block, the second updates x and does the
+same per-block work, U'x included.  The steps read the form from the
+state they are given (v complex and 2-D); ``canonical_init`` and
+``solution_state`` build real states.
 """
 
 from __future__ import annotations
@@ -49,6 +53,9 @@ from .operators import (WRAPS, _diff_spectrum_1d, blur, blur_transfer,
 from .prox import Potential, potential_value_array, shrinkage
 
 DIVERGENCE_FACTOR = 1e6
+# the iterations a periodic quadratic run takes each row block through
+# before the next block starts, and between its checks of the cost
+CHUNK = 16
 
 EXACT_TOLERANCE = 1e-15  # the relative M^-1-norm residual of exact solves
 # An r'z or p'Hp of PCG within this of 0, relative to the sizes of the
@@ -123,7 +130,8 @@ class SolverState:
     x and e, -(alpha/eta) v, are None; with masked C, wraps holds the wrap
     vectors of U'x and U'n, which the next step needs, and is None
     otherwise.  A step in coefficient form sums both terms of the cost
-    inside its sweeps.
+    inside its sweeps; ``run`` steps a periodic one CHUNK steps at a
+    time, and phi and data_term are then those of the last.
     """
 
     x: np.ndarray
@@ -741,32 +749,48 @@ def _mix(ops, eta, x, nu):
     f *= eta / (eta + alpha)
 
 
-def _coefficient_step(ops, state, rho, eta, steps, data, dual):
-    """One step of a state in coefficient form.  With periodic C it is one
-    sweep of row blocks, hat(x) = P nu + A h in each (``coefficient_spectra``,
-    data adding A h); with masked C the two sweeps of ``pcg_hat``, whose
-    right-hand side is (eta - alpha) omega nu plus the data term, less
-    hat(U c), c = (alpha - eta) U'n.  Once hat(x) is final in a row block,
-    hat(A x) and its shares of Phi, of the data term and, for masked C, of
+def _coefficient_step(ops, state, rho, eta, steps, data, dual, count=1,
+                      ref_hat=None):
+    """count steps of a state in coefficient form, and for each the data
+    term, Phi and, given hat(ref), |hat(x) - hat(ref)|^2, in a list.  With
+    periodic C, hat(x) = P nu + A h at each frequency
+    (``coefficient_spectra``, data adding A h), so each row block goes
+    through all count steps before the next one starts, in the L2 cache;
+    with masked C, where count is 1, it is the two sweeps of ``pcg_hat``,
+    whose right-hand side is (eta - alpha) omega nu plus the data term,
+    less hat(U c), c = (alpha - eta) U'n.  Once hat(x) is final in a row
+    block, hat(A x) and its shares of the sums above and, for masked C, of
     U'x are formed there, dual(rows) writes u and d, and nu is mixed with
     hat(x); the wrap slices of the field C n that nu stands for are zero
-    already.  U'x and U'n are carried in state.wraps, so no half spectrum
-    passes through U' whole."""
+    already.  Each sum adds its row blocks' shares in block order, so
+    every count gives the values that many single steps give.  U'x and
+    U'n are carried in state.wraps, so no half spectrum passes through U'
+    whole.  numpy's floating-point warnings are off in the periodic loop:
+    the steps of a diverging run go on to the end of it, and ``run`` stops
+    the run at the first bad one."""
     alpha = ops.potential.alpha
     masked = ops.mask_mode == "masked"
-    omega_norm2 = data_term = res = 0.0
+    # per step, the sums of |hat(y) - hat(A x)|^2, of omega |hat(x)|^2 and
+    # of |hat(x) - hat(ref)|^2
+    data_sums, omega_sums, ref_sums = ([0.0] * count for _ in range(3))
 
-    def finish(rows, block, work):
-        nonlocal omega_norm2, data_term
+    def finish(rows, block, work, i=0):
         f = state.x_hat[rows]
         ax = np.multiply(f, ops.transfer[rows], out=state.ax_hat[rows])
         residual = np.subtract(ops.y_hat[rows], ax, out=block)
-        data_term += np.vdot(residual, residual).real
-        omega_norm2 += ops._omega_norm2_rows(f, rows, block)
+        data_sums[i] += np.vdot(residual, residual).real
+        omega_sums[i] += ops._omega_norm2_rows(f, rows, block)
+        if ref_hat is not None:
+            diff = np.subtract(f, ref_hat[rows], out=block)
+            ref_sums[i] += np.vdot(diff, diff).real
         dual(rows)
         _mix(ops, eta, f, state.v[rows])
         if masked:
             ops._wrap_adjoint_rows(f, rows, state.wraps[0])
+
+    def per_step(x_wraps=None):
+        return [(0.5 * d, _quadratic_phi(ops, o, x_wraps), r)
+                for d, o, r in zip(data_sums, omega_sums, ref_sums)]
 
     if masked:
         def rhs(rows, out, block, work):
@@ -782,18 +806,23 @@ def _coefficient_step(ops, state, rho, eta, steps, data, dual):
         _, res = ops.pcg_hat(state.ax_hat, state.x_hat, rho, eta, steps,
                              sweeps)
         _mix(ops, eta, ops._fold(x_wraps), n_wraps)
+        sums = per_step(x_wraps)
     else:
         p, adjoint = ops.coefficient_spectra(rho, eta)
-        for rows, block, work in ops._blocks:
-            x = np.multiply(p[rows], state.v[rows], out=state.x_hat[rows])
-            data(rows, x, block, adjoint[rows])
-            finish(rows, block, work)
-    state.phi = _quadratic_phi(ops, omega_norm2,
-                               state.wraps[0] if masked else None)
-    state.data_term = 0.5 * data_term
-    state.k += 1
+        res = 0.0
+        with np.errstate(all="ignore"):
+            for rows, block, work in ops._blocks:
+                p_rows, adjoint_rows = p[rows], adjoint[rows]
+                v, x = state.v[rows], state.x_hat[rows]
+                for i in range(count):
+                    np.multiply(p_rows, v, out=x)
+                    data(rows, x, block, adjoint_rows)
+                    finish(rows, block, work, i)
+            sums = per_step()
+    state.data_term, state.phi, _ = sums[-1]
+    state.k += count
     state.inner_residual = res
-    return state
+    return sums
 
 
 def _split_rhs(ops, state, g, scale, data):
@@ -862,7 +891,8 @@ def _split_step(ops, state, rho, eta, inner, data, dual):
     from hat(A x)."""
     steps = _inner_steps(inner)
     if _coefficient_form(state):
-        return _coefficient_step(ops, state, rho, eta, steps, data, dual)
+        _coefficient_step(ops, state, rho, eta, steps, data, dual)
+        return state
     _split_rhs(ops, state, np.add(state.v, state.e, out=state.v), eta, data)
     _, res = ops.pcg_hat(state.ax_hat, state.x_hat, rho, eta, steps)
     _new_x(ops, state, res, state.v)
@@ -871,9 +901,8 @@ def _split_step(ops, state, rho, eta, inner, data, dual):
     return state
 
 
-def sb_step(state: SolverState, ops: ProblemOps, eta: float,
-            inner: InnerSolveConfig) -> SolverState:
-    """One split Bregman sweep: least-squares x, prox v, dual e."""
+def _sb_terms(ops, state, rho):
+    """The (data, dual) of split Bregman's step (rho = 1) on the state."""
     def data(rows, out, block, adjoint):
         out += np.multiply(adjoint, ops.y_hat[rows], out=block)
 
@@ -881,12 +910,11 @@ def sb_step(state: SolverState, ops: ProblemOps, eta: float,
         state.u_hat[rows] = state.ax_hat[rows]
         np.subtract(ops.y_hat[rows], state.u_hat[rows], out=state.d_hat[rows])
 
-    return _split_step(ops, state, 1.0, eta, inner, data, dual)
+    return data, dual
 
 
-def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
-               inner: InnerSolveConfig) -> SolverState:
-    """One two-split ADMM sweep (x, u, v, then both dual updates)."""
+def _admm2_terms(ops, state, rho):
+    """The (data, dual) of the two-split ADMM's step on the state."""
     def data(rows, out, block, adjoint):
         h = np.add(state.u_hat[rows], state.d_hat[rows], out=block)
         h *= adjoint
@@ -903,15 +931,49 @@ def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
         d_hat -= state.ax_hat[rows]
         d_hat += u_hat
 
-    return _split_step(ops, state, rho, eta, inner, data, dual)
+    return data, dual
+
+
+def _eliminated_terms(ops, state, rho):
+    """The (data, dual) of the simplified ADMM's step on the state."""
+    return (partial(_eliminated_rhs, ops, state, rho),
+            partial(_eliminated_u_d, ops, state, rho))
+
+
+def _closed_form_terms(ops, state, rho):
+    """Those of the closed form, the simplified ADMM's, once the problem is
+    checked to be one it applies to."""
+    if ops.potential.kind != "quadratic":
+        raise ValueError("closed-form recursion requires a quadratic potential")
+    if ops.mask_mode != "periodic":
+        raise ValueError("closed-form recursion requires periodic operators")
+    return _eliminated_terms(ops, state, rho)
+
+
+_TERMS = {"sb": _sb_terms, "admm2": _admm2_terms,
+          "admm2_simplified": _eliminated_terms,
+          "quadratic_closed_form": _closed_form_terms}
+
+
+def sb_step(state: SolverState, ops: ProblemOps, eta: float,
+            inner: InnerSolveConfig) -> SolverState:
+    """One split Bregman sweep: least-squares x, prox v, dual e."""
+    return _split_step(ops, state, 1.0, eta, inner,
+                       *_sb_terms(ops, state, 1.0))
+
+
+def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
+               inner: InnerSolveConfig) -> SolverState:
+    """One two-split ADMM sweep (x, u, v, then both dual updates)."""
+    return _split_step(ops, state, rho, eta, inner,
+                       *_admm2_terms(ops, state, rho))
 
 
 def admm2_simplified_step(state: SolverState, ops: ProblemOps, rho: float,
                           eta: float, inner: InnerSolveConfig) -> SolverState:
     """Two-split ADMM with d eliminated; requires the canonical d init."""
     return _split_step(ops, state, rho, eta, inner,
-                       partial(_eliminated_rhs, ops, state, rho),
-                       partial(_eliminated_u_d, ops, state, rho))
+                       *_eliminated_terms(ops, state, rho))
 
 
 def quadratic_closed_form_step(state: SolverState, ops: ProblemOps, rho: float,
@@ -922,14 +984,10 @@ def quadratic_closed_form_step(state: SolverState, ops: ProblemOps, rho: float,
     d and e initializations.  C x goes into e, which the recursion then
     rebuilds from v.  In coefficient form it is admm2_simplified's step.
     """
-    if ops.potential.kind != "quadratic":
-        raise ValueError("closed-form recursion requires a quadratic potential")
-    if ops.mask_mode != "periodic":
-        raise ValueError("closed-form recursion requires periodic operators")
-    data = partial(_eliminated_rhs, ops, state, rho)
-    dual = partial(_eliminated_u_d, ops, state, rho)
+    data, dual = _closed_form_terms(ops, state, rho)
     if _coefficient_form(state):
-        return _coefficient_step(ops, state, rho, eta, None, data, dual)
+        _coefficient_step(ops, state, rho, eta, None, data, dual)
+        return state
     _split_rhs(ops, state, state.v, eta - ops.potential.alpha, data)
     ops.solve_hat(state.ax_hat, rho, eta, out=state.x_hat)
     _new_x(ops, state, 0.0, state.e)
@@ -977,17 +1035,6 @@ class MetricTrace:
                       self.rmsd, self.inner_residual))
 
 
-def _make_step(config: OuterConfig):
-    if config.algorithm == "sb":
-        return lambda s, ops: sb_step(s, ops, config.eta, config.inner)
-    if config.algorithm == "admm2":
-        return lambda s, ops: admm2_step(s, ops, config.rho, config.eta, config.inner)
-    if config.algorithm == "admm2_simplified":
-        return lambda s, ops: admm2_simplified_step(s, ops, config.rho,
-                                                    config.eta, config.inner)
-    return lambda s, ops: quadratic_closed_form_step(s, ops, config.rho, config.eta)
-
-
 def run(problem: ProblemSpec, config: OuterConfig,
         reference: ImageGrid = None) -> MetricTrace:
     """Execute max_iterations outer steps, logging cost and errors.
@@ -996,17 +1043,22 @@ def run(problem: ProblemSpec, config: OuterConfig,
     The relative cost error and RMSD columns are NaN without a reference.
     With the quadratic potential, periodic or masked C, the steps run in
     coefficient form (see the module docstring), and the rmsd after the
-    first row is |hat(x) - hat(ref)| / sqrt(n), by Parseval.
+    first row is |hat(x) - hat(ref)| / sqrt(n), by Parseval, summed inside
+    the steps.  With periodic C they run CHUNK at a time, each row block
+    through all of them in turn (``_coefficient_step``), and the records
+    and checks of a chunk follow it: a run that blows up stops within a
+    chunk of the bad iteration, with the error of that iteration.
     """
     ops = ProblemOps(problem)
     if reference is not None and reference.shape != ops.shape:
         raise ValueError("reference grid %s does not match the problem grid %s"
                          % (reference.shape, ops.shape))
-    step = _make_step(config)
+    variant = _TERMS[config.algorithm]
     coefficients = ops.potential.kind == "quadratic"
     # the reference's cost and the rank check build whole-grid temporaries,
     # so they come before the state exists
     ref = reference.values if reference is not None else None
+    ref_hat = None
     if ref is None:
         ref_cost = None
     elif coefficients:
@@ -1018,39 +1070,50 @@ def run(problem: ProblemSpec, config: OuterConfig,
     state = _consistent_state(ops, _initial_x(ops, config.x0_mode),
                               config.rho, config.eta, coefficients)
 
-    def record(state):
-        c = state.data_term + state.phi
+    def image_sq(x):
+        """|x - ref|^2, or None without a reference."""
+        if ref is None:
+            return None
+        sq = 0.0
+        for rows, block in ops._image_blocks:
+            diff = np.subtract(x[rows], ref[rows], out=block)
+            sq += np.vdot(diff, diff)
+        return sq
+
+    def record(k, c, sq):
         if not math.isfinite(c):
-            raise SolverDivergenceError("non-finite cost at iteration %d" % state.k)
+            raise SolverDivergenceError("non-finite cost at iteration %d" % k)
         if ref is None:
             rel, rmsd = float("nan"), float("nan")
         else:
             rel = (c - ref_cost) / (ref_cost or 1.0)  # absolute at cost 0
-            sq = 0.0
-            if state.x is None:
-                for rows, block, _ in ops._blocks:
-                    diff = np.subtract(state.x_hat[rows], ref_hat[rows],
-                                       out=block)
-                    sq += np.vdot(diff, diff).real
-            else:
-                for rows, block in ops._image_blocks:
-                    diff = np.subtract(state.x[rows], ref[rows], out=block)
-                    sq += np.vdot(diff, diff)
             rmsd = math.sqrt(sq / ops.y.size)
-        trace.append(state.k, c, rel, rmsd, state.inner_residual)
+        trace.append(k, c, rel, rmsd, state.inner_residual)
         return c
 
-    initial_cost = record(state)
+    initial_cost = record(state.k, state.data_term + state.phi,
+                          image_sq(state.x))
     if coefficients:
         state.x = None  # x0 served the first rmsd; the steps keep only x_hat
     guard = DIVERGENCE_FACTOR * max(initial_cost, 1.0)
-    for _ in range(config.max_iterations):
-        state = step(state, ops)
-        c = record(state)
-        if c > guard:
-            raise SolverDivergenceError(
-                "cost %.3g exceeded %.0e x initial cost at iteration %d "
-                "(oscillation guard)" % (c, DIVERGENCE_FACTOR, state.k))
+    chunk = CHUNK if coefficients and ops.mask_mode == "periodic" else 1
+    while state.k < config.max_iterations:
+        count = min(chunk, config.max_iterations - state.k)
+        data, dual = variant(ops, state, config.rho)
+        if coefficients:
+            sums = _coefficient_step(ops, state, config.rho, config.eta,
+                                     _inner_steps(config.inner), data, dual,
+                                     count, ref_hat)
+        else:
+            _split_step(ops, state, config.rho, config.eta, config.inner,
+                        data, dual)
+            sums = [(state.data_term, state.phi, image_sq(state.x))]
+        for k, (data_term, phi, sq) in enumerate(sums, state.k - count + 1):
+            c = record(k, data_term + phi, sq)
+            if c > guard:
+                raise SolverDivergenceError(
+                    "cost %.3g exceeded %.0e x initial cost at iteration %d "
+                    "(oscillation guard)" % (c, DIVERGENCE_FACTOR, k))
     if state.x is None:
         # the image takes the memory of d_hat, which the run gives up
         state.x = ops.unhat(state.x_hat, work=state.ax_hat,

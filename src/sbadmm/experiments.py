@@ -115,6 +115,13 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def __post_init__(self):
+        for key in ("height", "width"):
+            if getattr(self, key) < 1:
+                raise ValueError("%s must be at least 1 (got %d)"
+                                 % (key, getattr(self, key)))
+        if self.noise_seed < 0:
+            raise ValueError("noise_seed must be nonnegative (got %d)"
+                             % self.noise_seed)
         if not 0 < self.alpha < math.inf:
             raise ValueError("alpha must be positive and finite")
         if self.noise_std is not None and not 0 <= self.noise_std < math.inf:

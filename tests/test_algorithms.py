@@ -12,9 +12,9 @@ import scipy.sparse.linalg as spla
 
 from sbadmm import algorithms, inner, operators
 from sbadmm.algorithms import (MetricTrace, OuterConfig, ProblemOps,
-                               ProblemSpec, SolverState,
-                               admm2_simplified_step, admm2_step,
-                               canonical_init,
+                               ProblemSpec, SolverDivergenceError,
+                               SolverState, admm2_simplified_step,
+                               admm2_step, canonical_init,
                                quadratic_closed_form_step, run, sb_step,
                                solution_state)
 from sbadmm.grids import ConvolutionKernel, ImageGrid
@@ -1214,3 +1214,189 @@ def test_a_negative_curvature_beyond_rounding_still_raises(rng,
         rhs = ops.hat(rng.standard_normal((6, 8)))
         with pytest.raises(PcgBreakdownError, match="p'Hp = -"):
             ops.pcg_hat(rhs, ops.hat(np.zeros((6, 8))), 1.0, 2.0, steps)
+
+
+def per_step_run(problem, config, reference):
+    """run() as a loop of the public step, once per iteration, from
+    coefficient_state, each state recorded with run's formulas: the rmsd
+    of x0 summed over image row blocks, then |hat(x) - hat(ref)|^2 over
+    half-spectrum row blocks.  Returns the trace columns, the final image,
+    the final state and the step."""
+    ops = ProblemOps(problem)
+    rho, eta, inner_cfg = config.rho, config.eta, config.inner
+    step = {"sb": lambda s: sb_step(s, ops, eta, inner_cfg),
+            "admm2": lambda s: admm2_step(s, ops, rho, eta, inner_cfg),
+            "admm2_simplified": lambda s: admm2_simplified_step(
+                s, ops, rho, eta, inner_cfg),
+            "quadratic_closed_form": lambda s: quadratic_closed_form_step(
+                s, ops, rho, eta)}[config.algorithm]
+    state = coefficient_state(ops, config.rho, config.eta, config.x0_mode)
+    if reference is not None:
+        ref = reference.values
+        ref_hat = ops.hat(ref)
+        ref_cost = ops.cost(ref, ref_hat * ops.transfer)
+    rows_out = []
+    for k in range(config.max_iterations + 1):
+        if k:
+            state = step(state)
+        c = state.data_term + state.phi
+        rel = rmsd = float("nan")
+        if reference is not None:
+            rel = (c - ref_cost) / (ref_cost or 1.0)
+            sq = 0.0
+            if k:
+                for rows, block, _ in ops._blocks:
+                    diff = np.subtract(state.x_hat[rows], ref_hat[rows],
+                                       out=block)
+                    sq += np.vdot(diff, diff).real
+            else:
+                for rows, block in ops._image_blocks:
+                    diff = np.subtract(state.x[rows], ref[rows], out=block)
+                    sq += np.vdot(diff, diff)
+            rmsd = math.sqrt(sq / ops.y.size)
+        rows_out.append((k, c, rel, rmsd, state.inner_residual))
+    return list(zip(*rows_out)), ops.unhat(state.x_hat), state, step
+
+
+STATE_FIELDS = ("x_hat", "ax_hat", "u_hat", "d_hat", "v", "wraps", "phi",
+                "data_term", "k", "inner_residual")
+
+
+def bits(value):
+    return None if value is None else np.asarray(value).tobytes()
+
+
+def test_a_run_records_what_single_steps_give(rng, monkeypatch):
+    # a periodic quadratic run takes each row block through CHUNK
+    # iterations at a time, and a masked one sums its rmsd inside its
+    # step: their trace columns and final images equal, to the bit, those
+    # of the public step once per iteration, for every variant, both
+    # starts, with and without a reference, and 0, 1 and more than two
+    # chunks of iterations; and the state a run ends with is the loop's
+    # and steps on as the loop's does.  (40, 1024) has three row blocks
+    chunk = algorithms.CHUNK
+    cases = [(name, "periodic", EXACT) for name in algorithms.ALGORITHMS]
+    cases += [(name, "masked", inner_cfg)
+              for name in ("sb", "admm2", "admm2_simplified")
+              for inner_cfg in (PCG3, EXACT)]
+    ended = []
+    real = algorithms._coefficient_step
+
+    def spy(ops, state, *args):
+        sums = real(ops, state, *args)
+        ended[:] = [copy.deepcopy(state), ops]
+        return sums
+
+    monkeypatch.setattr(algorithms, "_coefficient_step", spy)
+    for (name, mode, inner_cfg), shape in itertools.product(
+            cases, [(40, 1024)] + ODD_AND_DEGENERATE_SHAPES):
+        problem = ProblemSpec(y=ImageGrid(rng.standard_normal(shape)),
+                              kernel=fitting_kernel(rng, shape),
+                              mask_mode=mode,
+                              potential=Potential("quadratic", 0.25))
+        counts = (0, 1, 2 * chunk + 3) if mode == "periodic" else (0, 1, 5)
+        for x0_mode, with_ref, count in itertools.product(
+                ("zero", "data"), (False, True), counts):
+            reference = (ImageGrid(rng.standard_normal(shape)) if with_ref
+                         else None)
+            config = OuterConfig(rho=1.0 if name == "sb" else 2.0, eta=0.5,
+                                 max_iterations=count, inner=inner_cfg,
+                                 algorithm=name, x0_mode=x0_mode)
+            case = (name, mode, inner_cfg.mode, shape, x0_mode, with_ref,
+                    count)
+            ended.clear()
+            trace = run(problem, config, reference)
+            run_ended = list(ended)
+            columns, image, want, step = per_step_run(problem, config,
+                                                      reference)
+            got = (trace.iterations, trace.cost, trace.rel_cost_err,
+                   trace.rmsd, trace.inner_residual)
+            assert [bits(c) for c in got] == [bits(c) for c in columns], case
+            assert bits(trace.final_image.values) == bits(image), case
+            if count:
+                got, ops = run_ended
+                assert got.x is None, case
+                for _ in range(2):
+                    for field_name in STATE_FIELDS:
+                        assert (bits(getattr(got, field_name))
+                                == bits(getattr(want, field_name))), (
+                                    field_name, case)
+                    got = VARIANTS[name](got, ops, inner_cfg)
+                    want = step(want)
+
+
+def counted_block_steps(monkeypatch):
+    """A list that gets an entry each time a row block of a periodic
+    coefficient-form run finishes a step (its one call of _mix)."""
+    done = []
+    real = algorithms._mix
+
+    def counted(*args):
+        done.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(algorithms, "_mix", counted)
+    return done
+
+
+def test_a_diverging_periodic_run_stops_after_its_chunk(rng, monkeypatch):
+    # at (rho, eta) = (1e-9, 1e-9) and (1e-9, 1) the ADMM variants blow
+    # the cost past the guard at iteration 1 (split Bregman fixes rho = 1,
+    # where neither diverges), and at rho = 1e-300 the cost of iteration 1
+    # overflows; numpy's warnings are off inside the chunk's loop, so none
+    # escapes (pytest makes a RuntimeWarning an error; with rho = 1e-300
+    # numpy warned before the loop took chunks), and the run stops after
+    # that one chunk of its 200 iterations
+    problem = random_problem(rng, shape=(40, 1024), mask_mode="periodic")
+    blocks = len(ProblemOps(problem)._blocks)
+    assert blocks == 3
+    done = counted_block_steps(monkeypatch)
+    guard = r"^cost .* at iteration 1 \(oscillation guard\)$"
+    overflow = r"^non-finite cost at iteration 1$"
+    for name, (rho, eta, message) in itertools.product(
+            ("admm2", "admm2_simplified", "quadratic_closed_form"),
+            ((1e-9, 1e-9, guard), (1e-9, 1.0, guard),
+             (1e-300, 1e-300, overflow), (1e-300, 1.0, overflow))):
+        done.clear()
+        config = OuterConfig(rho=rho, eta=eta, max_iterations=200,
+                             inner=EXACT, algorithm=name)
+        with pytest.raises(SolverDivergenceError, match=message):
+            run(problem, config)
+        assert len(done) == blocks * algorithms.CHUNK, (name, rho, eta)
+
+
+def test_a_non_finite_cost_names_its_iteration_past_a_chunk(rng,
+                                                            monkeypatch):
+    # a NaN in the second row block's share of omega |hat(x)|^2 at
+    # iteration k, in the second chunk, makes that iteration's cost NaN:
+    # the run raises naming k, and stops at the end of that chunk, not at
+    # max_iterations
+    chunk = algorithms.CHUNK
+    k = chunk + 3
+    problem = random_problem(rng, shape=(40, 1024), mask_mode="periodic")
+    blocks = ProblemOps(problem)._blocks
+    second = blocks[1][0].start
+    real = ProblemOps._omega_norm2_rows
+    calls = []
+
+    def poisoned(self, f, rows, block):
+        value = real(self, f, rows, block)
+        if rows.start == second:
+            calls.append(1)
+            # the first call is the initial state's
+            if len(calls) == k + 1:
+                return math.nan
+        return value
+
+    monkeypatch.setattr(ProblemOps, "_omega_norm2_rows", poisoned)
+    done = counted_block_steps(monkeypatch)
+    for name in algorithms.ALGORITHMS:
+        calls.clear()
+        done.clear()
+        config = OuterConfig(rho=1.0 if name == "sb" else 2.0, eta=0.5,
+                             max_iterations=10 * chunk, inner=EXACT,
+                             algorithm=name)
+        with pytest.raises(SolverDivergenceError,
+                           match=r"^non-finite cost at iteration %d$" % k):
+            run(problem, config, ImageGrid(rng.standard_normal((40, 1024))))
+        assert len(done) == len(blocks) * 2 * chunk, name

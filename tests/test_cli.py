@@ -249,6 +249,27 @@ def test_zero_psf_sigma_exits_2(tmp_path, runner):
             assert "sigma must be positive and finite" in result.output
 
 
+def test_a_bad_grid_size_or_seed_exits_2_naming_its_key(tmp_path, runner):
+    # these reached numpy, which exited 2 with "Number of samples, -3, must
+    # be non-negative.", "image must be a non-empty 2D array" and "expected
+    # non-negative integer", naming no key
+    o = ["--output-dir", str(tmp_path / "o")]
+    cases = [(["--config", write_config(tmp_path / ("g%d.cfg" % i), text)],
+              ("restore", "spectra"), message)
+             for i, (text, message) in enumerate((
+                 ("width = -3\n", "width must be at least 1 (got -3)"),
+                 ("height = 0\n", "height must be at least 1 (got 0)"),
+                 ("noise_seed = -1\n", "noise_seed must be nonnegative")))]
+    cases.append((["--seed", "-1"], ("restore",),
+                  "noise_seed must be nonnegative"))
+    for args, commands, message in cases:
+        for command in commands:
+            result = runner.invoke(main, [command] + args + o)
+            assert result.exit_code == 2, (args, result.output)
+            assert message in result.output, (args, result.output)
+    assert not (tmp_path / "o").exists()
+
+
 def test_predict_case_and_csv(tmp_path, runner):
     out = str(tmp_path / "out")
     result = runner.invoke(main, ["predict", "--case", "III",

@@ -78,6 +78,11 @@ def test_config_validation():
                            "and finite"):
             ex.ExperimentConfig(noise_std=bad)
     assert ex.ExperimentConfig(noise_std=0.0).noise_std == 0.0
+    for key, bad in (("height", 0), ("height", -3), ("width", 0),
+                     ("width", -3), ("noise_seed", -1)):
+        with pytest.raises(ValueError, match="%s must be" % key):
+            ex.ExperimentConfig(**{key: bad})
+    assert ex.ExperimentConfig(height=1, width=1, noise_seed=0).height == 1
 
 
 def test_make_problem_deterministic():
