@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -173,7 +173,7 @@ class ProblemOps:
     transform runs inside a solve.  Every x-update but a periodic
     coefficient-form one (``coefficient_spectra``) is ``pcg_hat``, exact
     or not, which applies H only inside its first sweep of row blocks;
-    ``solve_hat``, the exact solve from zero, calls it.  M, 1 / M and the
+    ``solve`` calls it from zero without a step count.  M, 1 / M and the
     diagonals of G = U' M^-1 U are cached for the last (rho, eta); the half
     spectra of lambda and omega they are built from are not kept.
     The object holds arrays only, no callables bound to itself, so it is
@@ -423,16 +423,6 @@ class ProblemOps:
         np.matmul(left[rows], right, out=out.view(float))
         return out
 
-    def solve_hat(self, f, rho, eta, out=None):
-        """hat of the exact solution of H x = unhat(f), into out if it is
-        given: ``pcg_hat`` without a step count from hat(x0) = 0, which
-        divides by M in periodic mode and in masked mode runs PCG to
-        rounding level.  In masked mode f is written over, so pass only a
-        spectrum the caller gives up."""
-        x = np.empty_like(f) if out is None else out
-        x.fill(0.0)
-        return self.pcg_hat(f, x, rho, eta)[0]
-
     def _wrap_gram(self, v):
         """G v, G = U' M^-1 U at the last (rho, eta), for the wrap vector
         v = (R, C): that of R d1 + b M^-1 (rw C) and a M^-1' (cw R) + C d2,
@@ -566,7 +556,9 @@ class ProblemOps:
             php = pi * (pi * rho0 + cw) + (qc - eta * qq)
             noise = ROUNDING * (pi * pi * rho0 + abs(pi * cw) + abs(qc)
                                 + eta * qq)
-            if not (php >= -noise and math.isfinite(php)):
+            if not math.isfinite(php):
+                raise PcgBreakdownError("non-finite p'Hp at step %d" % step)
+            if not php >= -noise:
                 raise PcgBreakdownError("p'Hp = %g at step %d" % (php, step))
             if php <= noise:
                 break  # p'Hp is 0 to rounding, so r is
@@ -611,9 +603,12 @@ class ProblemOps:
         return x, residual
 
     def solve(self, b, rho, eta):
-        """Exact solution of (rho A'A + eta C'C) x = b."""
-        f = self.solve_hat(self.hat(b), rho, eta)
-        return self.unhat(f, work=f)
+        """Exact solution of (rho A'A + eta C'C) x = b: ``pcg_hat`` without
+        a step count from hat(x0) = 0, which divides by M in periodic mode
+        and in masked mode runs PCG to rounding level."""
+        f = self.hat(b)
+        x = self.pcg_hat(f, np.zeros_like(f), rho, eta)[0]
+        return self.unhat(x, work=x)
 
     def data_term(self, ax_hat):
         """1/2 |y - A x|^2 from ax_hat = hat(A x): 1/2 |hat(y) -
@@ -765,9 +760,7 @@ def _coefficient_step(ops, state, rho, eta, steps, data, dual, count=1,
     already.  Each sum adds its row blocks' shares in block order, so
     every count gives the values that many single steps give.  U'x and
     U'n are carried in state.wraps, so no half spectrum passes through U'
-    whole.  numpy's floating-point warnings are off in the periodic loop:
-    the steps of a diverging run go on to the end of it, and ``run`` stops
-    the run at the first bad one."""
+    whole."""
     alpha = ops.potential.alpha
     masked = ops.mask_mode == "masked"
     # per step, the sums of |hat(y) - hat(A x)|^2, of omega |hat(x)|^2 and
@@ -810,15 +803,14 @@ def _coefficient_step(ops, state, rho, eta, steps, data, dual, count=1,
     else:
         p, adjoint = ops.coefficient_spectra(rho, eta)
         res = 0.0
-        with np.errstate(all="ignore"):
-            for rows, block, work in ops._blocks:
-                p_rows, adjoint_rows = p[rows], adjoint[rows]
-                v, x = state.v[rows], state.x_hat[rows]
-                for i in range(count):
-                    np.multiply(p_rows, v, out=x)
-                    data(rows, x, block, adjoint_rows)
-                    finish(rows, block, work, i)
-            sums = per_step()
+        for rows, block, work in ops._blocks:
+            p_rows, adjoint_rows = p[rows], adjoint[rows]
+            v, x = state.v[rows], state.x_hat[rows]
+            for i in range(count):
+                np.multiply(p_rows, v, out=x)
+                data(rows, x, block, adjoint_rows)
+                finish(rows, block, work, i)
+        sums = per_step()
     state.data_term, state.phi, _ = sums[-1]
     state.k += count
     state.inner_residual = res
@@ -835,14 +827,6 @@ def _split_rhs(ops, state, g, scale, data):
     return rhs
 
 
-def _eliminated_rhs(ops, state, rho, rows, out, block, adjoint):
-    """out += adjoint (hat(y) + (rho - 1) hat(u)) at the given rows."""
-    h = np.multiply(state.u_hat[rows], rho - 1.0, out=block)
-    h += ops.y_hat[rows]
-    h *= adjoint
-    out += h
-
-
 def _new_x(ops, state, residual, cx):
     """x_hat holds the x-update hat(x): write x and hat(A x) over the
     state, C x into cx, a field of the state the step writes afresh, and
@@ -853,17 +837,6 @@ def _new_x(ops, state, residual, cx):
     state.data_term = ops.data_term(state.ax_hat)
     state.k += 1
     state.inner_residual = residual
-
-
-def _eliminated_u_d(ops, state, rho, rows):
-    """u = (rho A x + u) / (rho + 1) and d = (y - u) / rho, over u and d
-    at the given rows."""
-    u_hat, d_hat = state.u_hat[rows], state.d_hat[rows]
-    np.multiply(rho, state.ax_hat[rows], out=d_hat)
-    np.add(d_hat, u_hat, out=u_hat)
-    _divide(u_hat, rho + 1.0)
-    np.subtract(ops.y_hat[rows], u_hat, out=d_hat)
-    _divide(d_hat, rho)
 
 
 def _split_update(ops, state, eta):
@@ -883,13 +856,12 @@ def _split_update(ops, state, eta):
         e[ix] = old
 
 
-def _split_step(ops, state, rho, eta, inner, data, dual):
-    """The step of sb and both ADMM variants, given their data term and u,
-    d update: data(rows, out, block, adjoint) adds adjoint h at the rows
-    to out, h the variant's data term and adjoint conj(transfer), or A in
-    a periodic coefficient-form step, and dual(rows) writes u and d there
-    from hat(A x)."""
-    steps = _inner_steps(inner)
+def _split_step(ops, state, rho, eta, steps, data, dual):
+    """The step of sb and both ADMM variants, given the `steps` of
+    ``pcg_hat`` and their (data, dual) (``_TERMS``): data(rows, out, block,
+    adjoint) adds adjoint h at the rows to out, h the variant's data term
+    and adjoint conj(transfer), or A in a periodic coefficient-form step,
+    and dual(rows) writes u and d there from hat(A x)."""
     if _coefficient_form(state):
         _coefficient_step(ops, state, rho, eta, steps, data, dual)
         return state
@@ -935,9 +907,24 @@ def _admm2_terms(ops, state, rho):
 
 
 def _eliminated_terms(ops, state, rho):
-    """The (data, dual) of the simplified ADMM's step on the state."""
-    return (partial(_eliminated_rhs, ops, state, rho),
-            partial(_eliminated_u_d, ops, state, rho))
+    """The (data, dual) of the simplified ADMM's step on the state: its
+    data term is hat(y) + (rho - 1) hat(u), and u = (rho A x + u) /
+    (rho + 1), d = (y - u) / rho."""
+    def data(rows, out, block, adjoint):
+        h = np.multiply(state.u_hat[rows], rho - 1.0, out=block)
+        h += ops.y_hat[rows]
+        h *= adjoint
+        out += h
+
+    def dual(rows):
+        u_hat, d_hat = state.u_hat[rows], state.d_hat[rows]
+        np.multiply(rho, state.ax_hat[rows], out=d_hat)
+        np.add(d_hat, u_hat, out=u_hat)
+        _divide(u_hat, rho + 1.0)
+        np.subtract(ops.y_hat[rows], u_hat, out=d_hat)
+        _divide(d_hat, rho)
+
+    return data, dual
 
 
 def _closed_form_terms(ops, state, rho):
@@ -958,21 +945,21 @@ _TERMS = {"sb": _sb_terms, "admm2": _admm2_terms,
 def sb_step(state: SolverState, ops: ProblemOps, eta: float,
             inner: InnerSolveConfig) -> SolverState:
     """One split Bregman sweep: least-squares x, prox v, dual e."""
-    return _split_step(ops, state, 1.0, eta, inner,
+    return _split_step(ops, state, 1.0, eta, _inner_steps(inner),
                        *_sb_terms(ops, state, 1.0))
 
 
 def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
                inner: InnerSolveConfig) -> SolverState:
     """One two-split ADMM sweep (x, u, v, then both dual updates)."""
-    return _split_step(ops, state, rho, eta, inner,
+    return _split_step(ops, state, rho, eta, _inner_steps(inner),
                        *_admm2_terms(ops, state, rho))
 
 
 def admm2_simplified_step(state: SolverState, ops: ProblemOps, rho: float,
                           eta: float, inner: InnerSolveConfig) -> SolverState:
     """Two-split ADMM with d eliminated; requires the canonical d init."""
-    return _split_step(ops, state, rho, eta, inner,
+    return _split_step(ops, state, rho, eta, _inner_steps(inner),
                        *_eliminated_terms(ops, state, rho))
 
 
@@ -982,14 +969,15 @@ def quadratic_closed_form_step(state: SolverState, ops: ProblemOps, rho: float,
 
     Valid only with periodic operators (exact spectra) and the canonical
     d and e initializations.  C x goes into e, which the recursion then
-    rebuilds from v.  In coefficient form it is admm2_simplified's step.
+    rebuilds from v; with periodic C ``pcg_hat`` divides by M, reading no
+    warm start.  In coefficient form it is admm2_simplified's step.
     """
     data, dual = _closed_form_terms(ops, state, rho)
     if _coefficient_form(state):
         _coefficient_step(ops, state, rho, eta, None, data, dual)
         return state
     _split_rhs(ops, state, state.v, eta - ops.potential.alpha, data)
-    ops.solve_hat(state.ax_hat, rho, eta, out=state.x_hat)
+    ops.pcg_hat(state.ax_hat, state.x_hat, rho, eta)
     _new_x(ops, state, 0.0, state.e)
     dual(slice(None))
     # v = (eta C x + alpha v) / (eta + alpha), e = -(alpha / eta) v
@@ -1047,25 +1035,25 @@ def run(problem: ProblemSpec, config: OuterConfig,
     the steps.  With periodic C they run CHUNK at a time, each row block
     through all of them in turn (``_coefficient_step``), and the records
     and checks of a chunk follow it: a run that blows up stops within a
-    chunk of the bad iteration, with the error of that iteration.
+    chunk of the bad iteration, with the error of that iteration.  The
+    variant's (data, dual) pair is built once, on the state every step
+    writes over.  numpy's warnings are off while the steps run: a step
+    that overflows goes on, and a non-finite PCG value or cost stops it.
     """
     ops = ProblemOps(problem)
     if reference is not None and reference.shape != ops.shape:
         raise ValueError("reference grid %s does not match the problem grid %s"
                          % (reference.shape, ops.shape))
-    variant = _TERMS[config.algorithm]
     coefficients = ops.potential.kind == "quadratic"
     # the reference's cost and the rank check build whole-grid temporaries,
     # so they come before the state exists
-    ref = reference.values if reference is not None else None
-    ref_hat = None
-    if ref is None:
-        ref_cost = None
-    elif coefficients:
+    ref = ref_hat = ref_cost = None
+    if reference is not None:
+        ref = reference.values
         ref_hat = ops.hat(ref)
         ref_cost = ops.cost(ref, ref_hat * ops.transfer)
-    else:
-        ref_cost = ops.cost(ref)
+        if not coefficients:
+            ref_hat = None  # only a step in coefficient form reads it
     trace = MetricTrace(full_rank=ops.rank.full_rank)
     state = _consistent_state(ops, _initial_x(ops, config.x0_mode),
                               config.rho, config.eta, coefficients)
@@ -1097,17 +1085,18 @@ def run(problem: ProblemSpec, config: OuterConfig,
         state.x = None  # x0 served the first rmsd; the steps keep only x_hat
     guard = DIVERGENCE_FACTOR * max(initial_cost, 1.0)
     chunk = CHUNK if coefficients and ops.mask_mode == "periodic" else 1
+    data, dual = _TERMS[config.algorithm](ops, state, config.rho)
+    steps = _inner_steps(config.inner)
     while state.k < config.max_iterations:
         count = min(chunk, config.max_iterations - state.k)
-        data, dual = variant(ops, state, config.rho)
-        if coefficients:
-            sums = _coefficient_step(ops, state, config.rho, config.eta,
-                                     _inner_steps(config.inner), data, dual,
-                                     count, ref_hat)
-        else:
-            _split_step(ops, state, config.rho, config.eta, config.inner,
-                        data, dual)
-            sums = [(state.data_term, state.phi, image_sq(state.x))]
+        with np.errstate(all="ignore"):
+            if coefficients:
+                sums = _coefficient_step(ops, state, config.rho, config.eta,
+                                         steps, data, dual, count, ref_hat)
+            else:
+                _split_step(ops, state, config.rho, config.eta, steps, data,
+                            dual)
+                sums = [(state.data_term, state.phi, image_sq(state.x))]
         for k, (data_term, phi, sq) in enumerate(sums, state.k - count + 1):
             c = record(k, data_term + phi, sq)
             if c > guard:

@@ -236,11 +236,12 @@ def recommend(config_path, alpha, output_dir, eta):
     """Print the optimal penalty parameters eta* and rho*."""
     _, spectrum, _ = _config_and_spectra(config_path, alpha, output_dir)
     gamma, eta_star, rho_star = optimal_penalties(spectrum)
+    # before any output, as it rejects a bad eta
+    cmp = None if eta is None else compare_sb_vs_admm(eta, spectrum)
     click.echo("gamma: %.17g" % gamma)
     click.echo("eta_star: %.17g" % eta_star)
     click.echo("rho_star: %.17g" % rho_star)
-    if eta is not None:
-        cmp = compare_sb_vs_admm(eta, spectrum)
+    if cmp is not None:
         click.echo("at eta=%g: faster=%s rho_recommended=%.9g "
                    "radius_sb=%.9g radius_admm=%.9g"
                    % (eta, cmp.faster, cmp.rho_recommended,

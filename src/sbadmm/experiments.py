@@ -130,6 +130,10 @@ class ExperimentConfig:
             self.parameter_grid = default_parameter_grid(self.alpha)
         if not self.parameter_grid:
             raise ValueError("parameter grid must be nonempty")
+        for rho, eta in self.parameter_grid:
+            if not (0 < rho < math.inf and 0 < eta < math.inf):
+                raise ValueError("grid entry %g,%g: rho and eta must be "
+                                 "positive and finite" % (rho, eta))
 
 
 def load_truth(config: ExperimentConfig) -> ImageGrid:

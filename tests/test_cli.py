@@ -219,10 +219,16 @@ def test_recommend_verdict_follows_the_radii(tmp_path, runner):
     assert "faster=tie" in result.output
     # no verdict from NaN radii: an infinite penalty is a bad argument, as
     # is an infinite alpha or threshold, which made restore and benchmark
-    # abort a solve (exit 3) and spectra succeed
+    # abort a solve (exit 3) and spectra succeed.  recommend checks its eta
+    # before it prints the optima, so a rejected one prints nothing
     fair = write_config(tmp_path / "f.cfg", "potential = fair\n"
                         "threshold = inf\nheight = 8\nwidth = 8\n")
     o = ["--output-dir", str(tmp_path / "o")]
+    for eta in ("0", "-1", "nan"):
+        result = runner.invoke(main, ["recommend", "--eta", eta])
+        assert result.exit_code == 2, result.output
+        assert "eta must be positive and finite" in result.output
+        assert result.stdout == "", result.output
     for args in (["recommend", "--eta", "inf"],
                  ["predict", "--case", "II", "--rho", "inf"] + o,
                  ["restore", "--iters", "3", "--eta", "inf"] + o,
@@ -234,6 +240,7 @@ def test_recommend_verdict_follows_the_radii(tmp_path, runner):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert "must be positive and finite" in result.output
+        assert "gamma" not in result.stdout, args
 
 
 def test_zero_psf_sigma_exits_2(tmp_path, runner):
@@ -447,3 +454,72 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
         [sys.executable, "-c", NO_SCIPY, str(tmp_path)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_a_bad_grid_entry_exits_2_before_the_problem_is_built(tmp_path,
+                                                              runner,
+                                                              monkeypatch):
+    # benchmark built the problem and solved its reference before
+    # OuterConfig rejected the entry, with a message that names no key;
+    # restore reads the grid too, and rejects it as it rejects an empty one
+    import sbadmm.cli
+    import sbadmm.experiments
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the problem was built")
+
+    monkeypatch.setattr(sbadmm.cli, "make_problem", forbidden)
+    monkeypatch.setattr(sbadmm.experiments, "make_problem", forbidden)
+    o = ["--output-dir", str(tmp_path / "o")]
+    for entry in ("0,2", "1,-1", "inf,1", "1,nan"):
+        config = write_config(tmp_path / "g.cfg",
+                              "grid = 1,0.0625; %s\n" % entry)
+        for command in ("benchmark", "restore"):
+            result = runner.invoke(main, [command, "--config", config] + o)
+            assert result.exit_code == 2, (entry, result.output)
+            assert ("grid entry %s: rho and eta must be positive and finite"
+                    % entry) in result.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_benchmark_reports_a_failed_setting_and_goes_on(tmp_path, runner):
+    # (rho, eta) = (1e-9, 1e-9) trips the divergence guard at iteration 1
+    # of a masked 32x32 run; the sweep prints FAILED for it, writes its
+    # error to summary.csv and exits 0
+    config = write_config(tmp_path / "c.cfg", "height = 32\nwidth = 32\n"
+                          "grid = 1,0.0625; 1e-9,1e-9\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["benchmark", "--config", config,
+                                  "--iters", "20", "--output-dir", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "rho=1e-09 eta=1e-09: FAILED" in result.output
+    assert "rho=1 eta=0.0625: final rel_cost_err" in result.output
+    with open(out / "summary.csv") as f:
+        rows = {row["status"].split(":")[0]: row
+                for row in csv.DictReader(f)}
+    assert set(rows) == {"ok", "failed"}
+    assert rows["failed"]["status"].endswith(
+        "at iteration 1 (oscillation guard)")
+    assert float(rows["failed"]["rho"]) == 1e-9
+    assert not (out / "trace_rho1e-09_eta1e-09.csv").exists()
+    assert (out / "trace_rho1_eta0.0625.csv").exists()
+
+
+def test_a_huber_restore_takes_a_long_run_reference(tmp_path, runner,
+                                                    monkeypatch):
+    # every Huber, l1 and Fair restore solves its reference by a long run
+    # (experiments.long_run_reference), here shortened to 30 iterations
+    import sbadmm.experiments
+    monkeypatch.setattr(sbadmm.experiments, "LONG_RUN_ITERATIONS", 30)
+    for mode in ("periodic", "masked"):
+        config = write_config(tmp_path / "h.cfg", SMALL + "potential = huber\n"
+                              "threshold = 1\nmask_mode = %s\n" % mode)
+        out = tmp_path / mode
+        result = runner.invoke(main, ["restore", "--config", config,
+                                      "--output-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        with open(out / "trace.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 6
+        assert all(np.isfinite(float(value)) for row in rows
+                   for value in row.values())

@@ -83,6 +83,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="%s must be" % key):
             ex.ExperimentConfig(**{key: bad})
     assert ex.ExperimentConfig(height=1, width=1, noise_seed=0).height == 1
+    for pair in ((0.0, 2.0), (1.0, -1.0), (np.inf, 1.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="grid entry %g,%g: rho and eta "
+                           "must be positive and finite" % pair):
+            ex.ExperimentConfig(parameter_grid=[(1.0, 2.0 ** -4), pair])
 
 
 def test_make_problem_deterministic():
@@ -241,3 +245,24 @@ def test_empirical_rate_on_geometric_sequence():
         empirical_rate([1.0, 0.5])
     with pytest.raises(ValueError):
         empirical_rate([1.0, 0.0, 0.0, 0.0])
+
+
+def test_a_long_run_reference_is_the_exact_run_at_1_alpha(monkeypatch):
+    # the reference of every non-quadratic potential is run's final image
+    # at (rho, eta) = (1, alpha) with exact x-updates, to the bit; here
+    # with LONG_RUN_ITERATIONS cut to 7
+    monkeypatch.setattr(ex, "LONG_RUN_ITERATIONS", 7)
+    for kind in ("huber", "l1", "fair"):
+        for mode in ("periodic", "masked"):
+            problem, _ = ex.make_problem(small_config(
+                potential_kind=kind, potential_threshold=1.0, mask_mode=mode))
+            config = OuterConfig(rho=1.0, eta=problem.potential.alpha,
+                                 max_iterations=7,
+                                 inner=InnerSolveConfig(mode="circulant_exact"),
+                                 algorithm="admm2")
+            want = run(problem, config).final_image.values
+            got = ex.reference_solution(problem).values
+            assert np.array_equal(got, want), (kind, mode)
+            config.max_iterations = 8
+            assert not np.array_equal(got, run(problem, config)
+                                      .final_image.values), (kind, mode)

@@ -232,13 +232,13 @@ def test_problem_ops_builds_transfer_and_mask_once(rng, monkeypatch):
     monkeypatch.setattr(np.fft, "ifft2", forbidden)
     x = rng.standard_normal(shape)
     ops.Ct(ops.C(ops.At(ops.A(x))))
-    ops.solve_hat(ops.hat(x), 2.0, 0.5)
+    ops.solve(x, 2.0, 0.5)
     circulant_preconditioner(ops.lam, ops.om, 2.0, 0.5)(x)
     circulant_solve_array(ops.lam, ops.om, 2.0, 0.5, x)
     monkeypatch.setattr(algorithms, "difference", forbidden)
     monkeypatch.setattr(algorithms, "difference_transpose", forbidden)
-    ops.solve_hat(ops.hat(x), 2.0, 0.5)
-    periodic_ops.solve_hat(periodic_ops.hat(x), 2.0, 0.5)
+    ops.solve(x, 2.0, 0.5)
+    periodic_ops.solve(x, 2.0, 0.5)
 
 
 def test_random_kernel_transfer_is_bounded_away_from_zero():
