@@ -322,6 +322,12 @@ def test_closed_form_requires_quadratic_periodic(rng):
     st = canonical_init(ops, 1.0, 1.0)
     with pytest.raises(ValueError):
         quadratic_closed_form_step(st, ops, 1.0, 1.0)
+    # run builds the closed form's terms before its loop, so it checks the
+    # problem at 0 iterations too
+    config = OuterConfig(max_iterations=0, algorithm="quadratic_closed_form")
+    for kind, mode in (("l1", "periodic"), ("quadratic", "masked")):
+        with pytest.raises(ValueError, match="closed-form recursion requires"):
+            run(random_problem(rng, mask_mode=mode, kind=kind), config)
 
 
 def test_one_exact_masked_step_at_rho_1_eta_alpha_is_optimal(rng):
