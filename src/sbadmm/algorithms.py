@@ -21,16 +21,17 @@ hat(x) = P nu + A h at each frequency, h the variant's data term and P and
 A cached (``ProblemOps.coefficient_spectra``), in one row-block sweep that
 also forms hat(A x), the shares of Phi, of the cost's data term and of
 the rmsd's |hat(x) - hat(ref)|^2, and writes u, d and v.  As the
-frequencies step apart, ``run`` takes each row block through CHUNK steps
-before the next block starts, so that its arrays stay in the L2 cache,
-and records those steps after the chunk.  With masked C the state
-carries the wrap vectors of U'x and U'n, so no half spectrum passes
-through U' whole, and the step runs in the two row-block sweeps of
-``ProblemOps.pcg_hat``: the first builds the right-hand side and the
-first PCG residual block by block, the second updates x and does the
-same per-block work, U'x included.  The steps read the form from the
-state they are given (v complex and 2-D); ``canonical_init`` and
-``solution_state`` build real states.
+frequencies step apart, the step takes each row block through up to
+CHUNK steps before the next block starts, so that its arrays stay in the
+L2 cache.  With masked C the state carries the wrap vectors of U'x and
+U'n, so no half spectrum passes through U' whole, and the step runs in
+the two row-block sweeps of ``ProblemOps.pcg_hat``: the first builds the
+right-hand side and the first PCG residual block by block, the second
+updates x and does the same per-block work, U'x included.  The steps
+read the form from the state they are given (v complex and 2-D);
+``canonical_init`` and ``solution_state`` build real states.  ``run``
+asks each step for the iterations it has left, and the step takes as
+many as its form allows and returns each one's record.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ class SolverState:
     x and e, -(alpha/eta) v, are None; with masked C, wraps holds the wrap
     vectors of U'x and U'n, which the next step needs, and is None
     otherwise.  A step in coefficient form sums both terms of the cost
-    inside its sweeps; ``run`` steps a periodic one CHUNK steps at a
+    inside its sweeps; a periodic one may take up to CHUNK steps at a
     time, and phi and data_term are then those of the last.
     """
 
@@ -248,17 +249,6 @@ class ProblemOps:
         return [(rows, block[:rows.stop - rows.start],
                  work[:rows.stop - rows.start])
                 for rows in row_blocks(self.shape[0], block[0].nbytes)]
-
-    @cached_property
-    def _image_blocks(self):
-        """(rows, block) for each row block of an image: the row slice and
-        a real scratch array of that many rows, in the memory of the two
-        half-spectrum blocks.  They hold one: BLOCK_BYTES of image rows
-        take less than two row blocks of a half spectrum, whose rows are
-        as long or longer."""
-        h, w = self.shape
-        return [(rows, _real_view(self._scratch, (rows.stop - rows.start, w)))
-                for rows in row_blocks(h, w * np.dtype(float).itemsize)]
 
     @cached_property
     def _omega_factors(self):
@@ -610,14 +600,24 @@ class ProblemOps:
         x = self.pcg_hat(f, np.zeros_like(f), rho, eta)[0]
         return self.unhat(x, work=x)
 
+    def _sq_distance(self, f, g):
+        """|f - g|^2 of two images or two half spectra, summed one row
+        block at a time; an image's rows take a real view of the block,
+        which holds them, as a half spectrum's rows are as long or
+        longer."""
+        sq = 0.0
+        for rows, block, _ in self._blocks:
+            f_rows = f[rows]
+            if f_rows.dtype != block.dtype:
+                block = _real_view(block, f_rows.shape)
+            diff = np.subtract(f_rows, g[rows], out=block)
+            sq += np.vdot(diff, diff).real
+        return sq
+
     def data_term(self, ax_hat):
         """1/2 |y - A x|^2 from ax_hat = hat(A x): 1/2 |hat(y) -
-        hat(A x)|^2, by Parseval, summed one row block at a time."""
-        data = 0.0
-        for rows, block, _ in self._blocks:
-            res = np.subtract(self.y_hat[rows], ax_hat[rows], out=block)
-            data += np.vdot(res, res).real
-        return 0.5 * data
+        hat(A x)|^2, by Parseval."""
+        return 0.5 * self._sq_distance(self.y_hat, ax_hat)
 
     def cost(self, x, ax_hat=None):
         """Objective at x, reusing ax_hat = hat(A x) when it is given."""
@@ -659,14 +659,13 @@ def _consistent_state(ops: ProblemOps, x, rho: float, eta: float,
     """The state at x whose splits and duals agree with it: u = A x,
     v = C x, u + rho*d = y, and alpha*v + eta*e = 0 for the quadratic
     potential (e = 0 otherwise).  Each field is an array of its own, as
-    the steps write over them.  In coefficient form v is hat(x), e is
-    None, x is kept for the first record only, and with masked C the
-    state carries U'x and U'n."""
+    the steps write over them.  In coefficient form v is hat(x), x and e
+    are None, and with masked C the state carries U'x and U'n."""
     x_hat = ops.hat(x)
     u_hat = ops.transfer * x_hat
     wraps = e = None
     if coefficients:
-        v = x_hat.copy()
+        x, v = None, x_hat.copy()
         if ops.mask_mode == "masked":
             wraps = np.tile(ops._wrap_adjoint_hat(x_hat), (2, 1))
         phi = _quadratic_phi(ops, sum(
@@ -746,23 +745,24 @@ def _mix(ops, eta, x, nu):
 
 def _coefficient_step(ops, state, rho, eta, steps, data, dual, count=1,
                       ref_hat=None):
-    """count steps of a state in coefficient form, and for each the data
-    term, Phi and, given hat(ref), |hat(x) - hat(ref)|^2, in a list.  With
-    periodic C, hat(x) = P nu + A h at each frequency
-    (``coefficient_spectra``, data adding A h), so each row block goes
-    through all count steps before the next one starts, in the L2 cache;
-    with masked C, where count is 1, it is the two sweeps of ``pcg_hat``,
-    whose right-hand side is (eta - alpha) omega nu plus the data term,
-    less hat(U c), c = (alpha - eta) U'n.  Once hat(x) is final in a row
-    block, hat(A x) and its shares of the sums above and, for masked C, of
-    U'x are formed there, dual(rows) writes u and d, and nu is mixed with
-    hat(x); the wrap slices of the field C n that nu stands for are zero
-    already.  Each sum adds its row blocks' shares in block order, so
-    every count gives the values that many single steps give.  U'x and
-    U'n are carried in state.wraps, so no half spectrum passes through U'
-    whole."""
+    """Up to count steps of a state in coefficient form, CHUNK with
+    periodic C and one with masked C, and for each the data term, Phi and
+    |hat(x) - hat(ref)|^2, 0 without hat(ref), in a list.  With periodic
+    C, hat(x) = P nu + A h at each frequency (``coefficient_spectra``,
+    data adding A h), so each row block goes through all the steps before
+    the next one starts, in the L2 cache; with masked C it is the two
+    sweeps of ``pcg_hat``, whose right-hand side is (eta - alpha) omega nu
+    plus the data term, less hat(U c), c = (alpha - eta) U'n.  Once hat(x)
+    is final in a row block, hat(A x) and its shares of the sums above
+    and, for masked C, of U'x are formed there, dual(rows) writes u and d,
+    and nu is mixed with hat(x); the wrap slices of the field C n that nu
+    stands for are zero already.  Each sum adds its row blocks' shares in
+    block order, so every count gives the values that many single steps
+    give.  U'x and U'n are carried in state.wraps, so no half spectrum
+    passes through U' whole."""
     alpha = ops.potential.alpha
     masked = ops.mask_mode == "masked"
+    count = 1 if masked else min(count, CHUNK)
     # per step, the sums of |hat(y) - hat(A x)|^2, of omega |hat(x)|^2 and
     # of |hat(x) - hat(ref)|^2
     data_sums, omega_sums, ref_sums = ([0.0] * count for _ in range(3))
@@ -856,21 +856,31 @@ def _split_update(ops, state, eta):
         e[ix] = old
 
 
-def _split_step(ops, state, rho, eta, steps, data, dual):
-    """The step of sb and both ADMM variants, given the `steps` of
-    ``pcg_hat`` and their (data, dual) (``_TERMS``): data(rows, out, block,
-    adjoint) adds adjoint h at the rows to out, h the variant's data term
-    and adjoint conj(transfer), or A in a periodic coefficient-form step,
-    and dual(rows) writes u and d there from hat(A x)."""
+def _ref_sq(ops, state, ref):
+    """|x - ref|^2, 0 without ref, with ref in the state's form: an image,
+    or hat(ref) in coefficient form, against hat(x) by Parseval."""
+    return 0.0 if ref is None else ops._sq_distance(
+        state.x_hat if _coefficient_form(state) else state.x, ref)
+
+
+def _split_step(ops, state, rho, eta, steps, data, dual, count=1, ref=None):
+    """Up to count steps of sb and both ADMM variants, given the `steps` of
+    ``pcg_hat`` and their (data, dual) (``_TERMS``), and for each the data
+    term, Phi and |x - ref|^2 (``_ref_sq``), in a list.  A coefficient-form
+    state takes as many as ``_coefficient_step`` does, a real one one.
+    data(rows, out, block, adjoint) adds adjoint h at the rows to out, h
+    the variant's data term and adjoint conj(transfer), or A in a periodic
+    coefficient-form step, and dual(rows) writes u and d there from
+    hat(A x)."""
     if _coefficient_form(state):
-        _coefficient_step(ops, state, rho, eta, steps, data, dual)
-        return state
+        return _coefficient_step(ops, state, rho, eta, steps, data, dual,
+                                 count, ref)
     _split_rhs(ops, state, np.add(state.v, state.e, out=state.v), eta, data)
     _, res = ops.pcg_hat(state.ax_hat, state.x_hat, rho, eta, steps)
     _new_x(ops, state, res, state.v)
     dual(slice(None))
     _split_update(ops, state, eta)
-    return state
+    return [(state.data_term, state.phi, _ref_sq(ops, state, ref))]
 
 
 def _sb_terms(ops, state, rho):
@@ -945,22 +955,25 @@ _TERMS = {"sb": _sb_terms, "admm2": _admm2_terms,
 def sb_step(state: SolverState, ops: ProblemOps, eta: float,
             inner: InnerSolveConfig) -> SolverState:
     """One split Bregman sweep: least-squares x, prox v, dual e."""
-    return _split_step(ops, state, 1.0, eta, _inner_steps(inner),
-                       *_sb_terms(ops, state, 1.0))
+    _split_step(ops, state, 1.0, eta, _inner_steps(inner),
+                *_sb_terms(ops, state, 1.0))
+    return state
 
 
 def admm2_step(state: SolverState, ops: ProblemOps, rho: float, eta: float,
                inner: InnerSolveConfig) -> SolverState:
     """One two-split ADMM sweep (x, u, v, then both dual updates)."""
-    return _split_step(ops, state, rho, eta, _inner_steps(inner),
-                       *_admm2_terms(ops, state, rho))
+    _split_step(ops, state, rho, eta, _inner_steps(inner),
+                *_admm2_terms(ops, state, rho))
+    return state
 
 
 def admm2_simplified_step(state: SolverState, ops: ProblemOps, rho: float,
                           eta: float, inner: InnerSolveConfig) -> SolverState:
     """Two-split ADMM with d eliminated; requires the canonical d init."""
-    return _split_step(ops, state, rho, eta, _inner_steps(inner),
-                       *_eliminated_terms(ops, state, rho))
+    _split_step(ops, state, rho, eta, _inner_steps(inner),
+                *_eliminated_terms(ops, state, rho))
+    return state
 
 
 def quadratic_closed_form_step(state: SolverState, ops: ProblemOps, rho: float,
@@ -1030,15 +1043,17 @@ def run(problem: ProblemSpec, config: OuterConfig,
     The cost is always evaluated with the true (possibly masked) operators.
     The relative cost error and RMSD columns are NaN without a reference.
     With the quadratic potential, periodic or masked C, the steps run in
-    coefficient form (see the module docstring), and the rmsd after the
-    first row is |hat(x) - hat(ref)| / sqrt(n), by Parseval, summed inside
-    the steps.  With periodic C they run CHUNK at a time, each row block
-    through all of them in turn (``_coefficient_step``), and the records
-    and checks of a chunk follow it: a run that blows up stops within a
-    chunk of the bad iteration, with the error of that iteration.  The
-    variant's (data, dual) pair is built once, on the state every step
-    writes over.  numpy's warnings are off while the steps run: a step
-    that overflows goes on, and a non-finite PCG value or cost stops it.
+    coefficient form (see the module docstring), and the rmsd is
+    |hat(x) - hat(ref)| / sqrt(n), by Parseval, in every row.  Each pass
+    of the loop asks ``_split_step`` for the iterations left, and the step
+    takes as many as its form allows: CHUNK for a periodic coefficient
+    state, each row block through all of them in turn
+    (``_coefficient_step``), one otherwise.  The records and checks of a
+    pass follow it: a run that blows up stops within a chunk of the bad
+    iteration, with the error of that iteration.  The variant's (data,
+    dual) pair is built once, on the state every step writes over.
+    numpy's warnings are off while the steps run: a step that overflows
+    goes on, and a non-finite PCG value or cost stops it.
     """
     ops = ProblemOps(problem)
     if reference is not None and reference.shape != ops.shape:
@@ -1047,26 +1062,16 @@ def run(problem: ProblemSpec, config: OuterConfig,
     coefficients = ops.potential.kind == "quadratic"
     # the reference's cost and the rank check build whole-grid temporaries,
     # so they come before the state exists
-    ref = ref_hat = ref_cost = None
+    ref = ref_cost = None
     if reference is not None:
-        ref = reference.values
-        ref_hat = ops.hat(ref)
-        ref_cost = ops.cost(ref, ref_hat * ops.transfer)
+        # the steps measure x against the reference in the state's form
+        ref = ops.hat(reference.values)
+        ref_cost = ops.cost(reference.values, ref * ops.transfer)
         if not coefficients:
-            ref_hat = None  # only a step in coefficient form reads it
+            ref = reference.values
     trace = MetricTrace(full_rank=ops.rank.full_rank)
     state = _consistent_state(ops, _initial_x(ops, config.x0_mode),
                               config.rho, config.eta, coefficients)
-
-    def image_sq(x):
-        """|x - ref|^2, or None without a reference."""
-        if ref is None:
-            return None
-        sq = 0.0
-        for rows, block in ops._image_blocks:
-            diff = np.subtract(x[rows], ref[rows], out=block)
-            sq += np.vdot(diff, diff)
-        return sq
 
     def record(k, c, sq):
         if not math.isfinite(c):
@@ -1080,24 +1085,17 @@ def run(problem: ProblemSpec, config: OuterConfig,
         return c
 
     initial_cost = record(state.k, state.data_term + state.phi,
-                          image_sq(state.x))
-    if coefficients:
-        state.x = None  # x0 served the first rmsd; the steps keep only x_hat
+                          _ref_sq(ops, state, ref))
     guard = DIVERGENCE_FACTOR * max(initial_cost, 1.0)
-    chunk = CHUNK if coefficients and ops.mask_mode == "periodic" else 1
     data, dual = _TERMS[config.algorithm](ops, state, config.rho)
     steps = _inner_steps(config.inner)
     while state.k < config.max_iterations:
-        count = min(chunk, config.max_iterations - state.k)
         with np.errstate(all="ignore"):
-            if coefficients:
-                sums = _coefficient_step(ops, state, config.rho, config.eta,
-                                         steps, data, dual, count, ref_hat)
-            else:
-                _split_step(ops, state, config.rho, config.eta, steps, data,
-                            dual)
-                sums = [(state.data_term, state.phi, image_sq(state.x))]
-        for k, (data_term, phi, sq) in enumerate(sums, state.k - count + 1):
+            sums = _split_step(ops, state, config.rho, config.eta, steps,
+                               data, dual, config.max_iterations - state.k,
+                               ref)
+        for k, (data_term, phi, sq) in enumerate(sums,
+                                                  state.k - len(sums) + 1):
             c = record(k, data_term + phi, sq)
             if c > guard:
                 raise SolverDivergenceError(

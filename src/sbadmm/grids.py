@@ -100,11 +100,6 @@ def read_pgm(path) -> ImageGrid:
     return ImageGrid(data.reshape(height, width).astype(float))
 
 
-def write_matrix_text(grid: ImageGrid, path):
-    """Write a plain-text matrix, one row per line, exact round-trip."""
-    np.savetxt(path, grid.values, fmt="%.17g")
-
-
 def read_matrix_text(path) -> ImageGrid:
     return ImageGrid(np.atleast_2d(np.loadtxt(path)))
 

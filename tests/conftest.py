@@ -41,6 +41,12 @@ def random_problem(rng, shape=(8, 8), mask_mode="periodic", alpha=0.25,
                        potential=pot)
 
 
+def write_matrix_text(grid, path):
+    """Write an ImageGrid as a plain-text matrix, one row per line, which
+    read_matrix_text reads back exactly."""
+    np.savetxt(path, grid.values, fmt="%.17g")
+
+
 def make_ops(kernel, shape, mask_mode="periodic"):
     """Operators A, A', C, C' of a quadratic problem with zero data."""
     return ProblemOps(ProblemSpec(y=ImageGrid(np.zeros(shape)), kernel=kernel,

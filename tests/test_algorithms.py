@@ -89,6 +89,8 @@ def test_canonical_init_identities(rng):
     for f in fields(SolverState):
         assert np.array_equal(getattr(sol, f.name), getattr(st, f.name)), \
             f.name
+    with pytest.raises(ValueError, match="x0_mode must be"):
+        canonical_init(ops, rho, eta, x0_mode="ones")
 
 
 def test_zero_data_stays_zero(rng):
@@ -1068,9 +1070,10 @@ def test_carried_wraps_match_fresh_ones(rng):
 
 def test_a_coefficient_state_stands_for_the_real_one(rng):
     # nu is the half spectrum of an image n with v = C n, and e, which a
-    # coefficient-form state does not keep, is -(alpha/eta) v: after 1, 2
-    # and 30 steps of each variant with either C, from both starts, against
-    # the real-form steps.  Measured worst 6.7e-16 relative over five seeds
+    # coefficient-form state does not keep, nor x, from its start on, is
+    # -(alpha/eta) v: after 1, 2 and 30 steps of each variant with either
+    # C, from both starts, against the real-form steps.  Measured worst
+    # 6.7e-16 relative over five seeds
     alpha, rho, eta = 0.25, 2.0, 0.5
     for (name, mode, inner_cfg), x0_mode in itertools.product(
             VARIANT_CASES, ("zero", "data")):
@@ -1078,6 +1081,7 @@ def test_a_coefficient_state_stands_for_the_real_one(rng):
                                         alpha=alpha))
         real = canonical_init(ops, rho, eta, x0_mode)
         state = coefficient_state(ops, rho, eta, x0_mode)
+        assert state.x is None and state.e is None
         for k in range(1, 31):
             real = VARIANTS[name](real, ops, inner_cfg)
             state = VARIANTS[name](state, ops, inner_cfg)
@@ -1219,11 +1223,12 @@ def test_a_negative_curvature_beyond_rounding_still_raises(rng,
 
 
 def per_step_run(problem, config, reference):
-    """run() as a loop of the public step, once per iteration, from
-    coefficient_state, each state recorded with run's formulas: the rmsd
-    of x0 summed over image row blocks, then |hat(x) - hat(ref)|^2 over
-    half-spectrum row blocks.  Returns the trace columns, the final image,
-    the final state and the step."""
+    """run() as a loop of the public step, once per iteration, from the
+    state run starts from: coefficient_state for the quadratic potential,
+    canonical_init otherwise.  Each state is recorded with run's formulas,
+    the rmsd from |hat(x) - hat(ref)|^2 in coefficient form and |x -
+    ref|^2 in real form, summed over half-spectrum row blocks.  Returns
+    the trace columns, the final image, the final state and the step."""
     ops = ProblemOps(problem)
     rho, eta, inner_cfg = config.rho, config.eta, config.inner
     step = {"sb": lambda s: sb_step(s, ops, eta, inner_cfg),
@@ -1232,7 +1237,9 @@ def per_step_run(problem, config, reference):
                 s, ops, rho, eta, inner_cfg),
             "quadratic_closed_form": lambda s: quadratic_closed_form_step(
                 s, ops, rho, eta)}[config.algorithm]
-    state = coefficient_state(ops, config.rho, config.eta, config.x0_mode)
+    start = (coefficient_state if problem.potential.kind == "quadratic"
+             else canonical_init)
+    state = start(ops, config.rho, config.eta, config.x0_mode)
     if reference is not None:
         ref = reference.values
         ref_hat = ops.hat(ref)
@@ -1245,23 +1252,20 @@ def per_step_run(problem, config, reference):
         rel = rmsd = float("nan")
         if reference is not None:
             rel = (c - ref_cost) / (ref_cost or 1.0)
+            x, r = ((state.x_hat, ref_hat) if state.x is None
+                    else (state.x, ref))
             sq = 0.0
-            if k:
-                for rows, block, _ in ops._blocks:
-                    diff = np.subtract(state.x_hat[rows], ref_hat[rows],
-                                       out=block)
-                    sq += np.vdot(diff, diff).real
-            else:
-                for rows, block in ops._image_blocks:
-                    diff = np.subtract(state.x[rows], ref[rows], out=block)
-                    sq += np.vdot(diff, diff)
+            for rows, _, _ in ops._blocks:
+                diff = x[rows] - r[rows]
+                sq += np.vdot(diff, diff).real
             rmsd = math.sqrt(sq / ops.y.size)
         rows_out.append((k, c, rel, rmsd, state.inner_residual))
-    return list(zip(*rows_out)), ops.unhat(state.x_hat), state, step
+    image = ops.unhat(state.x_hat) if state.x is None else state.x
+    return list(zip(*rows_out)), image, state, step
 
 
-STATE_FIELDS = ("x_hat", "ax_hat", "u_hat", "d_hat", "v", "wraps", "phi",
-                "data_term", "k", "inner_residual")
+STATE_FIELDS = ("x", "x_hat", "ax_hat", "u_hat", "d_hat", "v", "e", "wraps",
+                "phi", "data_term", "k", "inner_residual")
 
 
 def bits(value):
@@ -1270,33 +1274,41 @@ def bits(value):
 
 def test_a_run_records_what_single_steps_give(rng, monkeypatch):
     # a periodic quadratic run takes each row block through CHUNK
-    # iterations at a time, and a masked one sums its rmsd inside its
-    # step: their trace columns and final images equal, to the bit, those
-    # of the public step once per iteration, for every variant, both
-    # starts, with and without a reference, and 0, 1 and more than two
-    # chunks of iterations; and the state a run ends with is the loop's
-    # and steps on as the loop's does.  (40, 1024) has three row blocks
+    # iterations at a time, a masked one sums its rmsd inside its step,
+    # and a Huber or l1 run steps in real form, where _split_step sums it:
+    # their trace columns and final images equal, to the bit, those of the
+    # public step once per iteration, for every variant, both starts, with
+    # and without a reference, and 0, 1 and more than two chunks of
+    # iterations; and the state a run ends with is the loop's and steps on
+    # as the loop's does.  (40, 1024) has three row blocks
     chunk = algorithms.CHUNK
-    cases = [(name, "periodic", EXACT) for name in algorithms.ALGORITHMS]
-    cases += [(name, "masked", inner_cfg)
+    cases = [("quadratic", name, "periodic", EXACT)
+             for name in algorithms.ALGORITHMS]
+    cases += [(kind, name, mode, inner_cfg)
+              for kind in ("quadratic", "huber", "l1")
               for name in ("sb", "admm2", "admm2_simplified")
-              for inner_cfg in (PCG3, EXACT)]
+              for mode in ("periodic", "masked")
+              for inner_cfg in (PCG3, EXACT)
+              if (kind, mode) != ("quadratic", "periodic")]
     ended = []
-    real = algorithms._coefficient_step
+    real = algorithms._split_step
 
     def spy(ops, state, *args):
         sums = real(ops, state, *args)
         ended[:] = [copy.deepcopy(state), ops]
         return sums
 
-    monkeypatch.setattr(algorithms, "_coefficient_step", spy)
-    for (name, mode, inner_cfg), shape in itertools.product(
+    for (kind, name, mode, inner_cfg), shape in itertools.product(
             cases, [(40, 1024)] + ODD_AND_DEGENERATE_SHAPES):
         problem = ProblemSpec(y=ImageGrid(rng.standard_normal(shape)),
                               kernel=fitting_kernel(rng, shape),
                               mask_mode=mode,
-                              potential=Potential("quadratic", 0.25))
-        counts = (0, 1, 2 * chunk + 3) if mode == "periodic" else (0, 1, 5)
+                              potential=Potential(
+                                  kind, 0.25,
+                                  1.0 if kind == "huber" else None))
+        counts = ((0, 1, 2 * chunk + 3) if (kind, mode) == ("quadratic",
+                                                          "periodic")
+                  else (0, 1, 5))
         for x0_mode, with_ref, count in itertools.product(
                 ("zero", "data"), (False, True), counts):
             reference = (ImageGrid(rng.standard_normal(shape)) if with_ref
@@ -1304,11 +1316,11 @@ def test_a_run_records_what_single_steps_give(rng, monkeypatch):
             config = OuterConfig(rho=1.0 if name == "sb" else 2.0, eta=0.5,
                                  max_iterations=count, inner=inner_cfg,
                                  algorithm=name, x0_mode=x0_mode)
-            case = (name, mode, inner_cfg.mode, shape, x0_mode, with_ref,
-                    count)
-            ended.clear()
-            trace = run(problem, config, reference)
-            run_ended = list(ended)
+            case = (kind, name, mode, inner_cfg.mode, shape, x0_mode,
+                    with_ref, count)
+            with monkeypatch.context() as patch:
+                patch.setattr(algorithms, "_split_step", spy)
+                trace = run(problem, config, reference)
             columns, image, want, step = per_step_run(problem, config,
                                                       reference)
             got = (trace.iterations, trace.cost, trace.rel_cost_err,
@@ -1316,8 +1328,8 @@ def test_a_run_records_what_single_steps_give(rng, monkeypatch):
             assert [bits(c) for c in got] == [bits(c) for c in columns], case
             assert bits(trace.final_image.values) == bits(image), case
             if count:
-                got, ops = run_ended
-                assert got.x is None, case
+                got, ops = ended
+                assert (got.x is None) == (kind == "quadratic"), case
                 for _ in range(2):
                     for field_name in STATE_FIELDS:
                         assert (bits(getattr(got, field_name))

@@ -8,7 +8,7 @@ import sbadmm.experiments as ex
 from sbadmm.algorithms import OuterConfig, ProblemOps, ProblemSpec, run
 from sbadmm.grids import ImageGrid
 from sbadmm.inner import InnerSolveConfig
-from conftest import empirical_rate, random_problem
+from conftest import empirical_rate, random_problem, write_matrix_text
 
 
 def small_config(**kw):
@@ -106,7 +106,6 @@ def test_make_problem_identity_blur_no_noise():
 
 
 def test_load_truth_from_file(tmp_path):
-    from sbadmm.grids import write_matrix_text
     img = ImageGrid(np.arange(16.0).reshape(4, 4))
     path = str(tmp_path / "truth.txt")
     write_matrix_text(img, path)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sbadmm.grids import (ConvolutionKernel, ImageGrid, read_matrix_text,
-                          read_pgm, write_matrix_text, write_pgm)
+                          read_pgm, write_pgm)
+from conftest import write_matrix_text
 
 
 def test_image_grid_shape_and_props():
@@ -32,6 +33,8 @@ def test_kernel_validation():
         ConvolutionKernel(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         ConvolutionKernel(np.ones((3, 3)), (3, 0))
+    with pytest.raises(ValueError, match="non-empty 2D stencil"):
+        ConvolutionKernel(np.zeros((0, 3)))
     k = ConvolutionKernel(np.ones((1, 1)))
     assert k.taps.shape == (1, 1) and k.anchor == (0, 0)
 
@@ -52,12 +55,18 @@ def test_pgm_round_trip(tmp_path):
     lo, hi = img.values.min(), img.values.max()
     expected = np.round((img.values - lo) / (hi - lo) * 255.0)
     assert np.array_equal(back.values, expected)
+    # a constant image has no range to rescale, and is written as zeros
+    write_pgm(ImageGrid(np.full((2, 3), 7.0)), path)
+    assert np.array_equal(read_pgm(path).values, np.zeros((2, 3)))
 
 
 def test_pgm_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P2\n1 1\n255\n0\n")
     with pytest.raises(ValueError):
+        read_pgm(str(path))
+    path.write_bytes(b"P5\n1 1\n65535\n" + bytes(2))
+    with pytest.raises(ValueError, match="only 8-bit PGM"):
         read_pgm(str(path))
 
 

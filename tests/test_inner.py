@@ -4,7 +4,8 @@ import pytest
 from sbadmm.grids import ConvolutionKernel
 from sbadmm.inner import (InnerSolveConfig, PcgBreakdownError,
                           SingularHessianError, circulant_preconditioner,
-                          circulant_solve_array, pcg_solve)
+                          circulant_solve_array, hessian_spectrum,
+                          pcg_solve)
 from sbadmm.operators import (diff_gram_spectrum, gram_spectrum,
                               sparse_blur_matrix, sparse_diff_matrix)
 from conftest import (ODD_AND_DEGENERATE_SHAPES, fitting_kernel, hessian_hat,
@@ -76,6 +77,12 @@ def test_circulant_solve_singular_names_frequency():
     # the preconditioner divides by the same exact M
     with pytest.raises(SingularHessianError, match=r"\(0, 0\)"):
         circulant_preconditioner(lam, om, 1.0, 1.0)(np.ones((2, 2)))
+    # M of spectra on two grids, or of a penalty that is not positive
+    with pytest.raises(ValueError, match="different grids"):
+        hessian_spectrum(np.ones((2, 2)), np.ones((2, 3)), 1.0, 1.0)
+    for rho, eta in ((0.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            hessian_spectrum(np.ones((2, 2)), np.ones((2, 2)), rho, eta)
 
 
 def make_masked_hessian(rng, shape, rho=1.0, eta=0.25):

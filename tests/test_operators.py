@@ -113,6 +113,9 @@ def test_rank_check_cases():
     good = split_operator_rank_check(gram_spectrum(k, shape), om)
     assert good.full_rank
 
+    with pytest.raises(ValueError, match="different grids"):
+        split_operator_rank_check(lam_id, om[:, :5])
+
 
 def test_adjoint_identities_random(rng):
     # definitional <Ax, r> == <x, A'r> for blur and differences, both modes

@@ -35,6 +35,12 @@ def test_delta_spectrum_rejects_double_zero():
     om = np.array([[1.0, 0.0]])
     with pytest.raises(ValueError, match="rank deficient"):
         delta_spectrum(lam, om, 1.0)
+    with pytest.raises(ValueError, match="different grids"):
+        delta_spectrum(lam, om.T, 1.0)
+    with pytest.raises(ValueError, match="empty delta spectrum"):
+        DeltaSpectrum(np.array([]), 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        DeltaSpectrum(np.array([0.5, -1.0]), 1.0)
 
 
 def test_delta_spectrum_matches_elementwise_division(rng):
@@ -169,8 +175,12 @@ def test_predict_case_constraints():
         predict("III", spec, rho=2.0, eta=1.0)
     with pytest.raises(ValueError):
         predict("IV", spec, eta=1.0)
-    with pytest.raises(ValueError, match="needs eta"):
+    with pytest.raises(ValueError, match="Case I needs eta"):
         predict("I", spec)
+    with pytest.raises(ValueError, match="Case II needs rho"):
+        predict("II", spec)
+    with pytest.raises(ValueError, match="Case III needs eta"):
+        predict("III", spec, rho=2.0)
     # the check is relative: a small alpha does not make eta = 5 alpha equal
     small = DeltaSpectrum(np.array([0.5, 2.0, 10.0]), 1e-9)
     with pytest.raises(ValueError, match="eta == alpha"):
@@ -250,6 +260,8 @@ def test_rate_and_spectra_csv_round_trip(tmp_path):
     i, j = np.indices(shape)
     assert np.array_equal(got, np.stack(
         [i.ravel(), j.ravel(), lam.ravel(), om.ravel()], axis=1))
+    with pytest.raises(ValueError, match="different grids"):
+        write_spectra_csv(lam, om[:, :-1], str(tmp_path / "bad.csv"))
 
 
 def kernel_4x1():
